@@ -112,10 +112,6 @@ class LrpGraph:
             object.__setattr__(self, "_adjacency", (indptr, nbrs))
         return self._adjacency
 
-    def long_degree(self, v: int) -> int:
-        indptr, _ = self.adjacency()
-        return int(indptr[v + 1] - indptr[v])
-
 
 def representative_displacements(d: int, n: int):
     """One displacement per unordered pair orbit: first nonzero coord > 0.
@@ -167,7 +163,7 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
     d, n, beta = config.d, config.n, config.beta
     base = RngStream(config.seed, stream_id)
     if d == 1:
-        return _sample_d1(config, base, tolerance)
+        return _sample_d1(config, base)
     if kernel is None:
         kernel = DisplacementKernel.build(d, beta, n - 1, tolerance)
     strides = np.asarray(config.strides, dtype=np.int64)
@@ -187,11 +183,10 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
     return _finish(config, chunks)
 
 
-def _sample_d1(config: ModelConfig, base: RngStream,
-               tolerance: float) -> LrpGraph:
+def _sample_d1(config: ModelConfig, base: RngStream) -> LrpGraph:
     n, beta = config.n, config.beta
     ks = np.arange(2, n)
-    ps = -np.expm1(-beta * kernel_integrals_d1(ks.astype(float), tolerance))
+    ps = -np.expm1(-beta * kernel_integrals_d1(ks.astype(float)))
     chunks = []
     for idx, (k, p) in enumerate(zip(ks, ps)):
         N = n - int(k)
@@ -237,8 +232,7 @@ def expected_long_edge_total(config: ModelConfig,
     d, n, beta = config.d, config.n, config.beta
     if d == 1:
         ks = np.arange(2, n)
-        ps = -np.expm1(-beta * kernel_integrals_d1(ks.astype(float),
-                                                   tolerance))
+        ps = -np.expm1(-beta * kernel_integrals_d1(ks.astype(float)))
         return float(((n - ks) * ps).sum())
     kernel = DisplacementKernel.build(d, beta, n - 1, tolerance)
     return float(sum(class_pair_count(k, n) * kernel.probability(k)
@@ -257,6 +251,8 @@ def save_binary(graph: LrpGraph, path) -> None:
 def load_binary(path) -> LrpGraph:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
+        if len(raw) < _HEADER.size:
+            raise ValueError("truncated header")
         magic, version, d, n, beta, seed, count = _HEADER.unpack(raw)
         if magic != _MAGIC:
             raise ValueError(f"not a graph file (magic {magic!r})")
@@ -280,14 +276,28 @@ def export_text(graph: LrpGraph, path) -> None:
 
 
 def import_text(path) -> tuple[ModelConfig, np.ndarray]:
+    """Read an `export_text` file; rejects edges that no sample can hold:
+    ends out of range, i >= j, or ||j - i||_inf < 2."""
     with open(path) as fh:
         header = fh.readline().split()
-        if header[0] != "#":
+        if len(header) != 5 or header[0] != "#":
             raise ValueError("missing '# d n beta seed' header")
         d, n, beta, seed = (int(header[1]), int(header[2]),
                             float(header[3]), int(header[4]))
         edges = [tuple(map(int, line.split())) for line in fh if line.strip()]
     config = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-    arr = (np.asarray(edges, dtype=np.int64) if edges
-           else np.empty((0, 2), dtype=np.int64))
+    if any(len(e) != 2 for e in edges):
+        raise ValueError("each edge line must hold two vertices")
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    i, j = arr[:, 0], arr[:, 1]
+    if ((i < 0) | (j >= config.n_vertices)).any():
+        raise ValueError(f"edge end out of range [0, {config.n_vertices})")
+    if (i >= j).any():
+        raise ValueError("edges must satisfy i < j")
+    shape = (n,) * d
+    gap = np.abs(np.subtract(np.unravel_index(j, shape),
+                             np.unravel_index(i, shape))).max(axis=0,
+                                                             initial=0)
+    if (gap < 2).any():
+        raise ValueError("edges must have ||j - i||_inf >= 2")
     return config, arr

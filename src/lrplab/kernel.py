@@ -10,18 +10,28 @@ where V1(x) is the unit cube centered at x.  Nearest neighbors
 (||k||_inf = 1) are wired with probability 1; the integral is not
 defined for them here.
 
-I(k) is evaluated by fixed-order tensor-product Gauss-Legendre
-quadrature over the cube pair (16 nodes per axis; the integrand is
-analytic at separation >= 1, so this is accurate to machine precision
-at every admissible displacement), switching to the closed tail form
-|k|^(-2d) * (1 + d(d+2) / (6|k|^2)) beyond a tolerance-derived radius.
-The tail form's relative error is C4(d)/|k|^4 with C4 measured at
-build time, so the switch radius is chosen per tolerance rather than
-fixed.
+In d=1, I(k) = -log(1 - 1/k^2) exactly.  In d >= 2 it is evaluated in
+the difference variable t = v - u,
+
+    I(k) = integral over [-1,1]^d of prod(1 - |t_m|) |k + t|^(-2d) dt,
+
+by a tensor Gauss-Legendre rule with each axis split at the kink t_m = 0
+(16 nodes per panel; the integrand is analytic at separation >= 1, so
+this is accurate to machine precision at every admissible displacement),
+batched over the classes in chunks of bounded memory.  Beyond a
+tolerance-derived radius the closed tail form
+|k|^(-2d) * (1 + d(d+2) / (6|k|^2)) takes over; its relative error is
+C4(d)/|k|^4 with C4 measured, so the switch radius is chosen per
+tolerance rather than fixed.
+
+I(k) does not depend on beta, so the per-class integrals are computed
+once per (d, max_norm, tolerance) and cached read-only; a table for a
+given beta only applies p = -expm1(-beta * I) to them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -31,17 +41,10 @@ DEFAULT_TOLERANCE = 1e-6
 
 # Measured coefficients of the |k|^-4 relative error of the closed tail
 # form (next Taylor order of the cube-pair average); padded ~10%.
-_TAIL_ERR_COEF = {1: 0.37, 2: 1.51, 3: 3.6}
+_TAIL_ERR_COEF = {2: 1.51, 3: 3.6}
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    if nodes not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(nodes)
-        # rescale to the unit cube face [-1/2, 1/2]
-        _GL_CACHE[nodes] = (x / 2.0, w / 2.0)
-    return _GL_CACHE[nodes]
+# quadrature points held at once: bounds the batch memory in every d
+_CHUNK = 1 << 16
 
 
 def canonical_class(k) -> tuple[int, ...]:
@@ -65,27 +68,58 @@ def tail_radius(d: int, tolerance: float) -> float:
     return max(12.0, (5.0 * coef / tolerance) ** 0.25)
 
 
-def _tail_form(r2: float, d: int) -> float:
+def _tail_form(r2, d: int):
     return r2 ** (-d) * (1.0 + d * (d + 2) / (6.0 * r2))
 
 
-def _quad_integral(k: tuple[int, ...], d: int, nodes: int) -> float:
-    x, w = _gl_rule(nodes)
+def _panel_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes on [-1, 1] split at 0, weights times the tent 1 - |t|."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = np.concatenate([(x - 1.0) / 2.0, (x + 1.0) / 2.0])
+    return t, np.concatenate([w, w]) / 2.0 * (1.0 - np.abs(t))
+
+
+def _integrals(classes: np.ndarray, tolerance: float) -> np.ndarray:
+    """I(k) for every row of an (m, d) array of displacements."""
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    d = classes.shape[1]
+    k = classes.astype(float)
+    r2 = (k * k).sum(axis=1)
     if d == 1:
-        U = x[:, None]
-        V = float(k[0]) + x[None, :]
-        F = np.abs(V - U) ** -2.0
-        return float(w @ F @ w)
-    # general d: tensor grid over both cubes
-    grids = np.meshgrid(*([x] * d), indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    wts = np.prod(np.stack(np.meshgrid(*([w] * d), indexing="ij"), axis=0),
-                  axis=0).ravel()
-    kv = np.asarray(k, dtype=float)
-    diff = pts[:, None, :] - (kv[None, None, :] + pts[None, :, :])
-    r2 = (diff ** 2).sum(axis=-1)
-    F = r2 ** (-float(d))
-    return float(wts @ F @ wts)
+        return -np.log1p(-1.0 / r2)
+    out = _tail_form(r2, d)
+    near = np.flatnonzero(r2 < tail_radius(d, tolerance) ** 2)
+    t, w = _panel_rule(16 if tolerance >= 1e-12 else 32)
+    wts = functools.reduce(np.multiply.outer, [w] * d).ravel()
+    step = max(1, _CHUNK // wts.size)
+    for lo in range(0, near.size, step):
+        rows = near[lo:lo + step]
+        # squared distance |k + t|^2 on the tensor grid, axis by axis
+        dist2 = np.zeros((rows.size, 1))
+        for m in range(d):
+            axis = (k[rows, m, None] + t) ** 2
+            dist2 = (dist2[:, :, None] + axis[:, None, :]).reshape(
+                rows.size, -1)
+        out[rows] = (1.0 / dist2) ** d @ wts
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def class_integrals(d: int, max_norm: int,
+                    tolerance: float = DEFAULT_TOLERANCE
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (classes, I) arrays for every class of `enumerate_classes`.
+
+    Independent of beta and cached, so every table of the same
+    (d, max_norm, tolerance) shares one computation.
+    """
+    classes = np.array(list(enumerate_classes(d, max_norm)),
+                       dtype=np.int64).reshape(-1, d)
+    integrals = _integrals(classes, tolerance)
+    classes.flags.writeable = False
+    integrals.flags.writeable = False
+    return classes, integrals
 
 
 def kernel_integral(k, d: int | None = None,
@@ -94,25 +128,19 @@ def kernel_integral(k, d: int | None = None,
 
     Rejects nearest-neighbor and zero displacements (||k||_inf <= 1):
     those edges are wired by fiat and the model defines no integral for
-    them.  Relative error is bounded by `tolerance` (in practice the
-    quadrature branch is exact to machine precision).
+    them.  Relative error is bounded by `tolerance` (exact in d=1, and
+    in practice the quadrature branch is exact to machine precision).
     """
     kt = np.atleast_1d(np.asarray(k, dtype=int))
     if d is None:
         d = kt.size
     elif kt.size != d:
         raise ValueError(f"displacement {tuple(kt)} does not match d={d}")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     cls = canonical_class(kt)
     if cls[0] <= 1:
         raise ValueError(
             f"||k||_inf must be >= 2, got displacement {tuple(kt)}")
-    r2 = float(sum(c * c for c in cls))
-    if math.sqrt(r2) >= tail_radius(d, tolerance):
-        return _tail_form(r2, d)
-    nodes = 16 if tolerance >= 1e-12 else 32
-    return _quad_integral(cls, d, nodes)
+    return float(_integrals(np.array([cls]), tolerance)[0])
 
 
 def edge_probability(k, beta: float, d: int | None = None,
@@ -145,32 +173,26 @@ class DisplacementKernel:
     d: int
     beta: float
     tolerance: float
-    asymptotic_threshold: float
     entries: dict[tuple[int, ...], tuple[float, float]] = field(
         default_factory=dict)
 
     @classmethod
     def build(cls, d: int, beta: float, max_norm: int,
               tolerance: float = DEFAULT_TOLERANCE) -> "DisplacementKernel":
-        """Build the table for every class with 2 <= ||k||_inf <= max_norm."""
+        """Table for every class with 2 <= ||k||_inf <= max_norm, on the
+        cached integrals of `class_integrals`."""
         if beta <= 0:
             raise ValueError("beta must be positive")
-        table = cls(d=d, beta=beta, tolerance=tolerance,
-                    asymptotic_threshold=tail_radius(d, tolerance))
-        for klass in enumerate_classes(d, max_norm):
-            table._insert(klass)
-        return table
-
-    def _insert(self, klass: tuple[int, ...]) -> tuple[float, float]:
-        I = kernel_integral(klass, self.d, self.tolerance)
-        p = -math.expm1(-self.beta * I)
-        self.entries[klass] = (I, p)
-        return I, p
+        classes, integrals = class_integrals(d, max_norm, tolerance)
+        entries = {k: (I, -math.expm1(-beta * I)) for k, I in
+                   zip(map(tuple, classes.tolist()), integrals.tolist())}
+        return cls(d=d, beta=beta, tolerance=tolerance, entries=entries)
 
     def lookup(self, k) -> tuple[float, float]:
         klass = canonical_class(k)
         if klass not in self.entries:
-            return self._insert(klass)
+            I = kernel_integral(klass, self.d, self.tolerance)
+            self.entries[klass] = (I, -math.expm1(-self.beta * I))
         return self.entries[klass]
 
     def probability(self, k) -> float:
@@ -190,25 +212,13 @@ def enumerate_classes(d: int, max_norm: int):
         yield from rec([c1], c1)
 
 
-def kernel_integrals_d1(ks: np.ndarray,
-                        tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Vectorized I(k) for d=1 positive displacements `ks` (all >= 2)."""
+def kernel_integrals_d1(ks: np.ndarray) -> np.ndarray:
+    """Exact I(k) = -log(1 - 1/k^2), vectorized over d=1 displacements
+    `ks` (all >= 2)."""
     ks = np.asarray(ks, dtype=float)
     if ks.size and ks.min() < 2:
         raise ValueError("displacements must be >= 2")
-    out = np.empty_like(ks)
-    cut = tail_radius(1, tolerance)
-    near = ks < cut
-    if near.any():
-        x, w = _gl_rule(16 if tolerance >= 1e-12 else 32)
-        # F[i, a, b] = (k_i + x_b - x_a)^-2
-        diff = ks[near, None, None] + x[None, None, :] - x[None, :, None]
-        out[near] = np.einsum("a,iab,b->i", w, np.abs(diff) ** -2.0, w)
-    far = ~near
-    if far.any():
-        r2 = ks[far] ** 2
-        out[far] = r2 ** -1.0 * (1.0 + 0.5 / r2)
-    return out
+    return -np.log1p(-1.0 / ks ** 2)
 
 
 def expected_degree(beta: float, d: int, cutoff: int,
@@ -226,13 +236,12 @@ def expected_degree(beta: float, d: int, cutoff: int,
         raise ValueError("cutoff must be >= 2")
     if d == 1:
         ks = np.arange(2, cutoff + 1, dtype=float)
-        total = 2.0 + 2.0 * np.sum(-np.expm1(-beta * kernel_integrals_d1(
-            ks, tolerance)))
+        total = 2.0 + 2.0 * np.sum(-np.expm1(-beta * kernel_integrals_d1(ks)))
     else:
-        table = DisplacementKernel.build(d, beta, cutoff, tolerance)
-        total = float(3 ** d - 1)
-        for klass, (_, p) in table.entries.items():
-            total += _orbit_size(klass) * p
+        classes, integrals = class_integrals(d, cutoff, tolerance)
+        orbits = [_orbit_size(klass) for klass in classes.tolist()]
+        total = 3 ** d - 1 + float(np.dot(orbits,
+                                          -np.expm1(-beta * integrals)))
     return total, _degree_tail_bound(beta, d, cutoff)
 
 

@@ -7,9 +7,8 @@ with an endpoint outside are excluded.  Unreached targets are reported
 as None at the public API; internally distance arrays use -1.
 
 The geodesic DAG between x and y holds, for every vertex on some
-geodesic, its predecessor set and the number of geodesics through it.
-Counts saturate at 2^64 - 1 with a flag by default; exact big-integer
-counting is available where tests need it.
+geodesic, its predecessor set and the number of geodesics through it,
+counted exactly with Python ints.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 from .regions import resolve_mask
 
 UNREACHED = -1
-_SATURATE = 2 ** 64 - 1
 
 
 def _nn_offsets(d: int) -> np.ndarray:
@@ -102,22 +100,6 @@ def _extend_adjacency(m, indptr, nbrs, extra_edges):
     return np.cumsum(new_indptr), targets
 
 
-@dataclass
-class DistanceField:
-    """BFS result: source set, optional region, per-vertex distances."""
-
-    source: np.ndarray
-    region_mask: np.ndarray | None
-    dist: np.ndarray
-
-
-def compute_field(graph, sources, region=None) -> DistanceField:
-    mask = resolve_mask(graph, region)
-    dist = distance_field(graph, sources, mask)
-    return DistanceField(source=np.atleast_1d(np.asarray(sources)),
-                         region_mask=mask, dist=dist)
-
-
 def distance(graph, x: int, y: int, region=None,
              extra_edges=None) -> int | None:
     """Chemical distance between vertices, or None if the region cuts them."""
@@ -195,8 +177,6 @@ class GeodesicDag:
     levels: dict
     preds: dict
     counts: dict
-    saturated: bool
-    exact: bool
 
     @property
     def count(self) -> int:
@@ -216,12 +196,14 @@ def _neighbors_of(graph, v, indptr, nbrs, offsets, strides):
 
 
 def geodesic_dag(graph, x: int, y: int, region=None,
-                 exact_counts: bool = False) -> GeodesicDag:
+                 exact_counts: bool = True) -> GeodesicDag:
     """Build the predecessor DAG of all x->y geodesics inside the region.
 
     preds holds exactly the edges (u, v) with dist(x,u) + 1 = dist(x,v)
     and dist(v,y) = dist(x,y) - dist(x,v); counts satisfy
-    counts[v] = sum of counts over preds[v].
+    counts[v] = sum of counts over preds[v], exactly.  `exact_counts`
+    is ignored; it is accepted for callers written when counts could
+    saturate.
     """
     mask = resolve_mask(graph, region)
     dist_x = distance_field(graph, x, mask)
@@ -239,7 +221,6 @@ def geodesic_dag(graph, x: int, y: int, region=None,
     levels = {int(v): int(dist_x[v]) for v in order}
     preds: dict[int, list[int]] = {}
     counts: dict[int, int] = {int(x): 1}
-    saturated = False
     for v in order:
         if v == x:
             continue
@@ -248,14 +229,9 @@ def geodesic_dag(graph, x: int, y: int, region=None,
                                             offsets, strides)
               if int(u) in on_set and dist_x[u] == lvl - 1]
         preds[v] = ps
-        total = sum(counts[u] for u in ps)
-        if not exact_counts and total > _SATURATE:
-            total = _SATURATE
-            saturated = True
-        counts[v] = total
+        counts[v] = sum(counts[u] for u in ps)
     return GeodesicDag(source=int(x), target=int(y), dist=D, levels=levels,
-                       preds=preds, counts=counts, saturated=saturated,
-                       exact=exact_counts)
+                       preds=preds, counts=counts)
 
 
 def sample_geodesic(dag: GeodesicDag, rng) -> list[int]:
@@ -305,7 +281,6 @@ def export_geodesic(path, dag: GeodesicDag, graph, fh) -> None:
     """Text dump, one vertex per line as comma-separated coordinates."""
     cx = ",".join(map(str, graph.coords(dag.source)))
     cy = ",".join(map(str, graph.coords(dag.target)))
-    count = dag.count if not dag.saturated else f">={dag.count}"
-    fh.write(f"# x={cx} y={cy} len={dag.dist} count={count}\n")
+    fh.write(f"# x={cx} y={cy} len={dag.dist} count={dag.count}\n")
     for v in path:
         fh.write(",".join(map(str, graph.coords(v))) + "\n")

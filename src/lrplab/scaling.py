@@ -76,7 +76,6 @@ class MultiplicityStats:
     fraction_unique: float
     median_overlap: float
     overlaps: np.ndarray
-    any_saturated: bool
 
 
 def _measure_distance(d: int, beta: float, n: int, seed: int,
@@ -127,7 +126,7 @@ def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
                                 ladder_index=ni, jobs=jobs)
         samples[n] = dist
         medians.append(float(np.median(dist)))
-        blo, bhi = _bootstrap_median_ci(dist, seed=seed + ni)
+        blo, bhi = _bootstrap_median_ci(dist, seed, ni)
         lo.append(blo)
         hi.append(bhi)
     boundary = None
@@ -145,9 +144,10 @@ def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
                       samples=samples, boundary_check=boundary)
 
 
-def _bootstrap_median_ci(values: np.ndarray, seed: int, boots: int = 400,
+def _bootstrap_median_ci(values: np.ndarray, seed: int, ladder_index: int,
+                         boots: int = 400,
                          level: float = 0.95) -> tuple[float, float]:
-    rng = RngStream(seed, (90001,)).generator()
+    rng = RngStream(seed, (90001, ladder_index)).generator()
     idx = rng.integers(0, len(values), size=(boots, len(values)))
     meds = np.median(values[idx], axis=1)
     alpha = (1 - level) / 2
@@ -227,13 +227,12 @@ def multiplicity_stats(d: int, beta: float, n: int, pairs, replicates: int,
                        seed: int) -> MultiplicityStats:
     """Geodesic count and overlap proxies for the given endpoint pairs.
 
-    Per replicate: count geodesics (saturating) between each pair and
+    Per replicate: count geodesics (exactly) between each pair and
     measure the shared-edge fraction of two independently sampled
     uniform geodesics.
     """
     counts = []
     overlaps = []
-    saturated = False
     for r in range(replicates):
         cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
         g = sample_graph(cfg, stream_id=(90003, r))
@@ -243,15 +242,13 @@ def multiplicity_stats(d: int, beta: float, n: int, pairs, replicates: int,
             if xi == yi:
                 raise ValueError("endpoints must be distinct")
             dag = geodesic_dag(g, xi, yi)
-            saturated |= dag.saturated
             counts.append(dag.count)
             p1 = path_edges(sample_geodesic(dag, rng))
             p2 = path_edges(sample_geodesic(dag, rng))
             overlaps.append(len(p1 & p2) / dag.dist)
-    counts = np.asarray(counts, dtype=np.uint64)
+    counts = np.asarray(counts, dtype=object)
     overlaps = np.asarray(overlaps)
     return MultiplicityStats(counts=counts,
                              fraction_unique=float((counts == 1).mean()),
                              median_overlap=float(np.median(overlaps)),
-                             overlaps=overlaps,
-                             any_saturated=saturated)
+                             overlaps=overlaps)

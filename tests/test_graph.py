@@ -150,3 +150,40 @@ def test_text_round_trip(tmp_path):
     cfg, edges = import_text(p)
     assert cfg == g.config
     assert np.array_equal(edges, g.long_edges)
+
+
+def test_binary_truncated_header(tmp_path):
+    p = tmp_path / "g.lrpg"
+    save_binary(sample_graph(ModelConfig(d=1, beta=1.0, n=16, seed=1)), p)
+    short = tmp_path / "short.lrpg"
+    short.write_bytes(p.read_bytes()[:10])
+    with pytest.raises(ValueError, match="truncated header"):
+        load_binary(short)
+
+
+def test_text_rejects_empty_file(tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("")
+    with pytest.raises(ValueError):
+        import_text(p)
+
+
+@pytest.mark.parametrize("line", ["0 1", "5 3", "0 99", "4 4", "-1 5",
+                                  "0 3 5"])
+def test_text_rejects_invalid_edges(tmp_path, line):
+    # n=8, d=1: nearest neighbour, unsorted, out of range, self loop,
+    # negative end, three fields
+    p = tmp_path / "edges.txt"
+    p.write_text(f"# 1 8 1.0 0\n{line}\n")
+    with pytest.raises(ValueError):
+        import_text(p)
+
+
+def test_text_rejects_d2_nearest_neighbour(tmp_path):
+    # (0, 0) -> (1, 1) in a 4-box is a lattice (diagonal) neighbour
+    p = tmp_path / "edges.txt"
+    p.write_text("# 2 4 1.0 0\n0 5\n")
+    with pytest.raises(ValueError):
+        import_text(p)
+    p.write_text("# 2 4 1.0 0\n0 6\n")
+    assert import_text(p)[1].tolist() == [[0, 6]]

@@ -6,9 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrplab.kernel import (DisplacementKernel, canonical_class,
-                           edge_probability, enumerate_classes,
-                           expected_degree, kernel_integral,
-                           kernel_integrals_d1, tail_radius)
+                           class_integrals, edge_probability,
+                           enumerate_classes, expected_degree,
+                           kernel_integral, kernel_integrals_d1, tail_radius)
 
 from oracles import kernel_closed_d1, kernel_quad_oracle
 
@@ -38,11 +38,12 @@ def test_quad_vs_oracle(k, d):
 
 
 def test_d1_vectorized_matches_scalar():
-    ks = np.array([2, 3, 10, 31, 200, 5000])
+    # the closed form is exact; the oracle's own rounding is ~2e-9 at 5000
+    ks = np.array([2, 3, 10, 31, 37, 200, 5000])
     vec = kernel_integrals_d1(ks.astype(float))
     for k, v in zip(ks, vec):
         assert v == pytest.approx(kernel_integral((int(k),), 1), rel=1e-12)
-        assert v == pytest.approx(kernel_closed_d1(int(k)), rel=1e-6)
+        assert v == pytest.approx(kernel_closed_d1(int(k)), rel=1e-8)
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=2,
@@ -128,3 +129,45 @@ def test_expected_degree_monotone_in_beta():
     mus = [expected_degree(beta=b, d=1, cutoff=200)[0]
            for b in (0.5, 1.0, 2.0)]
     assert mus[0] < mus[1] < mus[2]
+
+
+def test_batched_d2_table_matches_oracle():
+    classes, integrals = class_integrals(2, 8)
+    assert len(classes) == len(list(enumerate_classes(2, 8)))
+    for k, I in zip(classes.tolist(), integrals):
+        assert I == pytest.approx(kernel_quad_oracle(k, 2), rel=1e-9)
+
+
+def test_table_shares_cached_integrals_across_beta():
+    before = class_integrals.cache_info().hits
+    t1 = DisplacementKernel.build(2, beta=0.5, max_norm=7)
+    t2 = DisplacementKernel.build(2, beta=2.0, max_norm=7)
+    assert class_integrals.cache_info().hits >= before + 1
+    assert class_integrals(2, 7, t1.tolerance) is \
+        class_integrals(2, 7, t2.tolerance)
+    for klass, (I1, p1) in t1.entries.items():
+        I2, p2 = t2.entries[klass]
+        assert I1 == I2
+        assert p1 < p2
+
+
+def test_cached_integrals_read_only():
+    classes, integrals = class_integrals(2, 5)
+    with pytest.raises(ValueError):
+        integrals[0] = 1.0
+    with pytest.raises(ValueError):
+        classes[0, 0] = 9
+
+
+def test_d3_table_bounded_and_tail_consistent():
+    table = DisplacementKernel.build(3, beta=1.0, max_norm=6)
+    assert len(table.entries) == len(list(enumerate_classes(3, 6)))
+    # just inside the tail radius the quadrature still runs; there it
+    # must agree with the closed tail form within the tolerance
+    tol = table.tolerance
+    r = tail_radius(3, tol)
+    for k in ((math.floor(r), 0, 0), (60, 20, 10)):
+        r2 = float(sum(c * c for c in k))
+        assert r2 < r * r
+        tail = r2 ** -3 * (1 + 15 / (6 * r2))
+        assert kernel_integral(k, 3) == pytest.approx(tail, rel=tol)

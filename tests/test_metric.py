@@ -174,7 +174,7 @@ def test_dag_counts_match_enumeration():
         paths = enumerate_geodesics(g, x, y, D)
         if paths is None:
             continue
-        dag = geodesic_dag(g, x, y, exact_counts=True)
+        dag = geodesic_dag(g, x, y)
         assert dag.dist == D
         assert dag.count == len(paths)
         checked += 1
@@ -183,15 +183,15 @@ def test_dag_counts_match_enumeration():
 
 def test_dag_counting_identity():
     g = _graph(1, 128, 11)
-    dag = geodesic_dag(g, 5, 100, exact_counts=True)
+    dag = geodesic_dag(g, 5, 100)
     for v, ps in dag.preds.items():
         assert dag.counts[v] == sum(dag.counts[u] for u in ps)
 
 
 def test_dag_forward_backward_counts_agree():
     g = _graph(1, 128, 12)
-    a = geodesic_dag(g, 3, 90, exact_counts=True)
-    b = geodesic_dag(g, 90, 3, exact_counts=True)
+    a = geodesic_dag(g, 3, 90)
+    b = geodesic_dag(g, 90, 3)
     assert a.count == b.count and a.dist == b.dist
 
 
@@ -226,7 +226,7 @@ def test_sample_geodesic_matches_enumeration_distribution():
     paths = enumerate_geodesics(g, x, y, D)
     if paths is None or len(paths) < 2:
         pytest.skip("degenerate instance")
-    dag = geodesic_dag(g, x, y, exact_counts=True)
+    dag = geodesic_dag(g, x, y)
     assert dag.count == len(paths)
     rng = np.random.default_rng(5)
     draws = 4000
@@ -342,3 +342,22 @@ def test_dag_preds_exactly_characterized():
             expected[v] = ps
         assert {v: sorted(ps) for v, ps in dag.preds.items()} == expected
         assert dag.levels[x] == 0 and dag.levels[y] == D
+
+
+def test_geodesic_count_exact_beyond_64_bits():
+    # no long edges, d=2, n=64: every geodesic from (5,32) to (55,32) is a
+    # 50-step king path; their number is the central trinomial
+    # coefficient T(50), about 4.942e22 > 2^64
+    from math import comb
+
+    from lrplab.graph import LrpGraph
+    g = LrpGraph(config=ModelConfig(d=2, beta=1.0, n=64),
+                 long_edges=np.empty((0, 2), dtype=np.int64))
+    x, y = int(g.index((5, 32))), int(g.index((55, 32)))
+    dag = geodesic_dag(g, x, y)
+    exact = sum(comb(50, 2 * k) * comb(2 * k, k) for k in range(26))
+    assert dag.dist == 50
+    assert dag.count == exact
+    assert exact > 2 ** 64
+    path = sample_geodesic(dag, np.random.default_rng(0))
+    assert len(path) == 51 and is_valid_path(g, path)

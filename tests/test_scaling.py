@@ -190,3 +190,29 @@ def test_sample_distances_parallel_matches_serial():
     a = sample_distances(1, 1.0, 32, 24, seed=6, jobs=1)
     b = sample_distances(1, 1.0, 32, 24, seed=6, jobs=3)
     assert np.array_equal(a, b)
+
+
+def test_bootstrap_draws_differ_across_seeds(monkeypatch):
+    # ladder point ni of a run at seed s must not reuse the bootstrap
+    # draws of point ni - 1 at seed s + 1
+    from lrplab import scaling
+    from lrplab.rng import RngStream
+    used = []
+
+    class Spy(RngStream):
+        def generator(self):
+            used.append(self)
+            return super().generator()
+
+    monkeypatch.setattr(scaling, "RngStream", Spy)
+    lad = Ladder(n_values=(2, 3, 4, 5), replicates=30)
+    draws = {}
+    for seed in (7, 8):
+        used.clear()
+        estimate_medians(1, 1.0, lad, seed=seed, boundary_probe=False)
+        draws[seed] = [RngStream.generator(s).integers(0, 30, 30).tolist()
+                       for s in list(used)]
+    assert len(draws[7]) == len(draws[8]) == 4
+    for ni in range(1, 4):
+        assert draws[7][ni] != draws[8][ni - 1]
+        assert draws[7][ni] != draws[7][ni - 1]
