@@ -349,22 +349,29 @@ class GoodRate:
     replicates: int
 
 
-def good_cube_rate(d: int, beta: float, s: int, params: GoodCubeParams,
-                   a_s: float, replicates: int, seed: int,
-                   box_factor: int = 9) -> GoodRate:
-    """Monte Carlo P[cube is good] with a Wilson 95% interval."""
+def good_cube_rate(d: int, beta: float, s: int,
+                   grid: list[GoodCubeParams], a_s: float, replicates: int,
+                   seed: int, box_factor: int = 9) -> list[GoodRate]:
+    """Monte Carlo P[cube is good] with a Wilson 95% interval, one rate
+    per entry of `grid`; each replicate's configuration is sampled once
+    and classified under every entry."""
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
     n = box_factor * s
     z = tuple([n // 2] * d)
-    hits = 0
+    hits = np.zeros(len(grid), dtype=np.int64)
     for r in range(replicates):
         cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
         g = sample_graph(cfg, stream_id=(90021, r))
-        hits += classify_good_cube(g, z, s, params, a_s).good
-    lo, hi = _wilson(hits, replicates)
-    return GoodRate(alpha=params.alpha, b=params.b, rate=hits / replicates,
-                    ci_lo=lo, ci_hi=hi, replicates=replicates)
+        hits += [classify_good_cube(g, z, s, params, a_s).good
+                 for params in grid]
+    out = []
+    for params, h in zip(grid, hits.tolist()):
+        lo, hi = _wilson(h, replicates)
+        out.append(GoodRate(alpha=params.alpha, b=params.b,
+                            rate=h / replicates, ci_lo=lo, ci_hi=hi,
+                            replicates=replicates))
+    return out
 
 
 def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:

@@ -235,9 +235,7 @@ def _run_sample(config: ExperimentConfig, out_dir: Path, written: list):
     save_binary(g, binary)
     text = _target(out_dir, written, "edges.txt")
     export_text(g, text)
-    from .graph import representative_displacements
-    streams = sum(1 for _ in representative_displacements(config.d, n))
-    return [binary, text], streams
+    return [binary, text], 1
 
 
 def _scaling_outputs(config, out_dir, written, fit):
@@ -261,6 +259,14 @@ def _scaling_outputs(config, out_dir, written, fit):
     return files
 
 
+def _ladder_streams(ladder: Ladder) -> int:
+    """Generators of `estimate_medians` plus `fit_theta`: one per
+    replicate and a bootstrap per ladder point, the boundary probe's
+    replicates, and the theta bootstrap."""
+    reps = ladder.replicates
+    return len(ladder.n_values) * (reps + 1) + reps + 1
+
+
 def _run_scaling(config: ExperimentConfig, out_dir: Path, written: list):
     p = config.params
     ladder = Ladder(n_values=tuple(int(n) for n in p["n_values"]),
@@ -275,8 +281,7 @@ def _run_scaling(config: ExperimentConfig, out_dir: Path, written: list):
               list(zip(fit.n_values, masses)))
     trend = _target(out_dir, written, "atom_trend.json")
     write_json(trend, {"spearman_rho": rho, "p_value": pval})
-    streams = len(fit.n_values) * (ladder.replicates + 1)
-    return files + [atoms, trend], streams
+    return files + [atoms, trend], _ladder_streams(ladder)
 
 
 def _run_dim(config: ExperimentConfig, out_dir: Path, written: list):
@@ -286,6 +291,7 @@ def _run_dim(config: ExperimentConfig, out_dir: Path, written: list):
     scales = [int(j) for j in p.get("scales", [2, 3, 4, 5, 6])]
     theta_source = p.get("theta_source", "fit")
     files = []
+    streams = 2 * n_geo          # a sample and a geodesic draw each
     if theta_source == "manual":
         theta = float(p["theta"])
     elif theta_source == "fit":
@@ -295,6 +301,7 @@ def _run_dim(config: ExperimentConfig, out_dir: Path, written: list):
         fit = fit_theta(estimate_medians(config.d, config.beta, ladder,
                                          config.seed, jobs=config.jobs))
         theta = fit.theta_hat
+        streams += _ladder_streams(ladder)
         files.extend(_scaling_outputs(config, out_dir, written, fit))
     else:
         raise ConfigError("theta_source must be 'fit' or 'manual'")
@@ -322,7 +329,7 @@ def _run_dim(config: ExperimentConfig, out_dir: Path, written: list):
                          "r_squared": fitd.r_squared,
                          "theta": theta, "n": n, "geodesics": n_geo,
                          "abs_difference": abs(fitd.dim_hat - theta)})
-    return files + [dim_csv, summary], n_geo * 2
+    return files + [dim_csv, summary], streams
 
 
 def _run_goodcubes(config: ExperimentConfig, out_dir: Path, written: list):
@@ -332,19 +339,21 @@ def _run_goodcubes(config: ExperimentConfig, out_dir: Path, written: list):
     b = float(p.get("b", 0.25))
     theta = float(p.get("theta", 0.45))
     replicates = int(p.get("replicates", 400))
+    cs_replicates = int(p.get("cs_replicates", 100))
+    streams = replicates + cs_replicates
     if "a_s" in p:
         a_s = float(p["a_s"])
     else:
         reps = int(p.get("a_s_replicates", 200))
+        streams += reps
         from .scaling import sample_distances
         a_s = float(np.median(sample_distances(
             config.d, config.beta, s, reps, config.seed, ladder_index=999)))
-    rows = []
-    for alpha in sorted(alphas, reverse=True):
-        params = GoodCubeParams(alpha=alpha, b=b, theta=theta)
-        rate = good_cube_rate(config.d, config.beta, s, params, a_s,
-                              replicates, config.seed)
-        rows.append((alpha, b, rate.rate, rate.ci_lo, rate.ci_hi))
+    grid = [GoodCubeParams(alpha=alpha, b=b, theta=theta)
+            for alpha in sorted(alphas, reverse=True)]
+    rates = good_cube_rate(config.d, config.beta, s, grid, a_s, replicates,
+                           config.seed)
+    rows = [(r.alpha, b, r.rate, r.ci_lo, r.ci_hi) for r in rates]
     path = _target(out_dir, written, "goodcubes.csv")
     write_csv(path, ["alpha", "b", "rate", "ci_lo", "ci_hi"], rows)
     meta = _target(out_dir, written, "goodcubes.json")
@@ -352,13 +361,12 @@ def _run_goodcubes(config: ExperimentConfig, out_dir: Path, written: list):
                       "replicates": replicates})
     growth = connected_set_growth(
         config.d, config.beta, n=int(p.get("cs_n", 16 * s)), s=s,
-        k=int(p.get("cs_k", 5)),
-        replicates=int(p.get("cs_replicates", 100)), seed=config.seed)
+        k=int(p.get("cs_k", 5)), replicates=cs_replicates, seed=config.seed)
     cs_path = _target(out_dir, written, "cs_counts.csv")
     write_csv(cs_path, ["k", "mean", "bound"],
               [(k + 1, growth.cs_means[k], growth.cs_bound[k])
                for k in range(len(growth.cs_means))])
-    return [path, meta, cs_path], len(alphas) * replicates
+    return [path, meta, cs_path], streams
 
 
 def _run_sperner(config: ExperimentConfig, out_dir: Path, written: list):
@@ -427,7 +435,7 @@ def _run_firework(config: ExperimentConfig, out_dir: Path, written: list):
     write_csv(fw, ["k", "tail", "kappa_hat", "r_squared"],
               [(int(k), tail[i], rt.kappa_hat, rt.r_squared)
                for i, k in enumerate(rt.ks)])
-    return [ladder_json, crossing, fw], 1
+    return [ladder_json, crossing, fw], 1 + (variant == "min")
 
 
 def _run_xi_coupling(config: ExperimentConfig, out_dir: Path, written: list):

@@ -95,12 +95,6 @@ class CrossingProbs:
     p_shell: np.ndarray      # P[E_i], index 1..K
 
 
-def crossing_probability(inner: cg.ContRegion, outer: cg.ContRegion,
-                         beta: float) -> float:
-    """Exact probability of a long edge between two separated regions."""
-    return cg.crossing_probability(inner, outer, beta)
-
-
 def compute_crossing_probs(ladder: AnnulusLadder, beta: float,
                            d: int = 1) -> CrossingProbs:
     K = ladder.K
@@ -109,10 +103,10 @@ def compute_crossing_probs(ladder: AnnulusLadder, beta: float,
     for i in range(1, K + 1):
         a = float(ladder.r[i - 1])
         if a > 0:
-            p_gap[i] = crossing_probability(
+            p_gap[i] = cg.crossing_probability(
                 cg.ball(a, d), cg.ball_complement(
                     ladder.annulus_inner_radius(i), d), beta)
-        p_shell[i] = crossing_probability(
+        p_shell[i] = cg.crossing_probability(
             cg.ball(ladder.shell_inner_radius(i), d),
             cg.ball_complement(float(ladder.r[i]), d), beta)
     return CrossingProbs(ladder=ladder, beta=beta, d=d,
@@ -128,8 +122,8 @@ def ball_jump_probability(ratio: float, beta: float, d: int) -> float:
     """
     if ratio <= 1:
         raise ValueError("ratio must exceed 1")
-    return crossing_probability(cg.ball(1.0, d),
-                                cg.ball_complement(ratio, d), beta)
+    return cg.crossing_probability(cg.ball(1.0, d),
+                                   cg.ball_complement(ratio, d), beta)
 
 
 def jump_scaling_sweep(ratios, beta: float, d: int):
@@ -212,19 +206,16 @@ class ReachSample:
     reaches: np.ndarray
     runs: int
     generations: list | None = None
-    reach_literal_min: np.ndarray | None = None
 
 
 def simulate_firework(model: FireworkModel, rng: np.random.Generator,
-                      runs: int = 1, store_generations: bool = False,
-                      literal_min_variant: bool = False) -> ReachSample:
+                      runs: int = 1,
+                      store_generations: bool = False) -> ReachSample:
     """Draw step vectors and spread; reach >= k means all sites covered.
 
     With `store_generations` the per-run generation sets W_0, W_1, ...
     are kept (W_0 = {0}, W_m = sites first covered at step m).  The
-    `literal_min_variant` flag additionally records min{covered site
-    >= 1} (0 when none), an alternative reading of the stopping index
-    kept for comparison; the default reach is the coverage maximum.
+    reach is the coverage maximum.
     """
     L = _sample_steps(model.step_cdf, rng, (runs, model.k))
     reaches = _reaches_from_steps(L)
@@ -232,11 +223,7 @@ def simulate_firework(model: FireworkModel, rng: np.random.Generator,
     if store_generations:
         generations = [_generations(L[i], int(reaches[i]))
                        for i in range(runs)]
-    lit = None
-    if literal_min_variant:
-        lit = np.where(reaches >= 1, 1, 0)
-    return ReachSample(reaches=reaches, runs=runs, generations=generations,
-                       reach_literal_min=lit)
+    return ReachSample(reaches=reaches, runs=runs, generations=generations)
 
 
 def _generations(L: np.ndarray, reach: int) -> list[list[int]]:

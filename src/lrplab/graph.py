@@ -4,23 +4,27 @@ Vertices are [0, n)^d linearized row-major.  Nearest-neighbor edges
 (ell-infinity distance 1, i.e. the full Moore neighborhood) are implicit
 and always present; only long edges (||k||_inf >= 2) are stored.
 
-Sampling walks displacement classes: for each representative
-displacement k the candidate pair count is N_k = prod(n - |k_m|) and
-the number of present edges is an exact Binomial(N_k, p_k) draw, with
-positions a uniform sample without replacement.  Cost is proportional
-to the number of classes plus edges drawn, never to the number of
-vertex pairs.  Each class consumes its own RNG substream so replicates
-and classes are independently keyed and reruns are byte-identical.
+Sampling walks the class table of the box: for each long displacement k
+(one per unordered pair orbit) the candidate pair count is
+N_k = prod(n - |k_m|) and the number of present edges is an exact
+Binomial(N_k, p_k) draw, with positions a uniform sample without
+replacement.  Cost is proportional to the number of classes plus edges
+drawn, never to the number of vertex pairs.  Each sample consumes one
+RNG stream keyed by (seed, stream_id), in a fixed order: all class
+counts, then the positions of the one-edge classes, then those of the
+other classes in table order; so replicates are independently keyed and
+reruns are byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import DEFAULT_TOLERANCE, DisplacementKernel, kernel_integrals_d1
+from .kernel import DEFAULT_TOLERANCE, DisplacementKernel, enumerate_classes
 from .rng import RngStream, StreamKey
 
 _MAGIC = b"LRPG"
@@ -113,130 +117,85 @@ class LrpGraph:
         return self._adjacency
 
 
-def representative_displacements(d: int, n: int):
-    """One displacement per unordered pair orbit: first nonzero coord > 0.
+@dataclass(frozen=True)
+class ClassTable:
+    """Every long displacement of an n-box, one per unordered pair orbit.
 
-    Yields every long displacement (||k||_inf >= 2) that can occur in an
-    n-box, each unordered pair {i, j} matching exactly one of +-k.
+    Row r holds a displacement `k[r]` (||k||_inf >= 2, first nonzero
+    coordinate positive, so each pair {i, j} matches exactly one row),
+    its candidate pair count `pairs[r]` = prod(n - |k_m|), and the row
+    `klass[r]` of its canonical class in the kernel table for
+    max_norm n - 1.  Holds no beta; the arrays are read-only.
     """
-    if d == 1:
-        for k in range(2, n):
-            yield (k,)
-    elif d == 2:
-        for a in range(1, n):
-            for b in range(-(n - 1), n):
-                if max(abs(a), abs(b)) >= 2:
-                    yield (a, b)
-        for b in range(2, n):
-            yield (0, b)
-    else:
-        for a in range(1, n):
-            for b in range(-(n - 1), n):
-                for c in range(-(n - 1), n):
-                    if max(abs(a), abs(b), abs(c)) >= 2:
-                        yield (a, b, c)
-        for b in range(1, n):
-            for c in range(-(n - 1), n):
-                if max(b, abs(c)) >= 2:
-                    yield (0, b, c)
-        for c in range(2, n):
-            yield (0, 0, c)
+
+    k: np.ndarray
+    pairs: np.ndarray
+    klass: np.ndarray
 
 
-def class_pair_count(k: tuple[int, ...], n: int) -> int:
-    """Number of candidate pairs (i, i+k) with both endpoints in the box."""
-    count = 1
-    for c in k:
-        count *= n - abs(c)
-    return count
+@functools.lru_cache(maxsize=16)
+def class_table(d: int, n: int) -> ClassTable:
+    """Vectorised enumeration of the long displacements of an n-box."""
+    side = 2 * n - 1
+    # in row-major order of k + (n - 1), the displacements after k = 0
+    # are exactly those whose first nonzero coordinate is positive
+    flat = np.arange(side ** d // 2 + 1, side ** d, dtype=np.int64)
+    k = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - (n - 1)
+    k = k[np.abs(k).max(axis=1) >= 2]
+    pairs = np.prod(n - np.abs(k), axis=1)
+    # canonical classes (|k| sorted descending) keyed in base n
+    weights = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = -np.sort(-np.abs(k), axis=1) @ weights
+    table_keys = np.array(list(enumerate_classes(d, n - 1)),
+                          dtype=np.int64).reshape(-1, d) @ weights
+    order = np.argsort(table_keys)
+    klass = order[np.searchsorted(table_keys, keys, sorter=order)]
+    for arr in (k, pairs, klass):
+        arr.flags.writeable = False
+    return ClassTable(k=k, pairs=pairs, klass=klass)
 
 
 def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
-                 kernel: DisplacementKernel | None = None,
                  tolerance: float = DEFAULT_TOLERANCE) -> LrpGraph:
     """Draw one configuration; identical (config, stream_id) reproduce bytes.
 
-    Each displacement class k consumes the RNG substream keyed by its
-    enumeration index, so relabeling substreams leaves the sampled law
-    unchanged and replicate streams never collide.
+    One generator, keyed by (seed, stream_id), draws every class count
+    and position, so distinct replicate streams never collide.
     """
-    d, n, beta = config.d, config.n, config.beta
-    base = RngStream(config.seed, stream_id)
-    if d == 1:
-        return _sample_d1(config, base)
-    if kernel is None:
-        kernel = DisplacementKernel.build(d, beta, n - 1, tolerance)
-    strides = np.asarray(config.strides, dtype=np.int64)
-    chunks = []
-    for idx, k in enumerate(representative_displacements(d, n)):
-        p = kernel.probability(k)
-        N = class_pair_count(k, n)
-        rng = base.substream(idx).generator()
-        cnt = int(rng.binomial(N, p))
-        if cnt == 0:
-            continue
-        pos = np.sort(rng.choice(N, size=cnt, replace=False))
-        base_coords = _decode_positions(pos, k, n)
-        i = base_coords @ strides
-        j = (base_coords + np.asarray(k, dtype=np.int64)) @ strides
-        chunks.append(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1))
-    return _finish(config, chunks)
-
-
-def _sample_d1(config: ModelConfig, base: RngStream) -> LrpGraph:
-    n, beta = config.n, config.beta
-    ks = np.arange(2, n)
-    ps = -np.expm1(-beta * kernel_integrals_d1(ks.astype(float)))
-    chunks = []
-    for idx, (k, p) in enumerate(zip(ks, ps)):
-        N = n - int(k)
-        rng = base.substream(idx).generator()
-        cnt = int(rng.binomial(N, p))
-        if cnt == 0:
-            continue
-        pos = np.sort(rng.choice(N, size=cnt, replace=False)).astype(np.int64)
-        chunks.append(np.stack([pos, pos + int(k)], axis=1))
-    return _finish(config, chunks)
-
-
-def _decode_positions(pos: np.ndarray, k: tuple[int, ...],
-                      n: int) -> np.ndarray:
-    """Mixed-radix decode of flat candidate indices to base coordinates."""
-    d = len(k)
-    sizes = [n - abs(c) for c in k]
-    out = np.empty((pos.size, d), dtype=np.int64)
-    rem = pos.astype(np.int64)
+    d, n = config.d, config.n
+    table = class_table(d, n)
+    kernel = DisplacementKernel.build(d, config.beta, n - 1, tolerance)
+    rng = RngStream(config.seed, stream_id).generator()
+    counts = rng.binomial(table.pairs, kernel.probabilities[table.klass])
+    one = np.flatnonzero(counts == 1)
+    many = np.flatnonzero(counts > 1)
+    rows = np.concatenate([one, np.repeat(many, counts[many])])
+    pos = np.concatenate([rng.integers(0, table.pairs[one])] + [
+        rng.choice(table.pairs[r], size=counts[r], replace=False)
+        for r in many])
+    # mixed-radix decode of each position to the base coordinates of
+    # its pair; a class with k_m < 0 starts at -k_m so i + k stays in box
+    k = table.k[rows]
+    sizes = n - np.abs(k)
+    base = np.empty_like(k)
     for m in range(d - 1, -1, -1):
-        out[:, m] = rem % sizes[m]
-        rem = rem // sizes[m]
-    # classes with a negative coordinate start at -k_m so i + k stays in box
-    for m, c in enumerate(k):
-        if c < 0:
-            out[:, m] += -c
-    return out
-
-
-def _finish(config: ModelConfig, chunks) -> LrpGraph:
-    if chunks:
-        edges = np.concatenate(chunks, axis=0)
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-    return LrpGraph(config=config, long_edges=edges)
+        pos, base[:, m] = np.divmod(pos, sizes[:, m])
+    base += np.maximum(-k, 0)
+    strides = np.asarray(config.strides, dtype=np.int64)
+    i = base @ strides
+    j = i + k @ strides      # > i: k is lexicographically positive
+    order = np.lexsort((j, i))
+    return LrpGraph(config=config,
+                    long_edges=np.stack([i[order], j[order]], axis=1))
 
 
 def expected_long_edge_total(config: ModelConfig,
                              tolerance: float = DEFAULT_TOLERANCE) -> float:
     """Exact mean number of long edges, sum of N_k p_k over classes."""
-    d, n, beta = config.d, config.n, config.beta
-    if d == 1:
-        ks = np.arange(2, n)
-        ps = -np.expm1(-beta * kernel_integrals_d1(ks.astype(float)))
-        return float(((n - ks) * ps).sum())
-    kernel = DisplacementKernel.build(d, beta, n - 1, tolerance)
-    return float(sum(class_pair_count(k, n) * kernel.probability(k)
-                     for k in representative_displacements(d, n)))
+    table = class_table(config.d, config.n)
+    kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1,
+                                      tolerance)
+    return float(table.pairs @ kernel.probabilities[table.klass])
 
 
 def save_binary(graph: LrpGraph, path) -> None:
@@ -249,6 +208,8 @@ def save_binary(graph: LrpGraph, path) -> None:
 
 
 def load_binary(path) -> LrpGraph:
+    """Read a `save_binary` file; rejects truncated or trailing bytes and
+    edges that no sample can hold (see `_check_edges`)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -259,11 +220,15 @@ def load_binary(path) -> LrpGraph:
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
         edges = np.fromfile(fh, dtype="<u8", count=2 * count)
-    if edges.size != 2 * count:
-        raise ValueError("truncated edge list")
+        if edges.size != 2 * count:
+            raise ValueError("truncated edge list")
+        if fh.read(1):
+            raise ValueError("trailing bytes after the edge list")
     config = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-    return LrpGraph(config=config,
-                    long_edges=edges.reshape(count, 2).astype(np.int64))
+    # ends >= 2^63 wrap negative here and fail the range check
+    edges = edges.reshape(count, 2).astype(np.int64)
+    _check_edges(config, edges)
+    return LrpGraph(config=config, long_edges=edges)
 
 
 def export_text(graph: LrpGraph, path) -> None:
@@ -276,8 +241,8 @@ def export_text(graph: LrpGraph, path) -> None:
 
 
 def import_text(path) -> tuple[ModelConfig, np.ndarray]:
-    """Read an `export_text` file; rejects edges that no sample can hold:
-    ends out of range, i >= j, or ||j - i||_inf < 2."""
+    """Read an `export_text` file; rejects edges that no sample can hold
+    (see `_check_edges`)."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 5 or header[0] != "#":
@@ -289,15 +254,25 @@ def import_text(path) -> tuple[ModelConfig, np.ndarray]:
     if any(len(e) != 2 for e in edges):
         raise ValueError("each edge line must hold two vertices")
     arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    i, j = arr[:, 0], arr[:, 1]
-    if ((i < 0) | (j >= config.n_vertices)).any():
+    _check_edges(config, arr)
+    return config, arr
+
+
+def _check_edges(config: ModelConfig, edges: np.ndarray) -> None:
+    """Raise ValueError unless `edges` is a long-edge list that
+    `sample_graph` could return: ends in range, i < j,
+    ||j - i||_inf >= 2, rows sorted and unique."""
+    if ((edges < 0) | (edges >= config.n_vertices)).any():
         raise ValueError(f"edge end out of range [0, {config.n_vertices})")
+    i, j = edges[:, 0], edges[:, 1]
     if (i >= j).any():
         raise ValueError("edges must satisfy i < j")
-    shape = (n,) * d
+    shape = (config.n,) * config.d
     gap = np.abs(np.subtract(np.unravel_index(j, shape),
                              np.unravel_index(i, shape))).max(axis=0,
                                                              initial=0)
     if (gap < 2).any():
         raise ValueError("edges must have ||j - i||_inf >= 2")
-    return config, arr
+    later = (i[1:] > i[:-1]) | ((i[1:] == i[:-1]) & (j[1:] > j[:-1]))
+    if not later.all():
+        raise ValueError("edges must be sorted and unique")

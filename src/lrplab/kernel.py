@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,18 +163,19 @@ def edge_probability(k, beta: float, d: int | None = None,
 
 @dataclass
 class DisplacementKernel:
-    """Per-class table of kernel integrals and edge probabilities.
+    """Per-class kernel integrals and edge probabilities for one beta.
 
-    `entries` maps canonical displacement classes to (I_k, p_k).
-    Entries never change once computed; lookup extends the table for
-    classes outside the prebuilt range.
+    `classes`, `integrals` and `probabilities` are parallel read-only
+    arrays over the canonical classes of `enumerate_classes`; `entries`
+    is the same table as a dict from class tuple to (I_k, p_k).
     """
 
     d: int
     beta: float
     tolerance: float
-    entries: dict[tuple[int, ...], tuple[float, float]] = field(
-        default_factory=dict)
+    classes: np.ndarray
+    integrals: np.ndarray
+    probabilities: np.ndarray
 
     @classmethod
     def build(cls, d: int, beta: float, max_norm: int,
@@ -184,19 +185,16 @@ class DisplacementKernel:
         if beta <= 0:
             raise ValueError("beta must be positive")
         classes, integrals = class_integrals(d, max_norm, tolerance)
-        entries = {k: (I, -math.expm1(-beta * I)) for k, I in
-                   zip(map(tuple, classes.tolist()), integrals.tolist())}
-        return cls(d=d, beta=beta, tolerance=tolerance, entries=entries)
+        probabilities = -np.expm1(-beta * integrals)
+        probabilities.flags.writeable = False
+        return cls(d=d, beta=beta, tolerance=tolerance, classes=classes,
+                   integrals=integrals, probabilities=probabilities)
 
-    def lookup(self, k) -> tuple[float, float]:
-        klass = canonical_class(k)
-        if klass not in self.entries:
-            I = kernel_integral(klass, self.d, self.tolerance)
-            self.entries[klass] = (I, -math.expm1(-self.beta * I))
-        return self.entries[klass]
-
-    def probability(self, k) -> float:
-        return self.lookup(k)[1]
+    @property
+    def entries(self) -> dict[tuple[int, ...], tuple[float, float]]:
+        return dict(zip(map(tuple, self.classes.tolist()),
+                        zip(self.integrals.tolist(),
+                            self.probabilities.tolist())))
 
 
 def enumerate_classes(d: int, max_norm: int):
@@ -212,15 +210,6 @@ def enumerate_classes(d: int, max_norm: int):
         yield from rec([c1], c1)
 
 
-def kernel_integrals_d1(ks: np.ndarray) -> np.ndarray:
-    """Exact I(k) = -log(1 - 1/k^2), vectorized over d=1 displacements
-    `ks` (all >= 2)."""
-    ks = np.asarray(ks, dtype=float)
-    if ks.size and ks.min() < 2:
-        raise ValueError("displacements must be >= 2")
-    return -np.log1p(-1.0 / ks ** 2)
-
-
 def expected_degree(beta: float, d: int, cutoff: int,
                     tolerance: float = DEFAULT_TOLERANCE) -> tuple[float, float]:
     """Mean degree of a site: sure neighbors plus long-edge probabilities.
@@ -234,26 +223,23 @@ def expected_degree(beta: float, d: int, cutoff: int,
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    if d == 1:
-        ks = np.arange(2, cutoff + 1, dtype=float)
-        total = 2.0 + 2.0 * np.sum(-np.expm1(-beta * kernel_integrals_d1(ks)))
-    else:
-        classes, integrals = class_integrals(d, cutoff, tolerance)
-        orbits = [_orbit_size(klass) for klass in classes.tolist()]
-        total = 3 ** d - 1 + float(np.dot(orbits,
-                                          -np.expm1(-beta * integrals)))
+    classes, integrals = class_integrals(d, cutoff, tolerance)
+    total = 3 ** d - 1 + float(_orbit_sizes(classes)
+                               @ -np.expm1(-beta * integrals))
     return total, _degree_tail_bound(beta, d, cutoff)
 
 
-def _orbit_size(klass: tuple[int, ...]) -> int:
-    """Number of lattice displacements in a canonical class."""
-    from collections import Counter
-    counts = Counter(klass)
-    perms = math.factorial(len(klass))
-    for c in counts.values():
-        perms //= math.factorial(c)
-    nonzero = sum(1 for c in klass if c != 0)
-    return perms * 2 ** nonzero
+def _orbit_sizes(classes: np.ndarray) -> np.ndarray:
+    """Number of lattice displacements in each canonical class (row):
+    distinct coordinate permutations times 2^(nonzero coordinates)."""
+    d = classes.shape[1]
+    run = np.ones(len(classes), dtype=np.int64)
+    repeats = np.ones(len(classes), dtype=np.int64)
+    for m in range(1, d):
+        # rows are sorted, so equal coordinates are adjacent
+        run = np.where(classes[:, m] == classes[:, m - 1], run + 1, 1)
+        repeats *= run
+    return math.factorial(d) // repeats * 2 ** (classes != 0).sum(axis=1)
 
 
 def _degree_tail_bound(beta: float, d: int, cutoff: int) -> float:

@@ -1,10 +1,12 @@
 """Deterministic stream/substream random generators.
 
 Every random quantity in the package is drawn from a generator keyed by
-(master_seed, stream_id, substream_id).  Streams identify replicates,
-substreams identify displacement classes (or other per-stream jobs).
-Distinct key triples give statistically independent PCG64 streams;
-identical triples reproduce identical output byte for byte.
+(master_seed, stream_id, substream_id).  Streams identify replicates:
+one `sample_graph` call builds exactly one generator, keyed by its
+stream, and draws every displacement class from it.  Substreams are
+left for per-stream jobs that need more than one generator.  Distinct
+key triples give statistically independent PCG64 streams; identical
+triples reproduce identical output byte for byte.
 """
 
 from __future__ import annotations

@@ -87,7 +87,10 @@ def _measure_distance(d: int, beta: float, n: int, seed: int,
     x = g.index(tuple([n] * d))
     y = g.index(tuple([2 * n] * d))
     dist = distance(g, int(x), int(y))
-    assert dist is not None  # lattice edges always connect the box
+    if dist is None:
+        # lattice edges always connect the box, so this is a defect
+        raise RuntimeError(f"no path from {int(x)} to {int(y)} in a "
+                           f"{d}-dimensional box of side {m}")
     return dist
 
 

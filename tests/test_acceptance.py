@@ -108,8 +108,8 @@ def test_criterion_02_sampler_law():
     n, reps = 512, 1000
     cfg = ModelConfig(d=1, beta=1.0, n=n, seed=20240512)
     ks = np.arange(2, n)
-    from lrplab.kernel import kernel_integrals_d1
-    ps = -np.expm1(-kernel_integrals_d1(ks.astype(float)))
+    from lrplab.kernel import class_integrals
+    ps = -np.expm1(-class_integrals(1, n - 1)[1])
     per_class = np.zeros((len(ks), reps), dtype=np.int64)
     totals = np.zeros(reps)
     for r in range(reps):

@@ -256,15 +256,16 @@ def test_classify_monotone_in_alpha_b():
 
 def test_good_cube_rate_runs_and_ci():
     params = GoodCubeParams(alpha=0.25, b=0.25, theta=0.45)
-    out = good_cube_rate(1, 1.0, 16, params, a_s=5.0, replicates=100,
-                         seed=2)
+    [out] = good_cube_rate(1, 1.0, 16, [params], a_s=5.0, replicates=100,
+                           seed=2)
     assert 0.0 <= out.ci_lo <= out.rate <= out.ci_hi <= 1.0
 
 
 def test_good_cube_rate_rejects_few_replicates():
     params = GoodCubeParams(alpha=0.25, b=0.25, theta=0.45)
     with pytest.raises(ValueError):
-        good_cube_rate(1, 1.0, 16, params, a_s=5.0, replicates=50, seed=2)
+        good_cube_rate(1, 1.0, 16, [params], a_s=5.0, replicates=50,
+                       seed=2)
 
 
 # ---------------------------------------------------------------------------

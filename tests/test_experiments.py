@@ -6,6 +6,7 @@ import pytest
 from lrplab.cli import main
 from lrplab.experiments import (ConfigError, IntegrityError, load_config,
                                 parse_config, report, run, verify_run)
+from lrplab.rng import RngStream
 
 
 def _scaling_config(tmp_path, sub="a", seed=7):
@@ -233,3 +234,35 @@ def test_firework_min_variant(tmp_path):
     vals = [float(r.split(",")[1]) for r in rows]
     assert vals[0] == 1.0                      # k = 1: always >= 1
     assert all(v == vals[1] for v in vals[1:])  # constant beyond k = 2
+
+
+_LADDER = {"n_values": [8, 16, 32, 64], "replicates": 30}
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("sample", {"n": 32}),
+    ("scaling", _LADDER),
+    ("dim", {"n": 64, "geodesics": 3, "scales": [2, 3, 4, 5],
+             "theta_source": "fit", **_LADDER}),
+    ("dim", {"n": 64, "geodesics": 3, "scales": [2, 3, 4, 5],
+             "theta_source": "manual", "theta": 0.45}),
+    ("goodcubes", {"s": 8, "alphas": [0.5, 0.25], "replicates": 100,
+                   "a_s_replicates": 30, "cs_n": 64, "cs_k": 3,
+                   "cs_replicates": 5}),
+    ("sperner", {"n_values": [4, 6], "families_per_n": 5}),
+    ("firework", {"runs": 200, "mk_variant": "min", "k_min": 1,
+                  "k_max": 4}),
+], ids=["sample", "scaling", "dim-fit", "dim-manual", "goodcubes",
+        "sperner", "firework-min"])
+def test_rng_streams_count_built_generators(tmp_path, monkeypatch, kind,
+                                            params):
+    built = []
+    real = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: built.append(self) or real(self))
+    manifest = run(parse_config({
+        "kind": kind, "seed": 3, "out": str(tmp_path / "r"), "jobs": 1,
+        "model": {"d": 1, "beta": 1.0}, "params": params}))
+    assert manifest.rng_streams == len(built)
+    assert json.loads((tmp_path / "r" / "manifest.json").read_text())[
+        "rng_streams"] == len(built)

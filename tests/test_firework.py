@@ -6,13 +6,14 @@ import pytest
 from scipy import integrate, stats
 
 from lrplab import contgeom as cg
+from lrplab.contgeom import crossing_probability
 from lrplab.firework import (FireworkModel, build_ladder,
                              compute_crossing_probs, concentration_check,
-                             coupling_checks, crossing_probability,
-                             cube_pair_edge_probs, default_step_cdf,
-                             jump_scaling_sweep, matched_step_cdfs,
-                             reach_tail, simulate_firework,
-                             simulate_xi_vector, step_tail)
+                             coupling_checks, cube_pair_edge_probs,
+                             default_step_cdf, jump_scaling_sweep,
+                             matched_step_cdfs, reach_tail,
+                             simulate_firework, simulate_xi_vector,
+                             step_tail)
 
 
 # ---------------------------------------------------------------------------

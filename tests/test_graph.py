@@ -1,12 +1,16 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from lrplab.graph import (ModelConfig, class_pair_count,
+from lrplab.graph import (LrpGraph, ModelConfig, class_table,
                           expected_long_edge_total, export_text,
-                          import_text, load_binary,
-                          representative_displacements, sample_graph,
+                          import_text, load_binary, sample_graph,
                           save_binary)
+from lrplab.kernel import canonical_class, class_integrals
+from lrplab.rng import RngStream
 
 
 def test_determinism_byte_identical():
@@ -36,7 +40,8 @@ def test_config_validation():
 
 def test_graph_soundness():
     for cfg in (ModelConfig(d=1, beta=2.0, n=128, seed=9),
-                ModelConfig(d=2, beta=1.0, n=12, seed=9)):
+                ModelConfig(d=2, beta=1.0, n=12, seed=9),
+                ModelConfig(d=3, beta=1.0, n=7, seed=9)):
         g = sample_graph(cfg)
         e = g.long_edges
         assert (e[:, 0] < e[:, 1]).all()
@@ -76,9 +81,31 @@ def test_mean_count_d2():
     assert abs(counts.mean() - mean_exact) <= 3 * se
 
 
+def test_mean_count_d3():
+    cfg = ModelConfig(d=3, beta=1.0, n=6, seed=4)
+    mean_exact = expected_long_edge_total(cfg)
+    counts = np.array([sample_graph(cfg, stream_id=r).long_edges.shape[0]
+                       for r in range(300)])
+    se = counts.std(ddof=1) / np.sqrt(len(counts))
+    assert abs(counts.mean() - mean_exact) <= 3 * se
+
+
+def test_one_generator_per_sample(monkeypatch):
+    built = []
+    real = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: built.append(self) or real(self))
+    for d, n in ((1, 64), (2, 8), (3, 5)):
+        sample_graph(ModelConfig(d=d, beta=1.0, n=n, seed=1),
+                     stream_id=(3, d))
+    assert [b.stream_id for b in built] == [(3, 1), (3, 2), (3, 3)]
+
+
 def test_substream_relabeling_invariance_ks():
-    # permuting class<->substream assignments must not change the law;
-    # two-sample KS on total edge counts, 1% level
+    # the sampler draws every class from one stream per sample; the
+    # reference below draws each class from its own substream, in
+    # reversed order, so it is an independent implementation of the
+    # law.  Two-sample KS on total edge counts, 1% level
     cfg = ModelConfig(d=1, beta=1.0, n=128, seed=21)
     reps = 1000
     a = np.array([sample_graph(cfg, stream_id=(0, r)).long_edges.shape[0]
@@ -89,13 +116,10 @@ def test_substream_relabeling_invariance_ks():
 
 
 def _sample_relabeled(cfg, stream_id):
-    """Sample with the class->substream assignment reversed."""
-    from lrplab.kernel import kernel_integrals_d1
-    from lrplab.rng import RngStream
-
+    """Total edge count, one substream per class, assignment reversed."""
     n = cfg.n
     ks = np.arange(2, n)
-    ps = -np.expm1(-cfg.beta * kernel_integrals_d1(ks.astype(float)))
+    ps = -np.expm1(-cfg.beta * class_integrals(1, n - 1)[1])
     base = RngStream(cfg.seed, stream_id)
     total = 0
     nclasses = len(ks)
@@ -105,23 +129,23 @@ def _sample_relabeled(cfg, stream_id):
     return total
 
 
-def test_representative_displacements_cover_orbits():
-    n = 5
-    reps = list(representative_displacements(2, n))
-    assert len(set(reps)) == len(reps)
-    seen = set()
-    for k in reps:
-        assert max(abs(c) for c in k) >= 2
-        seen.add(k)
-        seen.add(tuple(-c for c in k))
-    expect = {(a, b) for a in range(-(n - 1), n) for b in range(-(n - 1), n)
-              if max(abs(a), abs(b)) >= 2}
+@pytest.mark.parametrize("d,n", [(1, 10), (2, 5), (3, 4)])
+def test_class_table_covers_orbits(d, n):
+    table = class_table(d, n)
+    reps = [tuple(k) for k in table.k.tolist()]
+    # one row per unordered pair orbit {k, -k} of long displacements
+    seen = set(reps) | {tuple(-c for c in k) for k in reps}
+    assert len(seen) == 2 * len(reps)
+    expect = {k for k in itertools.product(range(-(n - 1), n), repeat=d)
+              if max(map(abs, k)) >= 2}
     assert seen == expect
-
-
-def test_class_pair_count():
-    assert class_pair_count((3,), 10) == 7
-    assert class_pair_count((2, -1), 5) == 12
+    classes = class_integrals(d, n - 1)[0]
+    for k, pairs, klass in zip(reps, table.pairs.tolist(),
+                               table.klass.tolist()):
+        assert pairs == math.prod(n - abs(c) for c in k)
+        assert tuple(classes[klass].tolist()) == canonical_class(k)
+    with pytest.raises(ValueError):
+        table.pairs[0] = 0
 
 
 def test_binary_round_trip(tmp_path):
@@ -187,3 +211,32 @@ def test_text_rejects_d2_nearest_neighbour(tmp_path):
         import_text(p)
     p.write_text("# 2 4 1.0 0\n0 6\n")
     assert import_text(p)[1].tolist() == [[0, 6]]
+
+
+@pytest.mark.parametrize("edges", [[[0, 999]], [[5, 3]], [[4, 4]], [[0, 1]],
+                                   [[0, 5], [0, 3]], [[0, 3], [0, 3]]],
+                         ids=["out-of-range", "unsorted-ends", "self-loop",
+                              "nearest-neighbour", "unsorted-rows",
+                              "duplicate-rows"])
+def test_binary_rejects_invalid_edges(tmp_path, edges):
+    cfg = ModelConfig(d=1, beta=1.0, n=16, seed=1)
+    p = tmp_path / "g.lrpg"
+    save_binary(LrpGraph(cfg, np.array(edges, dtype=np.int64)), p)
+    with pytest.raises(ValueError):
+        load_binary(p)
+
+
+def test_binary_rejects_trailing_bytes(tmp_path):
+    p = tmp_path / "g.lrpg"
+    save_binary(sample_graph(ModelConfig(d=1, beta=1.0, n=16, seed=1)), p)
+    p.write_bytes(p.read_bytes() + b"\x00" * 16)
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_binary(p)
+
+
+@pytest.mark.parametrize("lines", ["0 5\n0 3", "0 3\n0 3"])
+def test_text_rejects_unsorted_or_duplicate_rows(tmp_path, lines):
+    p = tmp_path / "edges.txt"
+    p.write_text(f"# 1 8 1.0 0\n{lines}\n")
+    with pytest.raises(ValueError, match="sorted and unique"):
+        import_text(p)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from lrplab.kernel import (DisplacementKernel, canonical_class,
                            class_integrals, edge_probability,
                            enumerate_classes, expected_degree,
-                           kernel_integral, kernel_integrals_d1, tail_radius)
+                           kernel_integral, tail_radius)
 
 from oracles import kernel_closed_d1, kernel_quad_oracle
 
@@ -40,7 +41,7 @@ def test_quad_vs_oracle(k, d):
 def test_d1_vectorized_matches_scalar():
     # the closed form is exact; the oracle's own rounding is ~2e-9 at 5000
     ks = np.array([2, 3, 10, 31, 37, 200, 5000])
-    vec = kernel_integrals_d1(ks.astype(float))
+    vec = class_integrals(1, 5000)[1][ks - 2]
     for k, v in zip(ks, vec):
         assert v == pytest.approx(kernel_integral((int(k),), 1), rel=1e-12)
         assert v == pytest.approx(kernel_closed_d1(int(k)), rel=1e-8)
@@ -123,6 +124,20 @@ def test_expected_degree_cutoff_self_consistency():
     mu5, tail5 = expected_degree(beta=1.0, d=1, cutoff=10 ** 5)
     assert abs(mu5 - mu4) <= tail4
     assert tail5 < tail4
+
+
+@pytest.mark.parametrize("d,max_norm", [(1, 9), (2, 6), (3, 4)])
+def test_orbit_sizes_count_displacements(d, max_norm):
+    # brute force: every lattice displacement counted by its class
+    from collections import Counter
+
+    from lrplab.kernel import _orbit_sizes
+    counted = Counter(canonical_class(k) for k in itertools.product(
+        range(-max_norm, max_norm + 1), repeat=d)
+        if max(map(abs, k)) >= 2)
+    classes = class_integrals(d, max_norm)[0]
+    assert _orbit_sizes(classes).tolist() == \
+        [counted[tuple(c)] for c in classes.tolist()]
 
 
 def test_expected_degree_monotone_in_beta():
