@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ModelConfig, sample_graph
-from .metric import distance_field
+from .metric import _expand, _nn_offsets, distance_field
 from .rng import RngStream
+from .scaling import line_fit
 
 # ---------------------------------------------------------------------------
 # box counting
@@ -90,12 +91,8 @@ def fit_dimension(covers: list[BoxCover]) -> DimFit:
     y = np.array([math.log(c.count) for c in covers])
     if np.allclose(y, y[0]):
         raise ValueError("degenerate cover sequence: constant counts")
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    r2 = 1.0 - (resid ** 2).sum() / ((y - y.mean()) ** 2).sum()
-    return DimFit(log_inv_delta=x, log_counts=y, dim_hat=float(coef[0]),
-                  r_squared=float(r2))
+    slope, _, r2 = line_fit(x, y)
+    return DimFit(log_inv_delta=x, log_counts=y, dim_hat=slope, r_squared=r2)
 
 
 def mean_dimension_fit(paths, deltas, L, graph=None) -> DimFit:
@@ -107,12 +104,8 @@ def mean_dimension_fit(paths, deltas, L, graph=None) -> DimFit:
     counts /= len(paths)
     x = np.log(1.0 / np.asarray(deltas))
     y = np.log(counts)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    r2 = 1.0 - (resid ** 2).sum() / ((y - y.mean()) ** 2).sum()
-    return DimFit(log_inv_delta=x, log_counts=y, dim_hat=float(coef[0]),
-                  r_squared=float(r2))
+    slope, _, r2 = line_fit(x, y)
+    return DimFit(log_inv_delta=x, log_counts=y, dim_hat=slope, r_squared=r2)
 
 
 def hausdorff_content_estimate(cover: BoxCover, exponent: float) -> float:
@@ -244,8 +237,7 @@ def find_special_pairs(graph, z, s: float):
     Returns tuples (u1, v1, u2, v2) of linear indices; the two edges
     are distinct as undirected edges.
     """
-    cfg = graph.config
-    n, d = cfg.n, cfg.d
+    n = graph.config.n
     lo3 = np.asarray(z, dtype=float) - 1.5 * s
     hi3 = np.asarray(z, dtype=float) + 1.5 * s
     if (lo3 < -0.5).any() or (hi3 > n - 0.5).any():
@@ -262,40 +254,31 @@ def find_special_pairs(graph, z, s: float):
 
 
 def _crossing_edges(graph, z, half: float, inward: bool):
-    """Directed edges crossing the cube boundary |v - z|_inf <= half."""
-    cfg = graph.config
-    n, d = cfg.n, cfg.d
-    out = []
-    # long edges, both orientations
-    e = graph.long_edges
-    if e.size:
-        ci = graph.coords(e[:, 0])
-        cj = graph.coords(e[:, 1])
-        in_i = _in_cube(ci, z, half)
-        in_j = _in_cube(cj, z, half)
-        for a, b, ia, ib in zip(e[:, 0], e[:, 1], in_i, in_j):
-            if ia != ib:
-                u, v = (int(b), int(a)) if (ia if inward else ib) else \
-                    (int(a), int(b))
-                out.append((u, v))
+    """Directed edges crossing the cube boundary |v - z|_inf <= half:
+    long edges in edge order, then lattice edges by inner vertex."""
+    # long edges, oriented (outside, inside) if inward else the reverse
+    a, b = graph.long_edges[:, 0], graph.long_edges[:, 1]
+    in_a = _in_cube(graph.coords(a), z, half)
+    cross = in_a != _in_cube(graph.coords(b), z, half)
+    flip = in_a[cross] == inward
+    a, b = a[cross], b[cross]
+    out = list(zip(np.where(flip, b, a).tolist(),
+                   np.where(flip, a, b).tolist()))
     # lattice edges: vertices just inside the boundary paired with
-    # ell-infinity neighbors outside
-    from .metric import _nn_offsets
+    # ell-infinity neighbors outside (an empty CSR leaves long edges out)
     inside = np.where(_in_cube(graph.coords(np.arange(graph.n_vertices)),
                                z, half))[0]
-    coords = graph.coords(inside)
-    shell = inside[(np.abs(coords - np.asarray(z, dtype=float))
+    shell = inside[(np.abs(graph.coords(inside) - np.asarray(z, dtype=float))
                     > half - 1.0 - 1e-9).any(axis=1)]
-    strides = np.asarray(cfg.strides, dtype=np.int64)
-    for v in shell:
-        cv = graph.coords(int(v))
-        for off in _nn_offsets(d):
-            nc = cv + off
-            if ((nc >= 0) & (nc < n)).all() and \
-                    not bool(_in_cube(nc, z, half)):
-                u = int(nc @ strides)
-                out.append((u, int(v)) if inward else (int(v), u))
-    return out
+    no_long = np.zeros(graph.n_vertices + 1, dtype=np.int64)
+    pos, u = _expand(graph, shell, no_long, no_long[:0],
+                     _nn_offsets(graph.config.d),
+                     np.asarray(graph.config.strides, dtype=np.int64))
+    order = np.argsort(pos, kind="stable")
+    pos, u = pos[order], u[order]
+    outside = ~_in_cube(graph.coords(u), z, half)
+    v, u = shell[pos[outside]].tolist(), u[outside].tolist()
+    return out + list(zip(u, v) if inward else zip(v, u))
 
 
 @dataclass
@@ -305,38 +288,46 @@ class CubeClassification:
     n_special_pairs: int
 
 
-def classify_good_cube(graph, z, s: float, params: GoodCubeParams,
-                       a_s: float) -> CubeClassification:
-    """(3s, alpha, b)-good test for the cube V_3s(z).
+def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
+                       a_s: float) -> list[CubeClassification]:
+    """(3s, alpha, b)-good test for the cube V_3s(z), one result per entry
+    of `grid`.
 
     Good iff every special pair keeps Euclidean separation
     |v1 - u2| >= alpha * s and rescaled internal distance
     d(v1, u2; V_3s(z)) / a_s >= (b * alpha)^theta.  Monotone per
     realization: good at (alpha, b) implies good at any smaller pair.
-    Returns the violating pair as witness otherwise.
+    Returns the violating pair as witness otherwise.  The special pairs,
+    the cube mask and each BFS field are computed once for the grid.
     """
     pairs = find_special_pairs(graph, z, s)
     if not pairs:
-        return CubeClassification(good=True, witness=None, n_special_pairs=0)
-    threshold = (params.b * params.alpha) ** params.theta * a_s
+        return [CubeClassification(good=True, witness=None,
+                                   n_special_pairs=0) for _ in grid]
     cube_mask = _in_cube(graph.coords(np.arange(graph.n_vertices)), z,
                          1.5 * s)
-    # euclidean screen first: any failure decides the cube
-    for (u1, v1, u2, v2) in pairs:
-        sep = np.linalg.norm(graph.coords(v1) - graph.coords(u2))
-        if sep < params.alpha * s - 1e-9:
-            return CubeClassification(good=False, witness=(u1, v1, u2, v2),
-                                      n_special_pairs=len(pairs))
+    seps = np.array([np.linalg.norm(graph.coords(v1) - graph.coords(u2))
+                     for _, v1, u2, _ in pairs])
     fields = {}
-    for (u1, v1, u2, v2) in pairs:
-        if v1 not in fields:
-            fields[v1] = distance_field(graph, v1, cube_mask)
-        dd = fields[v1][u2]
-        if dd < 0 or dd < threshold - 1e-9:
-            return CubeClassification(good=False, witness=(u1, v1, u2, v2),
-                                      n_special_pairs=len(pairs))
-    return CubeClassification(good=True, witness=None,
-                              n_special_pairs=len(pairs))
+
+    def witness(params):
+        # euclidean screen first: any failure decides the cube
+        close = np.flatnonzero(seps < params.alpha * s - 1e-9)
+        if close.size:
+            return pairs[close[0]]
+        threshold = (params.b * params.alpha) ** params.theta * a_s
+        for pair in pairs:
+            v1, u2 = pair[1], pair[2]
+            if v1 not in fields:
+                fields[v1] = distance_field(graph, v1, cube_mask)
+            dd = fields[v1][u2]
+            if dd < 0 or dd < threshold - 1e-9:
+                return pair
+        return None
+
+    return [CubeClassification(good=w is None, witness=w,
+                               n_special_pairs=len(pairs))
+            for w in map(witness, grid)]
 
 
 @dataclass
@@ -363,8 +354,7 @@ def good_cube_rate(d: int, beta: float, s: int,
     for r in range(replicates):
         cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
         g = sample_graph(cfg, stream_id=(90021, r))
-        hits += [classify_good_cube(g, z, s, params, a_s).good
-                 for params in grid]
+        hits += [c.good for c in classify_good_cube(g, z, s, grid, a_s)]
     out = []
     for params, h in zip(grid, hits.tolist()):
         lo, hi = _wilson(h, replicates)
@@ -428,7 +418,6 @@ def renormalize(graph, s: int) -> RenormGraph:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
 
-    from .metric import _nn_offsets
     for cube in np.ndindex(*shape):
         arr = np.asarray(cube)
         for off in _nn_offsets(d):
@@ -557,7 +546,7 @@ def good_set_fraction(cube_labels, graph, s: int, params: GoodCubeParams,
     for lab in chosen:
         z = tuple((c + 0.5) * s - 0.5 for c in lab)
         try:
-            good += classify_good_cube(graph, z, s, params, a_s).good
+            good += classify_good_cube(graph, z, s, [params], a_s)[0].good
         except ValueError:
             pass  # 3s-cube leaves the box: counts as bad
     frac = good / len(labels)

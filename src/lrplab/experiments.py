@@ -5,15 +5,19 @@ keyed from the master seed, job results are merged in replicate order,
 and floats are emitted with 17 significant digits, so identical configs
 produce byte-identical data files.  The manifest records the config
 snapshot, code version, timestamps, RNG stream accounting, and a sha256
-per data file; timestamps live only in the manifest.  A failed run
-removes its partial data files and leaves the manifest marked failed.
+per data file; timestamps live only in the manifest.  Each file is
+written beside its target and renamed into place, so a failed write
+leaves the old file whole; a failed run removes its partial data files
+and leaves the manifest marked failed.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -130,8 +134,22 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """Text handle on a temp file beside `path` that is renamed over
+    `path` when the block ends cleanly, so a failed write leaves the old
+    file intact and no temp file behind."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(fmt(x) for x in row) + "\n")
@@ -150,7 +168,7 @@ def _json_default(obj):
 
 
 def write_json(path: Path, obj) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with _atomic_open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 
@@ -525,7 +543,7 @@ def report(out_dir) -> list[Path]:
     if kind in ("scaling", "dim") and (out_dir / "medians.csv").exists():
         header, rows = _read_csv(out_dir / "medians.csv")
         fig = out_dir / "figure_scaling.tsv"
-        with open(fig, "w", newline="\n") as fh:
+        with _atomic_open(fig) as fh:
             fh.write("x\ty\tci_lo\tci_hi\n")
             for row in rows:
                 n, a_n, lo, hi = (float(row[0]), float(row[1]),
@@ -542,7 +560,7 @@ def report(out_dir) -> list[Path]:
     if kind == "dim":
         header, rows = _read_csv(out_dir / "dim.csv")
         fig = out_dir / "figure_dim.tsv"
-        with open(fig, "w", newline="\n") as fh:
+        with _atomic_open(fig) as fh:
             fh.write("x\ty\tci_lo\tci_hi\n")
             for row in rows:
                 x, y = float(row[2]), float(row[3])
@@ -555,7 +573,7 @@ def report(out_dir) -> list[Path]:
     if kind == "goodcubes":
         header, rows = _read_csv(out_dir / "goodcubes.csv")
         fig = out_dir / "figure_goodcubes.tsv"
-        with open(fig, "w", newline="\n") as fh:
+        with _atomic_open(fig) as fh:
             fh.write("x\ty\tci_lo\tci_hi\n")
             for row in rows:
                 fh.write("\t".join(row[0:1] + row[2:5]) + "\n")
@@ -565,7 +583,7 @@ def report(out_dir) -> list[Path]:
     if kind == "firework":
         header, rows = _read_csv(out_dir / "firework.csv")
         fig = out_dir / "figure_firework.tsv"
-        with open(fig, "w", newline="\n") as fh:
+        with _atomic_open(fig) as fh:
             fh.write("x\ty\tci_lo\tci_hi\n")
             for row in rows:
                 k, tail = float(row[0]), float(row[1])
@@ -578,7 +596,7 @@ def report(out_dir) -> list[Path]:
         holds = all(row[5] == "1" for row in rows)
         lines.append(f"coupling inequality holds on all subsets: {holds}")
     summary = out_dir / "summary.txt"
-    with open(summary, "w", newline="\n") as fh:
+    with _atomic_open(summary) as fh:
         fh.write("\n".join(lines) + "\n")
     produced.append(summary)
     return produced

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contgeom as cg
+from .scaling import line_fit
 
 # ---------------------------------------------------------------------------
 # scale ladder
@@ -130,11 +131,8 @@ def jump_scaling_sweep(ratios, beta: float, d: int):
     """(log ratio, log P) points and fitted slope for the annulus jump."""
     x = np.log(np.asarray(ratios, dtype=float))
     y = np.log([ball_jump_probability(float(r), beta, d) for r in ratios])
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    r2 = 1.0 - (resid ** 2).sum() / ((y - y.mean()) ** 2).sum()
-    return x, y, float(coef[0]), float(r2)
+    slope, _, r2 = line_fit(x, y)
+    return x, y, slope, r2
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +272,8 @@ def reach_tail(model: FireworkModel, ks, runs: int,
     usable = tail >= 10.0 / runs
     fit_ks = ks[usable]
     if usable.sum() >= 2:
-        x = fit_ks.astype(float)
-        y = np.log(tail[usable])
-        A = np.vstack([x, np.ones_like(x)]).T
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        resid = y - A @ coef
-        ss = ((y - y.mean()) ** 2).sum()
-        r2 = 1.0 - (resid ** 2).sum() / ss if ss > 0 else float("nan")
-        kappa = math.exp(coef[0])
+        slope, _, r2 = line_fit(fit_ks, np.log(tail[usable]))
+        kappa = math.exp(slope)
     else:
         kappa, r2 = float("nan"), float("nan")
     return ReachTail(ks=ks, tail=tail, runs=runs, kappa_hat=kappa,

@@ -6,9 +6,12 @@ only visit vertices inside the region, endpoints included, so edges
 with an endpoint outside are excluded.  Unreached targets are reported
 as None at the public API; internally distance arrays use -1.
 
-The geodesic DAG between x and y holds, for every vertex on some
-geodesic, its predecessor set and the number of geodesics through it,
-counted exactly with Python ints.
+The geodesic DAG between x and y comes from one BFS field from x, cut
+off once y's level is settled, and a walk back from y one level at a
+time: the predecessors of a vertex at level L are its neighbours at
+distance L - 1 from x.  It holds, for every vertex on some geodesic,
+its level, its predecessor list and the number of geodesics from x to
+it, counted exactly with Python ints.
 """
 
 from __future__ import annotations
@@ -37,14 +40,13 @@ def distance_field(graph, sources, region=None,
     query only (used by the shortcut-pattern sweeps).  When `target`
     is given the search stops once its level is settled.
     """
-    cfg = graph.config
-    n, d, m = cfg.n, cfg.d, graph.n_vertices
+    m = graph.n_vertices
     mask = resolve_mask(graph, region)
     indptr, nbrs = graph.adjacency()
     if extra_edges is not None and len(extra_edges):
         indptr, nbrs = _extend_adjacency(m, indptr, nbrs, extra_edges)
-    offsets = _nn_offsets(d)
-    strides = np.asarray(cfg.strides, dtype=np.int64)
+    offsets = _nn_offsets(graph.config.d)
+    strides = np.asarray(graph.config.strides, dtype=np.int64)
 
     dist = np.full(m, UNREACHED, dtype=np.int32)
     src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
@@ -59,24 +61,7 @@ def distance_field(graph, sources, region=None,
         if target is not None and dist[target] >= 0:
             break
         level += 1
-        coords = graph.coords(frontier)
-        cand_blocks = []
-        # lattice neighbors, boundary-filtered per offset
-        for off in offsets:
-            nc = coords + off
-            ok = ((nc >= 0) & (nc < n)).all(axis=1)
-            if ok.any():
-                cand_blocks.append(nc[ok] @ strides)
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total:
-            rep = np.repeat(starts, counts)
-            seg = np.arange(total) - np.repeat(np.cumsum(counts) - counts,
-                                               counts)
-            cand_blocks.append(nbrs[rep + seg])
-        cand = np.concatenate(cand_blocks) if cand_blocks else \
-            np.empty(0, dtype=np.int64)
+        cand = _expand(graph, frontier, indptr, nbrs, offsets, strides)[1]
         cand = cand[dist[cand] < 0]
         if mask is not None and cand.size:
             cand = cand[mask[cand]]
@@ -86,6 +71,24 @@ def distance_field(graph, sources, region=None,
         dist[cand] = level
         frontier = cand
     return dist
+
+
+def _expand(graph, frontier, indptr, nbrs, offsets, strides):
+    """Neighbours of a frontier as (position in frontier, neighbour).
+
+    Lattice neighbours come offset by offset in `offsets` order, then
+    long neighbours in CSR order.
+    """
+    nc = graph.coords(frontier) + offsets[:, None]
+    off_idx, pos = np.nonzero(((nc >= 0) & (nc < graph.config.n)).all(axis=2))
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    long_pos = np.repeat(np.arange(frontier.size), counts)
+    long_idx = np.arange(long_pos.size) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
+    return (np.concatenate([pos, long_pos]),
+            np.concatenate([frontier[pos] + (offsets @ strides)[off_idx],
+                            nbrs[long_idx]]))
 
 
 def _extend_adjacency(m, indptr, nbrs, extra_edges):
@@ -182,54 +185,44 @@ class GeodesicDag:
     def count(self) -> int:
         return self.counts[self.target]
 
-    def vertices(self):
-        return self.counts.keys()
-
-
-def _neighbors_of(graph, v, indptr, nbrs, offsets, strides):
-    cfg = graph.config
-    c = graph.coords(v)
-    nc = c[None, :] + offsets
-    ok = ((nc >= 0) & (nc < cfg.n)).all(axis=1)
-    lattice = nc[ok] @ strides
-    return np.concatenate([lattice, nbrs[indptr[v]:indptr[v + 1]]])
-
 
 def geodesic_dag(graph, x: int, y: int, region=None,
                  exact_counts: bool = True) -> GeodesicDag:
     """Build the predecessor DAG of all x->y geodesics inside the region.
 
-    preds holds exactly the edges (u, v) with dist(x,u) + 1 = dist(x,v)
-    and dist(v,y) = dist(x,y) - dist(x,v); counts satisfy
-    counts[v] = sum of counts over preds[v], exactly.  `exact_counts`
-    is ignored; it is accepted for callers written when counts could
-    saturate.
+    One BFS field from x, stopped once y's level is settled; then a walk
+    back from y, where the preds of v at level L are its neighbours at
+    level L - 1 in neighbour order.  So preds holds exactly the edges
+    (u, v) with dist(x,u) + 1 = dist(x,v) and dist(v,y) = dist(x,y) -
+    dist(x,v), and counts[v] = sum of counts over preds[v], summed
+    forward and exact.  `exact_counts` is ignored; it is accepted for
+    callers written when counts could saturate.
     """
-    mask = resolve_mask(graph, region)
-    dist_x = distance_field(graph, x, mask)
-    if dist_x[y] < 0:
+    dist = distance_field(graph, x, region, target=y)
+    if dist[y] < 0:
         raise ValueError("target unreached within region")
-    dist_y = distance_field(graph, y, mask)
-    D = int(dist_x[y])
-    on = np.where((dist_x >= 0) & (dist_y >= 0) & (dist_x + dist_y == D))[0]
-    on_set = set(on.tolist())
+    D = int(dist[y])
     indptr, nbrs = graph.adjacency()
     offsets = _nn_offsets(graph.config.d)
     strides = np.asarray(graph.config.strides, dtype=np.int64)
-
-    order = sorted(on.tolist(), key=lambda v: int(dist_x[v]))
-    levels = {int(v): int(dist_x[v]) for v in order}
-    preds: dict[int, list[int]] = {}
-    counts: dict[int, int] = {int(x): 1}
-    for v in order:
-        if v == x:
-            continue
-        lvl = int(dist_x[v])
-        ps = [int(u) for u in _neighbors_of(graph, v, indptr, nbrs,
-                                            offsets, strides)
-              if int(u) in on_set and dist_x[u] == lvl - 1]
-        preds[v] = ps
-        counts[v] = sum(counts[u] for u in ps)
+    layer = np.array([y], dtype=np.int64)
+    walk = []  # levels D..1, each as (vertex, preds) in vertex order
+    for lvl in range(D, 0, -1):
+        pos, nb = _expand(graph, layer, indptr, nbrs, offsets, strides)
+        keep = dist[nb] == lvl - 1
+        order = np.argsort(pos[keep], kind="stable")
+        pos, nb = pos[keep][order], nb[keep][order]
+        cuts = np.searchsorted(pos, np.arange(layer.size + 1)).tolist()
+        ps = nb.tolist()
+        walk.append([(v, ps[a:b]) for v, a, b
+                     in zip(layer.tolist(), cuts, cuts[1:])])
+        layer = np.unique(nb)
+    levels, preds, counts = {int(x): 0}, {}, {int(x): 1}
+    for lvl, level_preds in enumerate(reversed(walk), start=1):
+        for v, ps in level_preds:
+            levels[v] = lvl
+            preds[v] = ps
+            counts[v] = sum(counts[u] for u in ps)
     return GeodesicDag(source=int(x), target=int(y), dist=D, levels=levels,
                        preds=preds, counts=counts)
 

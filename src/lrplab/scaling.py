@@ -158,15 +158,19 @@ def _bootstrap_median_ci(values: np.ndarray, seed: int, ladder_index: int,
             float(np.quantile(meds, 1 - alpha)))
 
 
-def _loglog_slope(ns, medians) -> tuple[float, float, float]:
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(medians, dtype=float))
+def line_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y = slope * x + intercept: (slope, intercept, R^2).
+
+    R^2 is nan when y is constant.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     resid = y - A @ coef
     ss_tot = ((y - y.mean()) ** 2).sum()
     r2 = 1.0 - (resid ** 2).sum() / ss_tot if ss_tot > 0 else float("nan")
-    return float(coef[0]), float(coef[1]), r2
+    return float(coef[0]), float(coef[1]), float(r2)
 
 
 def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
@@ -180,13 +184,15 @@ def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
         raise ValueError("need at least 4 ladder points")
     if np.allclose(fit.medians, fit.medians[0]):
         raise ValueError("degenerate ladder: constant medians")
-    slope, _, r2 = _loglog_slope(fit.n_values, fit.medians)
+    x = np.log(np.asarray(fit.n_values, dtype=float))
+    slope, _, r2 = line_fit(x, np.log(fit.medians))
+    samples = np.stack([fit.samples[n] for n in fit.n_values])
+    L, R = samples.shape
     rng = RngStream(fit.seed, (90002,)).generator()
-    slopes = np.empty(boots)
-    for b in range(boots):
-        meds = [np.median(rng.choice(fit.samples[n], size=len(
-            fit.samples[n]), replace=True)) for n in fit.n_values]
-        slopes[b] = _loglog_slope(fit.n_values, meds)[0]
+    # draws what rng.choice(samples[l], R) would, round by round
+    idx = rng.integers(0, R, size=(boots, L, R))
+    meds = np.median(samples[np.arange(L)[:, None], idx], axis=2)
+    slopes = np.array([line_fit(x, np.log(m))[0] for m in meds])
     ci = (float(np.quantile(slopes, 0.025)),
           float(np.quantile(slopes, 0.975)))
     return replace(fit, theta_hat=slope, r_squared=r2, theta_ci=ci)

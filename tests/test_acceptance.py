@@ -356,7 +356,8 @@ def test_criterion_10_good_cube_rates():
         g = sample_graph(cfg, stream_id=(102, r))
         for ai, alpha in enumerate(alphas):
             params = GoodCubeParams(alpha=alpha, b=b, theta=theta)
-            results[r, ai] = classify_good_cube(g, z, s, params, a_s).good
+            results[r, ai] = classify_good_cube(g, z, s, [params],
+                                                a_s)[0].good
     # per-realization monotonicity: good at larger alpha implies good
     # at smaller alpha (same b)
     mono = bool(((~results[:, 0] | results[:, 1]) &

@@ -226,7 +226,7 @@ def test_classify_vacuous_good():
     params = GoodCubeParams(alpha=0.5, b=0.5, theta=0.5)
     # lattice crossing pairs exist but are far apart: with a tiny
     # threshold both conditions hold, so the cube is good
-    out = classify_good_cube(g, (48,), 16, params, a_s=1e-9)
+    [out] = classify_good_cube(g, (48,), 16, [params], a_s=1e-9)
     assert out.good
 
 
@@ -235,7 +235,7 @@ def test_classify_planted_close_pair_bad():
     planted = np.array([[30, 44], [46, 80]])  # v1=44, u2=46: distance 2
     g2 = type(g)(config=g.config, long_edges=planted)
     params = GoodCubeParams(alpha=0.5, b=0.5, theta=0.5)
-    out = classify_good_cube(g2, (48,), 16, params, a_s=1.0)
+    [out] = classify_good_cube(g2, (48,), 16, [params], a_s=1.0)
     assert not out.good
     assert out.witness == (30, 44, 46, 80)
 
@@ -246,8 +246,11 @@ def test_classify_monotone_in_alpha_b():
     a_s = 8.0
     for seed in range(40):
         g = sample_graph(ModelConfig(d=1, beta=1.0, n=9 * 16, seed=seed))
-        res = {(p.alpha, p.b): classify_good_cube(
-            g, (72,), 16, p, a_s).good for p in params_grid}
+        single = [classify_good_cube(g, (72,), 16, [p], a_s)[0]
+                  for p in params_grid]
+        # one call over the grid shares its fields, not its verdicts
+        assert classify_good_cube(g, (72,), 16, params_grid, a_s) == single
+        res = {(p.alpha, p.b): c.good for p, c in zip(params_grid, single)}
         for (a1, b1), ok in res.items():
             for (a2, b2), ok2 in res.items():
                 if ok and a2 <= a1 and b2 <= b1:

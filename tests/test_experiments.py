@@ -5,7 +5,8 @@ import pytest
 
 from lrplab.cli import main
 from lrplab.experiments import (ConfigError, IntegrityError, load_config,
-                                parse_config, report, run, verify_run)
+                                parse_config, report, run, verify_run,
+                                write_json)
 from lrplab.rng import RngStream
 
 
@@ -77,6 +78,16 @@ def test_failed_run_removes_outputs(tmp_path):
     manifest = json.loads((tmp_path / "bad" / "manifest.json").read_text())
     assert manifest["status"] == "failed"
     assert "error" in manifest and manifest["error"]
+
+
+def test_failed_write_keeps_old_file(tmp_path):
+    target = tmp_path / "out.json"
+    write_json(target, {"a": 1})
+    before = target.read_bytes()
+    with pytest.raises(TypeError):
+        write_json(target, {"a": 1, "z": object()})
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_report_empty_dir_integrity_error(tmp_path):

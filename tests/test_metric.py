@@ -289,17 +289,18 @@ def test_geodesic_export_format(tmp_path):
 def test_dag_preds_exactly_characterized():
     # preds must contain exactly the edges (u, v) with
     # dist(x,u) + 1 = dist(x,v) and dist(x,u) + 1 + dist(v,y) = dist(x,y),
-    # reconstructed here from oracle distance fields
+    # reconstructed here from oracle distance fields inside the region
     import heapq
+    import itertools
 
-    def oracle_field(g, src):
-        cfg = g.config
+    def oracle_field(g, src, allowed):
+        n, d = g.config.n, g.config.d
+        offs = [o for o in itertools.product((-1, 0, 1), repeat=d)
+                if any(o)]
         adj = {}
         for i, j in g.long_edges.tolist():
             adj.setdefault(i, []).append(j)
             adj.setdefault(j, []).append(i)
-        offs = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)
-                if (a, b) != (0, 0)]
         dist = {src: 0}
         pq = [(0, src)]
         while pq:
@@ -308,22 +309,37 @@ def test_dag_preds_exactly_characterized():
                 continue
             cv = g.coords(v)
             nbs = list(adj.get(v, []))
-            for a, b in offs:
-                x2, y2 = cv[0] + a, cv[1] + b
-                if 0 <= x2 < cfg.n and 0 <= y2 < cfg.n:
-                    nbs.append(int(g.index((x2, y2))))
+            for o in offs:
+                c2 = tuple(int(a + b) for a, b in zip(cv, o))
+                if all(0 <= c < n for c in c2):
+                    nbs.append(int(g.index(c2)))
             for u in nbs:
-                if dd + 1 < dist.get(u, 1 << 60):
+                if allowed[u] and dd + 1 < dist.get(u, 1 << 60):
                     dist[u] = dd + 1
                     heapq.heappush(pq, (dd + 1, u))
         return dist
 
-    for seed in range(3):
-        g = _graph(2, 6, seed)
+    boxes = ((1, 40), (2, 6), (3, 4))
+    for (d, n), restricted, seed in itertools.product(boxes, (False, True),
+                                                      range(3)):
+        g = _graph(d, n, seed)
         x, y = 0, g.n_vertices - 1
-        dag = geodesic_dag(g, x, y)
-        fx = oracle_field(g, x)
-        fy = oracle_field(g, y)
+        allowed = np.ones(g.n_vertices, bool)
+        region = None
+        if restricted:
+            # drop random vertices, keeping both endpoints; fewer in d=1,
+            # where most dropped vertices cut the line
+            drop = 0.1 if d == 1 else 0.3
+            allowed = np.random.default_rng(seed).random(g.n_vertices) > drop
+            allowed[[x, y]] = True
+            region = MaskRegion(allowed)
+        fx = oracle_field(g, x, allowed)
+        fy = oracle_field(g, y, allowed)
+        if y not in fx:
+            with pytest.raises(ValueError):
+                geodesic_dag(g, x, y, region)
+            continue
+        dag = geodesic_dag(g, x, y, region)
         D = fx[y]
         assert dag.dist == D
         expected = {}
@@ -333,15 +349,33 @@ def test_dag_preds_exactly_characterized():
             du = np.abs(g.coords(u) - g.coords(v)).max()
             return du == 1 or (min(u, v), max(u, v)) in long_set
 
-        for v in range(g.n_vertices):
-            if fx[v] + fy[v] != D or v == x:
+        on = [v for v in fx if v in fy and fx[v] + fy[v] == D]
+        for v in on:
+            if v == x:
                 continue
-            ps = sorted(u for u in range(g.n_vertices)
-                        if fx[u] + fy[u] == D and fx[u] == fx[v] - 1
-                        and connected(u, v))
-            expected[v] = ps
+            expected[v] = sorted(u for u in on if fx[u] == fx[v] - 1
+                                 and connected(u, v))
         assert {v: sorted(ps) for v, ps in dag.preds.items()} == expected
+        assert dag.levels == {v: fx[v] for v in on}
         assert dag.levels[x] == 0 and dag.levels[y] == D
+
+
+def test_dag_builds_one_field_toward_target(monkeypatch):
+    import lrplab.metric as metric
+
+    calls = []
+    field = metric.distance_field
+
+    def counting_field(graph, sources, region=None, extra_edges=None,
+                       target=None):
+        calls.append((sources, target))
+        return field(graph, sources, region, extra_edges, target)
+
+    monkeypatch.setattr(metric, "distance_field", counting_field)
+    g = _graph(2, 8, 1)
+    dag = geodesic_dag(g, 3, 60)
+    assert calls == [(3, 60)]
+    assert dag.count >= 1 and dag.dist == dijkstra_distance(g, 3, 60)
 
 
 def test_geodesic_count_exact_beyond_64_bits():

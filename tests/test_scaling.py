@@ -70,6 +70,33 @@ def test_fit_theta_scale_invariant():
     assert out1.theta_hat == pytest.approx(out2.theta_hat, abs=1e-12)
 
 
+def test_fit_theta_bootstrap_matches_per_round_loop():
+    # reference: one rng.choice and one median per round and ladder point
+    from lrplab.rng import RngStream
+    from lrplab.scaling import line_fit
+    lad = Ladder(n_values=(8, 16, 32, 64), replicates=40)
+    fit = estimate_medians(1, 1.0, lad, seed=9, boundary_probe=False)
+    out = fit_theta(fit, boots=200)
+    x = np.log(np.asarray(lad.n_values, dtype=float))
+    rng = RngStream(fit.seed, (90002,)).generator()
+    slopes = [line_fit(x, np.log([np.median(rng.choice(
+        fit.samples[n], size=40, replace=True)) for n in lad.n_values]))[0]
+        for _ in range(200)]
+    assert out.theta_ci == (float(np.quantile(slopes, 0.025)),
+                            float(np.quantile(slopes, 0.975)))
+
+
+def test_line_fit_constant_y_has_nan_r2():
+    import warnings
+    from lrplab.scaling import line_fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slope, intercept, r2 = line_fit([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
+    assert slope == pytest.approx(0.0, abs=1e-12)
+    assert intercept == pytest.approx(0.5)
+    assert np.isnan(r2)
+
+
 def test_fit_theta_rejects_short_ladder():
     lad = Ladder(n_values=(8, 16, 32), replicates=40)
     fit = estimate_medians(1, 1.0, lad, seed=9)
