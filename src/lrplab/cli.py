@@ -3,10 +3,12 @@
 Subcommands mirror the experiment kinds (sample, scaling, dim,
 goodcubes, sperner, firework, xi-coupling) plus `report`.  Common flags
 --config/--seed/--out/--jobs/--replicates; a JSON config file supplies
-anything not given on the command line.  Environment variables
-LRPLAB_SEED, LRPLAB_OUT, LRPLAB_JOBS, LRPLAB_REPLICATES fill defaults
-at the lowest precedence: flags beat the config file, the config file
-beats the environment.
+anything not given on the command line.  A subcommand's parameter flags
+are the keys of its kind in `experiments._SCHEMA` that have a flag.
+Environment variables LRPLAB_SEED, LRPLAB_OUT, LRPLAB_JOBS fill
+defaults at the lowest precedence, and LRPLAB_REPLICATES does so for
+the kinds that take `replicates` (scaling, dim, goodcubes): flags beat
+the config file, the config file beats the environment.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ import os
 import sys
 from fractions import Fraction
 
-from .experiments import (ConfigError, ExperimentConfig, IntegrityError,
-                          parse_config, report, run)
+from .experiments import (_SCHEMA, ConfigError, ExperimentConfig,
+                          IntegrityError, parse_config, report, run)
 
 ENV_PREFIX = "LRPLAB_"
 _ENV_KEYS = {"seed": int, "out": str, "jobs": int, "replicates": int}
@@ -83,7 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float)
     p.add_argument("--c-star1", type=float, dest="c_star1")
     p.add_argument("--c2", type=float)
-    p.add_argument("--mk-variant", choices=("max", "min"), dest="mk_variant")
 
     p = sub.add_parser("xi-coupling", help="shell-crossing coupling check")
     common(p)
@@ -98,55 +99,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_FLAGS = {
-    "sample": ("n",),
-    "scaling": ("n_values", "replicates"),
-    "dim": ("n", "scales", "theta_source", "theta", "replicates"),
-    "goodcubes": ("s", "alphas", "b", "theta", "replicates"),
-    "sperner": (),
-    "firework": ("eps", "theta", "c_star1", "c2", "mk_variant"),
-    "xi-coupling": ("eps", "theta", "c_star1", "resolution", "runs"),
-}
+def _given(args, keys) -> dict:
+    return {key: getattr(args, key) for key in sorted(keys)
+            if getattr(args, key, None) is not None}
 
 
 def _assemble(args, kind: str) -> ExperimentConfig:
     env = _env_defaults()
-    raw = {"kind": kind, "model": {}, "params": {}}
-    for key in ("seed", "out", "jobs"):
-        if key in env:
-            raw[key] = env[key]
-    if "replicates" in env:
-        raw["params"]["replicates"] = env["replicates"]
+    replicates = env.pop("replicates", None)
+    raw = {"kind": kind, "model": {}, "params": {}, **env}
+    if replicates is not None and "replicates" in _SCHEMA[kind]:
+        raw["params"]["replicates"] = replicates
     if args.config:
         with open(args.config) as fh:
             doc = json.load(fh)
-        doc.setdefault("kind", kind)
-        if doc["kind"] != kind:
+        if doc.setdefault("kind", kind) != kind:
             raise ConfigError(
                 f"config kind {doc['kind']!r} does not match {kind!r}")
-        raw["model"].update(doc.get("model", {}))
-        raw["params"].update(doc.get("params", {}))
-        for key in ("seed", "out", "jobs"):
-            if key in doc:
-                raw[key] = doc[key]
-        extra = set(doc) - {"kind", "model", "params", "seed", "out",
-                            "jobs"}
-        if extra:
-            raise ConfigError(f"unknown config key: {sorted(extra)[0]}")
-    for key in ("seed", "out", "jobs"):
-        val = getattr(args, key, None)
-        if val is not None:
-            raw[key] = val
-    if getattr(args, "d", None) is not None:
-        raw["model"]["d"] = args.d
-    if getattr(args, "beta", None) is not None:
-        raw["model"]["beta"] = args.beta
-    for flag in _PARAM_FLAGS[kind]:
-        val = getattr(args, flag, None)
-        if val is not None:
-            raw["params"][flag] = val
-    if getattr(args, "replicates", None) is not None:
-        raw["params"]["replicates"] = args.replicates
+        raw["model"].update(doc.pop("model", {}))
+        raw["params"].update(doc.pop("params", {}))
+        raw.update(doc)         # parse_config names unknown keys
+    raw.update(_given(args, ("seed", "out", "jobs")))
+    raw["model"].update(_given(args, _SCHEMA["model"]))
+    # --replicates is on every subcommand; parse_config names it where
+    # the kind does not take it
+    raw["params"].update(_given(args, _SCHEMA[kind] | {"replicates"}))
     return parse_config(raw)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import ModelConfig, sample_graph
 from .metric import _expand, _nn_offsets, distance_field
-from .rng import RngStream
+from .rng import RngStream, Tag
 from .scaling import line_fit
 
 # ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ def holder_profile(graph, a_n: float, theta: float, scales,
         raise ValueError("a_n must be positive")
     cfg = graph.config
     n = cfg.n
-    rng = RngStream(seed, (90011,)).generator()
+    rng = RngStream(seed, (Tag.HOLDER_PAIRS,)).generator()
     out = []
     for k in scales:
         radius = max(1, int(n * 2.0 ** -k))
@@ -353,7 +353,7 @@ def good_cube_rate(d: int, beta: float, s: int,
     hits = np.zeros(len(grid), dtype=np.int64)
     for r in range(replicates):
         cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-        g = sample_graph(cfg, stream_id=(90021, r))
+        g = sample_graph(cfg, stream_id=(Tag.GOOD_CUBE_SAMPLE, r))
         hits += [c.good for c in classify_good_cube(g, z, s, grid, a_s)]
     out = []
     for params, h in zip(grid, hits.tolist()):
@@ -497,7 +497,7 @@ def connected_set_growth(d: int, beta: float, n: int, s: int, k: int,
     root = None
     for r in range(replicates):
         cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-        g = sample_graph(cfg, stream_id=(90031, r))
+        g = sample_graph(cfg, stream_id=(Tag.CONNECTED_SET_SAMPLE, r))
         rg = renormalize(g, s)
         if root is None:
             root = tuple(c // 2 for c in rg.shape)

@@ -4,11 +4,19 @@ Every run is a pure function of its ExperimentConfig: all randomness is
 keyed from the master seed, job results are merged in replicate order,
 and floats are emitted with 17 significant digits, so identical configs
 produce byte-identical data files.  The manifest records the config
-snapshot, code version, timestamps, RNG stream accounting, and a sha256
-per data file; timestamps live only in the manifest.  Each file is
-written beside its target and renamed into place, so a failed write
-leaves the old file whole; a failed run removes its partial data files
-and leaves the manifest marked failed.
+snapshot, code version, timestamps, the number of RNG generators built
+(`rng_streams`), and a sha256 per data file; timestamps live only in
+the manifest.  Each file is written beside its target and renamed into
+place, so a failed write leaves the old file whole; a failed run
+removes its partial data files and leaves the manifest marked failed.
+
+Every kind has one runner, `_run_<kind>(config, out) -> None`, that
+writes each data file through `out` (`out.csv`, `out.json`, or
+`out.path` for a file written by other code); `run` checksums, or on
+failure removes, exactly the files on that list.  `rng_streams` is the
+growth of `RngStream.built` across the runner, so it counts generators
+where they are built; `scaling.sample_distances` adds its pool
+workers' counts.
 """
 
 from __future__ import annotations
@@ -28,9 +36,9 @@ import numpy as np
 from . import __version__
 from .graph import ModelConfig, export_text, sample_graph, save_binary
 from .metric import geodesic_dag, sample_geodesic
-from .rng import RngStream
-from .scaling import (Ladder, atom_trend, ecdf, estimate_medians,
-                      fit_theta)
+from .rng import RngStream, Tag
+from .scaling import (Ladder, ScalingFit, atom_trend, ecdf,
+                      estimate_medians, fit_theta, sample_distances)
 from .dimension import (GoodCubeParams, connected_set_growth,
                         good_cube_rate, mean_dimension_fit)
 from .firework import (FireworkModel, build_ladder, compute_crossing_probs,
@@ -52,9 +60,8 @@ _SCHEMA = {
                   "a_s_replicates", "cs_n", "cs_k", "cs_replicates"},
     "sperner": {"n_values", "families_per_n", "p_values", "generator",
                 "target_size"},
-    "firework": {"eps", "theta", "c_star1", "c2", "beta", "k_min", "k_max",
-                 "runs", "mk_variant"},
-    "xi-coupling": {"eps", "theta", "c_star1", "beta", "resolution", "runs",
+    "firework": {"eps", "theta", "c_star1", "c2", "k_min", "k_max", "runs"},
+    "xi-coupling": {"eps", "theta", "c_star1", "resolution", "runs",
                     "max_subset_size"},
 }
 
@@ -201,6 +208,24 @@ class RunManifest:
         return self.__dict__.copy()
 
 
+class _Outputs:
+    """The data files of one run, listed as they are written."""
+
+    def __init__(self, out_dir: Path):
+        self.dir = out_dir
+        self.paths: list[Path] = []
+
+    def path(self, name: str) -> Path:
+        self.paths.append(self.dir / name)
+        return self.paths[-1]
+
+    def csv(self, name: str, header: list[str], rows) -> None:
+        write_csv(self.path(name), header, rows)
+
+    def json(self, name: str, obj) -> None:
+        write_json(self.path(name), obj)
+
+
 def run(config: ExperimentConfig) -> RunManifest:
     """Execute the experiment, write outputs and the manifest."""
     out_dir = Path(config.out)
@@ -211,15 +236,15 @@ def run(config: ExperimentConfig) -> RunManifest:
                            started_at=time.time(), finished_at=None,
                            outputs={}, rng_streams=0)
     _write_manifest(out_dir, manifest)
-    written: list[Path] = []
+    out = _Outputs(out_dir)
+    built = RngStream.built
     try:
-        runner = _RUNNERS[config.kind]
-        files, streams = runner(config, out_dir, written)
-        manifest.outputs = {f.name: sha256_file(f) for f in files}
-        manifest.rng_streams = streams
+        _RUNNERS[config.kind](config, out)
+        manifest.outputs = {f.name: sha256_file(f) for f in out.paths}
+        manifest.rng_streams = RngStream.built - built
         manifest.status = "complete"
     except Exception as exc:
-        for f in written:
+        for f in out.paths:
             f.unlink(missing_ok=True)
         manifest.status = "failed"
         manifest.error = f"{type(exc).__name__}: {exc}"
@@ -235,92 +260,60 @@ def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
     write_json(out_dir / "manifest.json", manifest.to_dict())
 
 
-def _target(out_dir: Path, written: list, name: str) -> Path:
-    path = out_dir / name
-    written.append(path)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # experiment implementations
 
 
-def _run_sample(config: ExperimentConfig, out_dir: Path, written: list):
+def _run_sample(config: ExperimentConfig, out: _Outputs) -> None:
     n = int(config.params.get("n", 256))
     cfg = ModelConfig(d=config.d, beta=config.beta, n=n, seed=config.seed)
     g = sample_graph(cfg)
-    binary = _target(out_dir, written, "graph.lrpg")
-    save_binary(g, binary)
-    text = _target(out_dir, written, "edges.txt")
-    export_text(g, text)
-    return [binary, text], 1
+    save_binary(g, out.path("graph.lrpg"))
+    export_text(g, out.path("edges.txt"))
 
 
-def _scaling_outputs(config, out_dir, written, fit):
-    files = []
-    medians = _target(out_dir, written, "medians.csv")
-    write_csv(medians, ["n", "a_n", "ci_lo", "ci_hi", "replicates"],
-              [(n, fit.medians[i], fit.ci_lo[i], fit.ci_hi[i],
-                fit.replicates) for i, n in enumerate(fit.n_values)])
-    files.append(medians)
+def _fit_ladder(config: ExperimentConfig, out: _Outputs,
+                ladder: Ladder) -> ScalingFit:
+    """Medians and the theta fit of a ladder, written out."""
+    fit = fit_theta(estimate_medians(config.d, config.beta, ladder,
+                                     config.seed, jobs=config.jobs))
+    out.csv("medians.csv", ["n", "a_n", "ci_lo", "ci_hi", "replicates"],
+            [(n, fit.medians[i], fit.ci_lo[i], fit.ci_hi[i],
+              fit.replicates) for i, n in enumerate(fit.n_values)])
     for n in fit.n_values:
-        e = ecdf(fit, n)
-        path = _target(out_dir, written, f"ecdf_{n}.csv")
-        write_csv(path, ["value"], [(v,) for v in e.values])
-        files.append(path)
-    theta = _target(out_dir, written, "theta.json")
-    write_json(theta, {"theta_hat": fit.theta_hat,
-                       "r_squared": fit.r_squared,
-                       "ci": list(fit.theta_ci),
-                       "boundary_check": fit.boundary_check})
-    files.append(theta)
-    return files
+        out.csv(f"ecdf_{n}.csv", ["value"],
+                [(v,) for v in ecdf(fit, n).values])
+    out.json("theta.json", {"theta_hat": fit.theta_hat,
+                            "r_squared": fit.r_squared,
+                            "ci": list(fit.theta_ci),
+                            "boundary_check": fit.boundary_check})
+    return fit
 
 
-def _ladder_streams(ladder: Ladder) -> int:
-    """Generators of `estimate_medians` plus `fit_theta`: one per
-    replicate and a bootstrap per ladder point, the boundary probe's
-    replicates, and the theta bootstrap."""
-    reps = ladder.replicates
-    return len(ladder.n_values) * (reps + 1) + reps + 1
-
-
-def _run_scaling(config: ExperimentConfig, out_dir: Path, written: list):
+def _run_scaling(config: ExperimentConfig, out: _Outputs) -> None:
     p = config.params
-    ladder = Ladder(n_values=tuple(int(n) for n in p["n_values"]),
-                    replicates=int(p.get("replicates", 50)))
-    fit = estimate_medians(config.d, config.beta, ladder, config.seed,
-                           jobs=config.jobs)
-    fit = fit_theta(fit)
-    files = _scaling_outputs(config, out_dir, written, fit)
-    atoms = _target(out_dir, written, "atoms.csv")
+    fit = _fit_ladder(config, out, Ladder(
+        n_values=tuple(int(n) for n in p["n_values"]),
+        replicates=int(p.get("replicates", 50))))
     masses, rho, pval = atom_trend([ecdf(fit, n) for n in fit.n_values])
-    write_csv(atoms, ["n", "max_atom_mass"],
-              list(zip(fit.n_values, masses)))
-    trend = _target(out_dir, written, "atom_trend.json")
-    write_json(trend, {"spearman_rho": rho, "p_value": pval})
-    return files + [atoms, trend], _ladder_streams(ladder)
+    out.csv("atoms.csv", ["n", "max_atom_mass"],
+            list(zip(fit.n_values, masses)))
+    out.json("atom_trend.json", {"spearman_rho": rho, "p_value": pval})
 
 
-def _run_dim(config: ExperimentConfig, out_dir: Path, written: list):
+def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
     p = config.params
     n = int(p.get("n", 2048))
     n_geo = int(p.get("geodesics", 100))
     scales = [int(j) for j in p.get("scales", [2, 3, 4, 5, 6])]
     theta_source = p.get("theta_source", "fit")
-    files = []
-    streams = 2 * n_geo          # a sample and a geodesic draw each
     if theta_source == "manual":
         theta = float(p["theta"])
     elif theta_source == "fit":
-        ladder = Ladder(n_values=tuple(int(v) for v in p.get(
-            "n_values", [32, 64, 128, 256, 512, 1024, 2048])),
-            replicates=int(p.get("replicates", 200)))
-        fit = fit_theta(estimate_medians(config.d, config.beta, ladder,
-                                         config.seed, jobs=config.jobs))
-        theta = fit.theta_hat
-        streams += _ladder_streams(ladder)
-        files.extend(_scaling_outputs(config, out_dir, written, fit))
+        theta = _fit_ladder(config, out, Ladder(
+            n_values=tuple(int(v) for v in p.get(
+                "n_values", [32, 64, 128, 256, 512, 1024, 2048])),
+            replicates=int(p.get("replicates", 200)))).theta_hat
     else:
         raise ConfigError("theta_source must be 'fit' or 'manual'")
     paths = []
@@ -328,66 +321,56 @@ def _run_dim(config: ExperimentConfig, out_dir: Path, written: list):
     for r in range(n_geo):
         cfg = ModelConfig(d=config.d, beta=config.beta, n=m,
                           seed=config.seed)
-        g = sample_graph(cfg, stream_id=(77001, r))
+        g = sample_graph(cfg, stream_id=(Tag.DIM_SAMPLE, r))
         x = int(g.index(tuple([n] * config.d)))
         y = int(g.index(tuple([2 * n] * config.d)))
         dag = geodesic_dag(g, x, y)
-        rng = RngStream(config.seed, (77002, r)).generator()
+        rng = RngStream(config.seed, (Tag.DIM_GEODESIC, r)).generator()
         paths.append(g.coords(np.asarray(sample_geodesic(dag, rng))))
     deltas = [2.0 ** -j for j in scales]
     fitd = mean_dimension_fit(paths, deltas, float(n))
-    dim_csv = _target(out_dir, written, "dim.csv")
-    write_csv(dim_csv, ["delta", "mean_N", "log_inv_delta", "log_N",
+    out.csv("dim.csv", ["delta", "mean_N", "log_inv_delta", "log_N",
                         "slope"],
-              [(deltas[i], math.exp(fitd.log_counts[i]),
-                fitd.log_inv_delta[i], fitd.log_counts[i], fitd.dim_hat)
-               for i in range(len(deltas))])
-    summary = _target(out_dir, written, "dim.json")
-    write_json(summary, {"dim_hat": fitd.dim_hat,
-                         "r_squared": fitd.r_squared,
-                         "theta": theta, "n": n, "geodesics": n_geo,
-                         "abs_difference": abs(fitd.dim_hat - theta)})
-    return files + [dim_csv, summary], streams
+            [(deltas[i], math.exp(fitd.log_counts[i]),
+              fitd.log_inv_delta[i], fitd.log_counts[i], fitd.dim_hat)
+             for i in range(len(deltas))])
+    out.json("dim.json", {"dim_hat": fitd.dim_hat,
+                          "r_squared": fitd.r_squared,
+                          "theta": theta, "n": n, "geodesics": n_geo,
+                          "abs_difference": abs(fitd.dim_hat - theta)})
 
 
-def _run_goodcubes(config: ExperimentConfig, out_dir: Path, written: list):
+def _run_goodcubes(config: ExperimentConfig, out: _Outputs) -> None:
     p = config.params
     s = int(p.get("s", 32))
     alphas = [float(a) for a in p.get("alphas", [0.5, 0.25, 0.1])]
     b = float(p.get("b", 0.25))
     theta = float(p.get("theta", 0.45))
     replicates = int(p.get("replicates", 400))
-    cs_replicates = int(p.get("cs_replicates", 100))
-    streams = replicates + cs_replicates
     if "a_s" in p:
         a_s = float(p["a_s"])
     else:
-        reps = int(p.get("a_s_replicates", 200))
-        streams += reps
-        from .scaling import sample_distances
         a_s = float(np.median(sample_distances(
-            config.d, config.beta, s, reps, config.seed, ladder_index=999)))
+            config.d, config.beta, s, int(p.get("a_s_replicates", 200)),
+            config.seed, ladder_index=Tag.A_S_PROBE)))
     grid = [GoodCubeParams(alpha=alpha, b=b, theta=theta)
             for alpha in sorted(alphas, reverse=True)]
     rates = good_cube_rate(config.d, config.beta, s, grid, a_s, replicates,
                            config.seed)
-    rows = [(r.alpha, b, r.rate, r.ci_lo, r.ci_hi) for r in rates]
-    path = _target(out_dir, written, "goodcubes.csv")
-    write_csv(path, ["alpha", "b", "rate", "ci_lo", "ci_hi"], rows)
-    meta = _target(out_dir, written, "goodcubes.json")
-    write_json(meta, {"s": s, "a_s": a_s, "theta": theta,
-                      "replicates": replicates})
+    out.csv("goodcubes.csv", ["alpha", "b", "rate", "ci_lo", "ci_hi"],
+            [(r.alpha, b, r.rate, r.ci_lo, r.ci_hi) for r in rates])
+    out.json("goodcubes.json", {"s": s, "a_s": a_s, "theta": theta,
+                                "replicates": replicates})
     growth = connected_set_growth(
         config.d, config.beta, n=int(p.get("cs_n", 16 * s)), s=s,
-        k=int(p.get("cs_k", 5)), replicates=cs_replicates, seed=config.seed)
-    cs_path = _target(out_dir, written, "cs_counts.csv")
-    write_csv(cs_path, ["k", "mean", "bound"],
-              [(k + 1, growth.cs_means[k], growth.cs_bound[k])
-               for k in range(len(growth.cs_means))])
-    return [path, meta, cs_path], streams
+        k=int(p.get("cs_k", 5)), replicates=int(p.get("cs_replicates", 100)),
+        seed=config.seed)
+    out.csv("cs_counts.csv", ["k", "mean", "bound"],
+            [(k + 1, growth.cs_means[k], growth.cs_bound[k])
+             for k in range(len(growth.cs_means))])
 
 
-def _run_sperner(config: ExperimentConfig, out_dir: Path, written: list):
+def _run_sperner(config: ExperimentConfig, out: _Outputs) -> None:
     p = config.params
     n_values = [int(n) for n in p.get("n_values", list(range(4, 21)))]
     per_n = int(p.get("families_per_n", 100))
@@ -396,7 +379,7 @@ def _run_sperner(config: ExperimentConfig, out_dir: Path, written: list):
     kind = p.get("generator", "antichain-low")
     rows = []
     for n in n_values:
-        rng = RngStream(config.seed, (77011, n)).generator()
+        rng = RngStream(config.seed, (Tag.SPERNER_FAMILIES, n)).generator()
         worst_lym = Fraction(0)
         chains_hold = True
         for _ in range(per_n):
@@ -407,12 +390,11 @@ def _run_sperner(config: ExperimentConfig, out_dir: Path, written: list):
                 chains_hold &= chain.holds
                 worst_lym = max(worst_lym, chain.lym)
         rows.append((n, per_n, float(worst_lym), int(chains_hold)))
-    path = _target(out_dir, written, "sperner.csv")
-    write_csv(path, ["n", "families", "max_lym", "all_chains_hold"], rows)
-    return [path], len(n_values)
+    out.csv("sperner.csv", ["n", "families", "max_lym", "all_chains_hold"],
+            rows)
 
 
-def _run_firework(config: ExperimentConfig, out_dir: Path, written: list):
+def _run_firework(config: ExperimentConfig, out: _Outputs) -> None:
     p = config.params
     eps = float(p.get("eps", 1e-9))
     theta = float(p.get("theta", 0.5))
@@ -421,74 +403,53 @@ def _run_firework(config: ExperimentConfig, out_dir: Path, written: list):
     runs = int(p.get("runs", 10 ** 5))
     k_min, k_max = int(p.get("k_min", 2)), int(p.get("k_max", 12))
     ladder = build_ladder(eps, theta, c_star1)
-    ladder_json = _target(out_dir, written, "ladder.json")
-    write_json(ladder_json, {
+    out.json("ladder.json", {
         "eps": eps, "theta": theta, "c_star1": c_star1, "K": ladder.K,
         "N": ladder.N, "M": [float(x) for x in ladder.M[1:]],
         "r": [float(x) for x in ladder.r[1:]],
         "delta_max": ladder.delta_max})
     cp = compute_crossing_probs(ladder, config.beta)
-    crossing = _target(out_dir, written, "crossing.csv")
-    write_csv(crossing, ["i", "p_gap_jump", "p_shell_cross"],
-              [(i + 1, cp.p_gap[i], cp.p_shell[i])
-               for i in range(ladder.K)])
-    model = FireworkModel.default(k_max, c2=c2)
-    rng = RngStream(config.seed, (77021,)).generator()
-    rt = reach_tail(model, range(k_min, k_max + 1), runs, rng)
-    variant = p.get("mk_variant", "max")
-    if variant == "max":
-        tail = rt.tail
-    elif variant == "min":
-        # literal-min stopping index: coverage is an interval, so the
-        # smallest covered positive site is 1 whenever anything spreads;
-        # the tail collapses to P[nothing spreads] for k >= 2
-        from .firework import simulate_firework
-        out = simulate_firework(model, RngStream(
-            config.seed, (77022,)).generator(), runs=runs)
-        p_none = float((out.reaches == 0).mean())
-        tail = np.array([1.0 if k <= 1 else p_none for k in rt.ks])
-    else:
-        raise ConfigError("mk_variant must be 'max' or 'min'")
-    fw = _target(out_dir, written, "firework.csv")
-    write_csv(fw, ["k", "tail", "kappa_hat", "r_squared"],
-              [(int(k), tail[i], rt.kappa_hat, rt.r_squared)
-               for i, k in enumerate(rt.ks)])
-    return [ladder_json, crossing, fw], 1 + (variant == "min")
+    out.csv("crossing.csv", ["i", "p_gap_jump", "p_shell_cross"],
+            [(i + 1, cp.p_gap[i], cp.p_shell[i]) for i in range(ladder.K)])
+    rng = RngStream(config.seed, (Tag.FIREWORK,)).generator()
+    rt = reach_tail(FireworkModel.default(k_max, c2=c2),
+                    range(k_min, k_max + 1), runs, rng)
+    out.csv("firework.csv", ["k", "tail", "kappa_hat", "r_squared"],
+            [(int(k), rt.tail[i], rt.kappa_hat, rt.r_squared)
+             for i, k in enumerate(rt.ks)])
 
 
-def _run_xi_coupling(config: ExperimentConfig, out_dir: Path, written: list):
+def _run_xi_coupling(config: ExperimentConfig, out: _Outputs) -> None:
     p = config.params
     eps = float(p.get("eps", 1e-12))
     theta = float(p.get("theta", 0.5))
     c_star1 = float(p.get("c_star1", 0.5))
-    beta = float(p.get("beta", config.beta))
     resolution = int(p.get("resolution", 8))
     runs = int(p.get("runs", 10 ** 4))
     max_size = p.get("max_subset_size")
     ladder = build_ladder(eps, theta, c_star1)
-    xi = simulate_xi_vector(ladder, beta, resolution,
-                            RngStream(config.seed, (77031,)).generator(),
+    xi = simulate_xi_vector(ladder, config.beta, resolution,
+                            RngStream(config.seed,
+                                      (Tag.XI_VECTOR,)).generator(),
                             runs=runs)
-    marginals = _target(out_dir, written, "xi_marginals.csv")
-    cp = compute_crossing_probs(ladder, beta)
+    cp = compute_crossing_probs(ladder, config.beta)
     emp = xi.marginal_zero_rate()
-    write_csv(marginals, ["i", "empirical_cross_rate", "exact_cross_prob"],
-              [(i + 1, emp[i], cp.p_shell[i]) for i in range(ladder.K)])
+    out.csv("xi_marginals.csv",
+            ["i", "empirical_cross_rate", "exact_cross_prob"],
+            [(i + 1, emp[i], cp.p_shell[i]) for i in range(ladder.K)])
     subsets = None
     if max_size is not None:
         subsets = [tuple(i + 1 for i in range(ladder.K) if m >> i & 1)
                    for m in range(1, 1 << ladder.K)]
         subsets = [S for S in subsets if len(S) <= int(max_size)]
-    checks = coupling_checks(ladder, beta, xi, runs_fw=runs,
+    checks = coupling_checks(ladder, config.beta, xi, runs_fw=runs,
                              rng=RngStream(config.seed,
-                                           (77032,)).generator(),
+                                           (Tag.XI_FIREWORK,)).generator(),
                              subsets=subsets)
-    coupling = _target(out_dir, written, "coupling.csv")
-    write_csv(coupling, ["subset", "k", "w_empirical", "firework_tail",
-                         "sigma", "holds"],
-              [("|".join(map(str, c.subset)), len(c.subset), c.w_empirical,
-                c.fw_tail, c.sigma, int(c.holds)) for c in checks])
-    return [marginals, coupling], 2
+    out.csv("coupling.csv", ["subset", "k", "w_empirical", "firework_tail",
+                             "sigma", "holds"],
+            [("|".join(map(str, c.subset)), len(c.subset), c.w_empirical,
+              c.fw_tail, c.sigma, int(c.holds)) for c in checks])
 
 
 _RUNNERS = {
@@ -525,78 +486,61 @@ def verify_run(out_dir) -> dict:
     return manifest
 
 
-def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _load(path: Path):
+    """A JSON file's object, or a CSV file's data rows as strings."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    return header, rows
+        if path.suffix == ".json":
+            return json.load(fh)
+        fh.readline()
+        return [line.strip().split(",") for line in fh if line.strip()]
+
+
+# data file -> (figure file, float data row -> (x, y, ci_lo, ci_hi))
+_FIGURES = {
+    "medians.csv": ("figure_scaling.tsv",
+                    lambda r: [math.log(max(v, 1e-300)) for v in r[:4]]),
+    "dim.csv": ("figure_dim.tsv", lambda r: (r[2], r[3], r[3], r[3])),
+    "goodcubes.csv": ("figure_goodcubes.tsv",
+                      lambda r: (r[0], r[2], r[3], r[4])),
+    "firework.csv": ("figure_firework.tsv",
+                     lambda r: (r[0], r[1], r[1], r[1])),
+}
+# data file -> its line of summary.txt, in summary order
+_SUMMARIES = {
+    "theta.json": lambda t: (f"theta_hat = {t['theta_hat']}, "
+                             f"r2 = {t['r_squared']}, ci = {t['ci']}"),
+    "dim.json": lambda t: (f"dim_hat = {t['dim_hat']} vs theta = "
+                           f"{t['theta']} (|diff| = {t['abs_difference']})"),
+    "goodcubes.csv": lambda rows: "good-cube rates: " + "; ".join(
+        f"alpha={r[0]}: {r[2]}" for r in rows),
+    "firework.csv": lambda rows: (f"kappa_hat = {rows[0][2]}, "
+                                  f"r2 = {rows[0][3]}"),
+    "coupling.csv": lambda rows: ("coupling inequality holds on all "
+                                  f"subsets: {all(r[5] == '1' for r in rows)}"),
+}
 
 
 def report(out_dir) -> list[Path]:
-    """Emit a human-readable summary and per-figure (x, y, ci) TSVs."""
+    """Emit a human-readable summary and per-figure (x, y, ci) TSVs for
+    the data files the run wrote."""
     out_dir = Path(out_dir)
     manifest = verify_run(out_dir)
-    kind = manifest["kind"]
+    outputs = manifest["outputs"]
     produced = []
-    lines = [f"experiment: {kind}", f"status: {manifest['status']}",
+    for name, (figure, to_xy) in _FIGURES.items():
+        if name in outputs:
+            produced.append(out_dir / figure)
+            with _atomic_open(produced[-1]) as fh:
+                fh.write("x\ty\tci_lo\tci_hi\n")
+                for row in _load(out_dir / name):
+                    xy = to_xy([float(v) for v in row])
+                    fh.write("\t".join(fmt(v) for v in xy) + "\n")
+    lines = [f"experiment: {manifest['kind']}",
+             f"status: {manifest['status']}",
              f"code_version: {manifest['code_version']}"]
-    if kind in ("scaling", "dim") and (out_dir / "medians.csv").exists():
-        header, rows = _read_csv(out_dir / "medians.csv")
-        fig = out_dir / "figure_scaling.tsv"
-        with _atomic_open(fig) as fh:
-            fh.write("x\ty\tci_lo\tci_hi\n")
-            for row in rows:
-                n, a_n, lo, hi = (float(row[0]), float(row[1]),
-                                  float(row[2]), float(row[3]))
-                fh.write("\t".join(fmt(v) for v in (
-                    math.log(n), math.log(a_n),
-                    math.log(max(lo, 1e-300)),
-                    math.log(max(hi, 1e-300)))) + "\n")
-        produced.append(fig)
-        with open(out_dir / "theta.json") as fh:
-            theta = json.load(fh)
-        lines.append(f"theta_hat = {theta['theta_hat']}, "
-                     f"r2 = {theta['r_squared']}, ci = {theta['ci']}")
-    if kind == "dim":
-        header, rows = _read_csv(out_dir / "dim.csv")
-        fig = out_dir / "figure_dim.tsv"
-        with _atomic_open(fig) as fh:
-            fh.write("x\ty\tci_lo\tci_hi\n")
-            for row in rows:
-                x, y = float(row[2]), float(row[3])
-                fh.write("\t".join(fmt(v) for v in (x, y, y, y)) + "\n")
-        produced.append(fig)
-        with open(out_dir / "dim.json") as fh:
-            dimj = json.load(fh)
-        lines.append(f"dim_hat = {dimj['dim_hat']} vs theta = "
-                     f"{dimj['theta']} (|diff| = {dimj['abs_difference']})")
-    if kind == "goodcubes":
-        header, rows = _read_csv(out_dir / "goodcubes.csv")
-        fig = out_dir / "figure_goodcubes.tsv"
-        with _atomic_open(fig) as fh:
-            fh.write("x\ty\tci_lo\tci_hi\n")
-            for row in rows:
-                fh.write("\t".join(row[0:1] + row[2:5]) + "\n")
-        produced.append(fig)
-        lines.append("good-cube rates: " + "; ".join(
-            f"alpha={r[0]}: {r[2]}" for r in rows))
-    if kind == "firework":
-        header, rows = _read_csv(out_dir / "firework.csv")
-        fig = out_dir / "figure_firework.tsv"
-        with _atomic_open(fig) as fh:
-            fh.write("x\ty\tci_lo\tci_hi\n")
-            for row in rows:
-                k, tail = float(row[0]), float(row[1])
-                fh.write("\t".join(fmt(v) for v in (k, tail, tail, tail))
-                         + "\n")
-        produced.append(fig)
-        lines.append(f"kappa_hat = {rows[0][2]}, r2 = {rows[0][3]}")
-    if kind == "xi-coupling":
-        header, rows = _read_csv(out_dir / "coupling.csv")
-        holds = all(row[5] == "1" for row in rows)
-        lines.append(f"coupling inequality holds on all subsets: {holds}")
-    summary = out_dir / "summary.txt"
-    with _atomic_open(summary) as fh:
+    lines += [line(_load(out_dir / name))
+              for name, line in _SUMMARIES.items() if name in outputs]
+    produced.append(out_dir / "summary.txt")
+    with _atomic_open(produced[-1]) as fh:
         fh.write("\n".join(lines) + "\n")
-    produced.append(summary)
     return produced

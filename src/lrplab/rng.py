@@ -7,15 +7,47 @@ stream, and draws every displacement class from it.  Substreams are
 left for per-stream jobs that need more than one generator.  Distinct
 key triples give statistically independent PCG64 streams; identical
 triples reproduce identical output byte for byte.
+
+The first element of every stream key is a `Tag`, except for
+`scaling.sample_distances`, whose keys are (box factor, ladder index,
+replicate) with box factor 3 or 5.  Tags are distinct and never 0, 3
+or 5, so no two call sites share a key.
+
+`RngStream.built` counts the generators this process has built; a run
+records the difference across its runner as `manifest.rng_streams`.
+Work done in another process must add its own count to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum, unique
+from typing import ClassVar
 
 import numpy as np
 
 StreamKey = int | tuple[int, ...]
+
+
+@unique
+class Tag(IntEnum):
+    """First element of each stream key, one per call site."""
+
+    DIM_SAMPLE = 77001              # experiments `dim`: graph r
+    DIM_GEODESIC = 77002            # experiments `dim`: geodesic r
+    SPERNER_FAMILIES = 77011        # experiments `sperner`: families of n
+    FIREWORK = 77021                # experiments `firework`: reach tail
+    XI_VECTOR = 77031               # experiments `xi-coupling`: xi draws
+    XI_FIREWORK = 77032             # experiments `xi-coupling`: firework
+    MEDIAN_BOOTSTRAP = 90001        # scaling: median CI of ladder point
+    THETA_BOOTSTRAP = 90002         # scaling: theta CI
+    MULTIPLICITY_SAMPLE = 90003     # scaling: graph r
+    MULTIPLICITY_GEODESIC = 90004   # scaling: geodesics of graph r
+    HOLDER_PAIRS = 90011            # dimension: holder profile pairs
+    GOOD_CUBE_SAMPLE = 90021        # dimension: good-cube graph r
+    CONNECTED_SET_SAMPLE = 90031    # dimension: connected-set graph r
+    # the ladder index of the goodcubes a_s probe's `sample_distances`
+    A_S_PROBE = 999
 
 
 def _as_key(x: StreamKey) -> tuple[int, ...]:
@@ -32,7 +64,10 @@ class RngStream:
     stream_id: StreamKey = 0
     substream_id: StreamKey = 0
 
+    built: ClassVar[int] = 0        # generators built in this process
+
     def generator(self) -> np.random.Generator:
+        RngStream.built += 1
         key = _as_key(self.stream_id) + _as_key(self.substream_id)
         ss = np.random.SeedSequence(self.master_seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss))

@@ -20,7 +20,7 @@ from scipy import stats
 
 from .graph import ModelConfig, sample_graph
 from .metric import distance, geodesic_dag, path_edges, sample_geodesic
-from .rng import RngStream
+from .rng import RngStream, Tag
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,11 @@ def _measure_distance(d: int, beta: float, n: int, seed: int,
     return dist
 
 
-def _distance_job(args) -> int:
-    return _measure_distance(*args)
+def _distance_job(args) -> tuple[int, int]:
+    """A pool worker's distance and the generators it built, which the
+    parent process's `RngStream.built` does not see."""
+    before = RngStream.built
+    return _measure_distance(*args), RngStream.built - before
 
 
 def sample_distances(d: int, beta: float, n: int, replicates: int,
@@ -105,16 +108,18 @@ def sample_distances(d: int, beta: float, n: int, replicates: int,
 
     With jobs > 1 the replicates run on a process pool; results are
     merged in replicate order, so outputs are identical to a serial
-    run.
+    run, and the workers' generator counts are added to this process's.
     """
     argses = [(d, beta, n, seed, (box_factor, ladder_index, r), box_factor)
               for r in range(replicates)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            vals = list(pool.map(_distance_job, argses, chunksize=8))
+            jobs_out = list(pool.map(_distance_job, argses, chunksize=8))
+        vals = [dist for dist, _ in jobs_out]
+        RngStream.built += sum(built for _, built in jobs_out)
     else:
-        vals = [_distance_job(a) for a in argses]
+        vals = [_measure_distance(*a) for a in argses]
     return np.asarray(vals, dtype=np.int64)
 
 
@@ -150,7 +155,7 @@ def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
 def _bootstrap_median_ci(values: np.ndarray, seed: int, ladder_index: int,
                          boots: int = 400,
                          level: float = 0.95) -> tuple[float, float]:
-    rng = RngStream(seed, (90001, ladder_index)).generator()
+    rng = RngStream(seed, (Tag.MEDIAN_BOOTSTRAP, ladder_index)).generator()
     idx = rng.integers(0, len(values), size=(boots, len(values)))
     meds = np.median(values[idx], axis=1)
     alpha = (1 - level) / 2
@@ -188,7 +193,7 @@ def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
     slope, _, r2 = line_fit(x, np.log(fit.medians))
     samples = np.stack([fit.samples[n] for n in fit.n_values])
     L, R = samples.shape
-    rng = RngStream(fit.seed, (90002,)).generator()
+    rng = RngStream(fit.seed, (Tag.THETA_BOOTSTRAP,)).generator()
     # draws what rng.choice(samples[l], R) would, round by round
     idx = rng.integers(0, R, size=(boots, L, R))
     meds = np.median(samples[np.arange(L)[:, None], idx], axis=2)
@@ -244,8 +249,8 @@ def multiplicity_stats(d: int, beta: float, n: int, pairs, replicates: int,
     overlaps = []
     for r in range(replicates):
         cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-        g = sample_graph(cfg, stream_id=(90003, r))
-        rng = RngStream(seed, (90004, r)).generator()
+        g = sample_graph(cfg, stream_id=(Tag.MULTIPLICITY_SAMPLE, r))
+        rng = RngStream(seed, (Tag.MULTIPLICITY_GEODESIC, r)).generator()
         for x, y in pairs:
             xi, yi = int(g.index(x)), int(g.index(y))
             if xi == yi:

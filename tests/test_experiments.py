@@ -7,7 +7,7 @@ from lrplab.cli import main
 from lrplab.experiments import (ConfigError, IntegrityError, load_config,
                                 parse_config, report, run, verify_run,
                                 write_json)
-from lrplab.rng import RngStream
+from lrplab.rng import RngStream, Tag
 
 
 def _scaling_config(tmp_path, sub="a", seed=7):
@@ -234,17 +234,35 @@ def test_sperner_sweep_experiment(tmp_path):
     assert all(row.endswith(",1") for row in lines[1:])  # chains hold
 
 
-def test_firework_min_variant(tmp_path):
-    cfg = parse_config({
-        "kind": "firework", "seed": 2, "out": str(tmp_path / "fwmin"),
-        "params": {"runs": 5000, "mk_variant": "min", "k_min": 1,
-                   "k_max": 6}})
-    run(cfg)
-    header, *rows = (tmp_path / "fwmin" /
-                     "firework.csv").read_text().strip().split("\n")
-    vals = [float(r.split(",")[1]) for r in rows]
-    assert vals[0] == 1.0                      # k = 1: always >= 1
-    assert all(v == vals[1] for v in vals[1:])  # constant beyond k = 2
+@pytest.mark.parametrize("kind", ["firework", "xi-coupling"])
+def test_params_beta_rejected(tmp_path, kind):
+    # model.beta is the one beta
+    with pytest.raises(ConfigError, match="beta"):
+        parse_config({"kind": kind, "out": str(tmp_path),
+                      "params": {"beta": 5.0}})
+
+
+def test_cli_env_replicates_only_where_taken(tmp_path, monkeypatch):
+    monkeypatch.setenv("LRPLAB_REPLICATES", "40")
+    assert main(["sample", "--out", str(tmp_path / "s"), "--n", "16"]) == 0
+    assert main(["scaling", "--out", str(tmp_path / "sc"), "--n-values",
+                 "8", "16", "32", "64"]) == 0
+    manifest = json.loads((tmp_path / "sc" / "manifest.json").read_text())
+    assert manifest["config"]["params"]["replicates"] == 40
+
+
+def test_cli_replicates_flag_rejected_where_not_taken(tmp_path, capsys):
+    assert main(["sample", "--out", str(tmp_path / "s"), "--n", "16",
+                 "--replicates", "40"]) == 2
+    assert "replicates" in capsys.readouterr().err
+
+
+def test_stream_tags_distinct_from_distance_keys():
+    values = [int(t) for t in Tag]
+    assert len(set(values)) == len(values)
+    # sample_distances keys start with its box factor, 3 or 5; 0 is the
+    # default stream
+    assert not {0, 3, 5} & set(values)
 
 
 _LADDER = {"n_values": [8, 16, 32, 64], "replicates": 30}
@@ -261,10 +279,10 @@ _LADDER = {"n_values": [8, 16, 32, 64], "replicates": 30}
                    "a_s_replicates": 30, "cs_n": 64, "cs_k": 3,
                    "cs_replicates": 5}),
     ("sperner", {"n_values": [4, 6], "families_per_n": 5}),
-    ("firework", {"runs": 200, "mk_variant": "min", "k_min": 1,
-                  "k_max": 4}),
+    ("firework", {"runs": 200, "k_min": 1, "k_max": 4}),
+    ("xi-coupling", {"runs": 200, "max_subset_size": 2}),
 ], ids=["sample", "scaling", "dim-fit", "dim-manual", "goodcubes",
-        "sperner", "firework-min"])
+        "sperner", "firework", "xi-coupling"])
 def test_rng_streams_count_built_generators(tmp_path, monkeypatch, kind,
                                             params):
     built = []
@@ -277,3 +295,13 @@ def test_rng_streams_count_built_generators(tmp_path, monkeypatch, kind,
     assert manifest.rng_streams == len(built)
     assert json.loads((tmp_path / "r" / "manifest.json").read_text())[
         "rng_streams"] == len(built)
+
+
+def test_rng_streams_count_pool_workers(tmp_path):
+    streams = [run(parse_config({
+        "kind": "scaling", "seed": 3, "out": str(tmp_path / f"j{jobs}"),
+        "jobs": jobs, "model": {"d": 1, "beta": 1.0},
+        "params": _LADDER})).rng_streams for jobs in (1, 2)]
+    # 4 ladder points x (30 replicates + a bootstrap), 30 boundary-probe
+    # replicates and the theta bootstrap
+    assert streams == [155, 155]

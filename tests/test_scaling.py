@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrplab.graph import ModelConfig, sample_graph
+from lrplab.rng import Tag
 from lrplab.scaling import (Ecdf, Ladder, atom_trend, ecdf, estimate_medians,
                             fit_theta, max_atom, multiplicity_stats,
                             sample_distances, window_mass)
@@ -78,7 +79,7 @@ def test_fit_theta_bootstrap_matches_per_round_loop():
     fit = estimate_medians(1, 1.0, lad, seed=9, boundary_probe=False)
     out = fit_theta(fit, boots=200)
     x = np.log(np.asarray(lad.n_values, dtype=float))
-    rng = RngStream(fit.seed, (90002,)).generator()
+    rng = RngStream(fit.seed, (Tag.THETA_BOOTSTRAP,)).generator()
     slopes = [line_fit(x, np.log([np.median(rng.choice(
         fit.samples[n], size=40, replace=True)) for n in lad.n_values]))[0]
         for _ in range(200)]
@@ -191,7 +192,7 @@ def test_multiplicity_counts_match_enumeration():
     checked = 0
     for seed in range(10):
         cfg = ModelConfig(d=1, beta=1.0, n=64, seed=seed)
-        g = sample_graph(cfg, stream_id=(90003, 0))
+        g = sample_graph(cfg, stream_id=(Tag.MULTIPLICITY_SAMPLE, 0))
         x, y = 5, 40
         D = dijkstra_distance(g, x, y)
         paths = enumerate_geodesics(g, x, y, D)
