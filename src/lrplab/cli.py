@@ -2,13 +2,16 @@
 
 Subcommands mirror the experiment kinds (sample, scaling, dim,
 goodcubes, sperner, firework, xi-coupling) plus `report`.  Common flags
---config/--seed/--out/--jobs/--replicates; a JSON config file supplies
+--config/--seed/--out/--jobs/--d/--beta; a JSON config file supplies
 anything not given on the command line.  A subcommand's parameter flags
-are the keys of its kind in `experiments._SCHEMA` that have a flag.
-Environment variables LRPLAB_SEED, LRPLAB_OUT, LRPLAB_JOBS fill
-defaults at the lowest precedence, and LRPLAB_REPLICATES does so for
-the kinds that take `replicates` (scaling, dim, goodcubes): flags beat
-the config file, the config file beats the environment.
+are the keys of its kind in `experiments._SCHEMA` that have a flag, so
+--replicates is offered only by the kinds that take `replicates`
+(scaling, dim, goodcubes).  Environment variables LRPLAB_SEED,
+LRPLAB_OUT, LRPLAB_JOBS fill defaults at the lowest precedence, and
+LRPLAB_REPLICATES does so for the kinds that take `replicates`: flags
+beat the config file, the config file beats the environment.  A
+malformed integer in the environment is a ConfigError naming the
+variable.
 """
 
 from __future__ import annotations
@@ -29,9 +32,14 @@ _ENV_KEYS = {"seed": int, "out": str, "jobs": int, "replicates": int}
 def _env_defaults() -> dict:
     out = {}
     for key, cast in _ENV_KEYS.items():
-        raw = os.environ.get(ENV_PREFIX + key.upper())
+        name = ENV_PREFIX + key.upper()
+        raw = os.environ.get(name)
         if raw is not None:
-            out[key] = cast(raw)
+            try:
+                out[key] = cast(raw)
+            except ValueError:
+                raise ConfigError(
+                    f"{name} must be an integer, got {raw!r}") from None
     return out
 
 
@@ -41,25 +49,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="critical long-range percolation metric lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, kind):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--jobs", type=int)
-        p.add_argument("--replicates", type=int)
+        if "replicates" in _SCHEMA[kind]:
+            p.add_argument("--replicates", type=int)
         p.add_argument("--d", type=int, help="lattice dimension")
         p.add_argument("--beta", type=float, help="coupling strength")
 
     p = sub.add_parser("sample", help="sample one configuration")
-    common(p)
+    common(p, "sample")
     p.add_argument("--n", type=int, help="box side")
 
     p = sub.add_parser("scaling", help="distance-exponent ladder study")
-    common(p)
+    common(p, "scaling")
     p.add_argument("--n-values", type=int, nargs="+")
 
     p = sub.add_parser("dim", help="geodesic box-counting dimension")
-    common(p)
+    common(p, "dim")
     p.add_argument("--n", type=int)
     p.add_argument("--scales", type=int, nargs="+",
                    help="dyadic exponents j (delta = 2^-j)")
@@ -67,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float)
 
     p = sub.add_parser("goodcubes", help="good-cube rate sweep")
-    common(p)
+    common(p, "goodcubes")
     p.add_argument("--s", type=int, help="cube scale")
     p.add_argument("--alpha", type=float, nargs="+", dest="alphas")
     p.add_argument("--b", type=float)
@@ -77,17 +86,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("check", "bound", "sweep"))
     p.add_argument("file", nargs="?", help="family file for check/bound")
     p.add_argument("--p", default="1/2", help="rational Bernoulli parameter")
-    common(p)
+    common(p, "sperner")
 
     p = sub.add_parser("firework", help="spreading-process tail study")
-    common(p)
+    common(p, "firework")
     p.add_argument("--eps", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--c-star1", type=float, dest="c_star1")
     p.add_argument("--c2", type=float)
 
     p = sub.add_parser("xi-coupling", help="shell-crossing coupling check")
-    common(p)
+    common(p, "xi-coupling")
     p.add_argument("--eps", type=float)
     p.add_argument("--theta", type=float)
     p.add_argument("--c-star1", type=float, dest="c_star1")
@@ -121,9 +130,7 @@ def _assemble(args, kind: str) -> ExperimentConfig:
         raw.update(doc)         # parse_config names unknown keys
     raw.update(_given(args, ("seed", "out", "jobs")))
     raw["model"].update(_given(args, _SCHEMA["model"]))
-    # --replicates is on every subcommand; parse_config names it where
-    # the kind does not take it
-    raw["params"].update(_given(args, _SCHEMA[kind] | {"replicates"}))
+    raw["params"].update(_given(args, _SCHEMA[kind]))
     return parse_config(raw)
 
 

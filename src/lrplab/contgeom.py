@@ -118,10 +118,6 @@ def annulus(r_outer: float, r_inner: float, d: int) -> ContRegion:
     return ContRegion(d=d, pieces=pieces)
 
 
-def interval(a: float, b: float) -> ContRegion:
-    return ContRegion(d=1, pieces=((a, b),))
-
-
 def separation(a: ContRegion, b: ContRegion) -> float:
     """Minimum distance between the two regions (0 if they touch/overlap)."""
     best = INF

@@ -3,13 +3,14 @@
 Box counts use half-open dyadic tilings anchored at multiples of the
 cube side s = delta * L, with boundary points assigned to the lower
 cube: label(v) = ceil(v / s) - 1 per axis.  Anchored tilings nest under
-halving, so N_{delta/2} <= 2^d N_delta holds exactly.
+halving, so N_{delta/2} <= 2^d N_delta holds exactly.  The dimension
+estimate is the slope of the log mean count over many paths against
+log(1/delta).
 
 The coarse-graining side covers: special crossing-edge pairs of a cube,
 the (3s, alpha, b)-good cube test with its per-realization
-monotonicity, empirical good rates, exact enumeration of connected cube
-sets through a root, and the translation-class good-fraction test for a
-connected cube set.
+monotonicity, empirical good rates, and exact enumeration of connected
+cube sets through a root.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .graph import ModelConfig, sample_graph
 from .metric import _expand, _nn_offsets, distance_field
-from .rng import RngStream, Tag
+from .rng import Tag
 from .scaling import line_fit
 
 # ---------------------------------------------------------------------------
@@ -79,22 +80,6 @@ class DimFit:
     r_squared: float
 
 
-def fit_dimension(covers: list[BoxCover]) -> DimFit:
-    """Least-squares slope of log N against log(1/delta).
-
-    Needs at least 4 scales; rejects covers whose counts never change
-    (slope undefined for the purposes of a dimension estimate).
-    """
-    if len(covers) < 4:
-        raise ValueError("need at least 4 scales")
-    x = np.array([math.log(1.0 / c.delta) for c in covers])
-    y = np.array([math.log(c.count) for c in covers])
-    if np.allclose(y, y[0]):
-        raise ValueError("degenerate cover sequence: constant counts")
-    slope, _, r2 = line_fit(x, y)
-    return DimFit(log_inv_delta=x, log_counts=y, dim_hat=slope, r_squared=r2)
-
-
 def mean_dimension_fit(paths, deltas, L, graph=None) -> DimFit:
     """Dimension fit on per-scale mean counts over many paths."""
     counts = np.zeros(len(deltas))
@@ -106,102 +91,6 @@ def mean_dimension_fit(paths, deltas, L, graph=None) -> DimFit:
     y = np.log(counts)
     slope, _, r2 = line_fit(x, y)
     return DimFit(log_inv_delta=x, log_counts=y, dim_hat=slope, r_squared=r2)
-
-
-def hausdorff_content_estimate(cover: BoxCover, exponent: float) -> float:
-    """One-scale content estimate: count * (delta)^exponent.
-
-    Box covers use a single radius, so the content infimum is estimated
-    by its value on this cover; reported alongside dimension fits.
-    """
-    return cover.count * cover.delta ** exponent
-
-
-# ---------------------------------------------------------------------------
-# Hoelder profile and mass distribution
-
-
-@dataclass
-class HolderProfile:
-    scales: np.ndarray
-    max_ratio: np.ndarray
-    envelope: np.ndarray
-    pairs_per_scale: int
-    eps: float
-    seed: int
-
-
-def holder_profile(graph, a_n: float, theta: float, scales,
-                   pairs_per_scale: int, seed: int,
-                   eps: float = 0.1) -> HolderProfile:
-    """Max rescaled distance over pairs within n 2^-k, per scale k.
-
-    For each scale k, samples vertex pairs with ||u - v||_inf <=
-    n * 2^-k and records max d(u, v) / a_n, reported against the
-    envelope 2^{-(theta - eps) k}.  The sampling plan (pair count,
-    seed) is part of the returned record.
-    """
-    if a_n <= 0:
-        raise ValueError("a_n must be positive")
-    cfg = graph.config
-    n = cfg.n
-    rng = RngStream(seed, (Tag.HOLDER_PAIRS,)).generator()
-    out = []
-    for k in scales:
-        radius = max(1, int(n * 2.0 ** -k))
-        worst = 0.0
-        for _ in range(pairs_per_scale):
-            u = rng.integers(0, n, size=cfg.d)
-            off = rng.integers(-radius, radius + 1, size=cfg.d)
-            v = np.clip(u + off, 0, n - 1)
-            ui, vi = int(graph.index(u)), int(graph.index(v))
-            dd = distance_field(graph, ui, target=vi)[vi]
-            worst = max(worst, dd / a_n)
-        out.append(worst)
-    scales = np.asarray(list(scales), dtype=float)
-    return HolderProfile(scales=scales, max_ratio=np.asarray(out),
-                         envelope=2.0 ** (-(theta - eps) * scales),
-                         pairs_per_scale=pairs_per_scale, eps=eps, seed=seed)
-
-
-@dataclass
-class MassCheckReport:
-    deltas: np.ndarray
-    max_ratio: np.ndarray
-    passed: bool
-    worst_ratio: float
-
-
-def mass_distribution_check(path, deltas, L: float, Delta: float,
-                            C: float, graph=None) -> MassCheckReport:
-    """Check zeta_P(V) <= C (euclid_diam(V)/L)^Delta over dyadic covers.
-
-    The path is parametrized by its unit steps; zeta_P(V) is the
-    fraction of steps whose start vertex lies in V, so the masses sum
-    to one exactly.  Returns the per-scale worst ratio of mass to
-    threshold and the overall pass flag.
-    """
-    coords = _path_coords(path, graph)
-    steps = coords[:-1]
-    length = len(steps)
-    if length == 0:
-        raise ValueError("path has no steps")
-    d = coords.shape[1]
-    ratios = []
-    for dl in deltas:
-        s = dl * L
-        if s < 1:
-            raise ValueError("delta * L must be at least one lattice unit")
-        labs = _labels(steps, s)
-        _, counts = np.unique(labs, axis=0, return_counts=True)
-        zeta = counts / length
-        threshold = C * (dl * math.sqrt(d)) ** Delta
-        ratios.append(float(zeta.max() / threshold))
-    ratios = np.asarray(ratios)
-    return MassCheckReport(deltas=np.asarray(list(deltas), dtype=float),
-                           max_ratio=ratios,
-                           passed=bool((ratios <= 1.0).all()),
-                           worst_ratio=float(ratios.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +275,6 @@ class RenormGraph:
     s: int
     adj: dict
 
-    @property
-    def n_cubes(self) -> int:
-        return int(np.prod(self.shape))
-
     def degree(self, cube) -> int:
         return len(self.adj.get(tuple(cube), ()))
 
@@ -508,48 +393,3 @@ def connected_set_growth(d: int, beta: float, n: int, s: int, k: int,
     bound = (4.0 * mu) ** np.arange(1, k + 1)
     return RenormStats(mu_hat=mu, cs_means=means, cs_bound=bound,
                        replicates=replicates)
-
-
-# ---------------------------------------------------------------------------
-# good connected sets
-
-
-@dataclass
-class GoodSetReport:
-    largest_class: int
-    class_size: int
-    good_in_class: int
-    fraction: float
-    is_good: bool
-
-
-def good_set_fraction(cube_labels, graph, s: int, params: GoodCubeParams,
-                      a_s: float) -> GoodSetReport:
-    """Translation-class good fraction of a connected cube set.
-
-    Splits the labels into the 3^d classes of label mod 3 (cubes in one
-    class have pairwise disjoint 3s-cubes), takes the largest class,
-    classifies each of its cubes, and declares the set good iff the
-    good cubes reach 1/(2 * 3^d) of the whole set.  Cubes whose 3s-cube
-    leaves the box count as bad.
-    """
-    labels = [tuple(c) for c in cube_labels]
-    if not labels:
-        raise ValueError("empty cube set")
-    d = len(labels[0])
-    classes: dict[tuple, list] = {}
-    for lab in labels:
-        classes.setdefault(tuple(c % 3 for c in lab), []).append(lab)
-    key = max(classes, key=lambda kk: (len(classes[kk]), kk))
-    chosen = classes[key]
-    good = 0
-    for lab in chosen:
-        z = tuple((c + 0.5) * s - 0.5 for c in lab)
-        try:
-            good += classify_good_cube(graph, z, s, [params], a_s)[0].good
-        except ValueError:
-            pass  # 3s-cube leaves the box: counts as bad
-    frac = good / len(labels)
-    return GoodSetReport(largest_class=len(chosen), class_size=len(chosen),
-                         good_in_class=good, fraction=frac,
-                         is_good=frac >= 1.0 / (2 * 3 ** d))

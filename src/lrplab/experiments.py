@@ -32,10 +32,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from . import __version__
 from .graph import ModelConfig, export_text, sample_graph, save_binary
-from .metric import geodesic_dag, sample_geodesic
+from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
 from .scaling import (Ladder, ScalingFit, atom_trend, ecdf,
                       estimate_medians, fit_theta, sample_distances)
@@ -301,6 +302,19 @@ def _run_scaling(config: ExperimentConfig, out: _Outputs) -> None:
     out.json("atom_trend.json", {"spearman_rho": rho, "p_value": pval})
 
 
+def _geodesic_pair(graph, dag, rng, n: int):
+    """A uniform geodesic's coordinates, and how a second one drawn after
+    it from the same generator compares with it: (geodesic count,
+    shared-edge fraction, Euclidean Hausdorff distance over n)."""
+    first = sample_geodesic(dag, rng)
+    second = sample_geodesic(dag, rng)
+    a, b = graph.coords(np.asarray(first)), graph.coords(np.asarray(second))
+    shared = len(path_edges(first) & path_edges(second)) / dag.dist
+    gaps = cdist(a, b)
+    hausdorff = max(gaps.min(axis=0).max(), gaps.min(axis=1).max())
+    return a, (dag.count, shared, hausdorff / n)
+
+
 def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
     p = config.params
     n = int(p.get("n", 2048))
@@ -316,7 +330,7 @@ def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
             replicates=int(p.get("replicates", 200)))).theta_hat
     else:
         raise ConfigError("theta_source must be 'fit' or 'manual'")
-    paths = []
+    paths, probe = [], []
     m = 3 * n
     for r in range(n_geo):
         cfg = ModelConfig(d=config.d, beta=config.beta, n=m,
@@ -324,9 +338,10 @@ def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
         g = sample_graph(cfg, stream_id=(Tag.DIM_SAMPLE, r))
         x = int(g.index(tuple([n] * config.d)))
         y = int(g.index(tuple([2 * n] * config.d)))
-        dag = geodesic_dag(g, x, y)
         rng = RngStream(config.seed, (Tag.DIM_GEODESIC, r)).generator()
-        paths.append(g.coords(np.asarray(sample_geodesic(dag, rng))))
+        path, pair = _geodesic_pair(g, geodesic_dag(g, x, y), rng, n)
+        paths.append(path)
+        probe.append((r, *pair))
     deltas = [2.0 ** -j for j in scales]
     fitd = mean_dimension_fit(paths, deltas, float(n))
     out.csv("dim.csv", ["delta", "mean_N", "log_inv_delta", "log_N",
@@ -338,6 +353,8 @@ def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
                           "r_squared": fitd.r_squared,
                           "theta": theta, "n": n, "geodesics": n_geo,
                           "abs_difference": abs(fitd.dim_hat - theta)})
+    out.csv("uniqueness.csv", ["r", "geodesics", "shared_edge_fraction",
+                               "hausdorff_over_n"], probe)
 
 
 def _run_goodcubes(config: ExperimentConfig, out: _Outputs) -> None:
@@ -511,6 +528,11 @@ _SUMMARIES = {
                              f"r2 = {t['r_squared']}, ci = {t['ci']}"),
     "dim.json": lambda t: (f"dim_hat = {t['dim_hat']} vs theta = "
                            f"{t['theta']} (|diff| = {t['abs_difference']})"),
+    "uniqueness.csv": lambda rows: (
+        "unique geodesic fraction = "
+        f"{fmt(np.mean([r[1] == '1' for r in rows]))} over {len(rows)} "
+        "samples, median shared-edge fraction = "
+        f"{fmt(np.median([float(r[2]) for r in rows]))}"),
     "goodcubes.csv": lambda rows: "good-cube rates: " + "; ".join(
         f"alpha={r[0]}: {r[2]}" for r in rows),
     "firework.csv": lambda rows: (f"kappa_hat = {rows[0][2]}, "

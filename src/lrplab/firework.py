@@ -139,13 +139,6 @@ def jump_scaling_sweep(ratios, beta: float, d: int):
 # firework process
 
 
-def step_tail(s: int, c2: float) -> float:
-    """Tail bound P[L >= s] <= 1 - exp(-c2 / (1/8 + 2^(s-1))), s >= 1."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    return -math.expm1(-c2 / (0.125 + 2.0 ** (s - 1)))
-
-
 def default_step_cdf(c2: float, s_max: int = 64) -> np.ndarray:
     """alpha(s) = exp(-c2 / (1/8 + 2^s)) for s = 0..s_max."""
     s = np.arange(s_max + 1)
@@ -467,99 +460,3 @@ def coupling_checks(ladder: AnnulusLadder, beta: float, xi: XiSample,
                                  fw_tail=tail, sigma=sigma,
                                  holds=w <= tail + sigma_factor * sigma))
     return out
-
-
-def concentration_check(xi: np.ndarray, kappa: float) -> dict:
-    """Empirical P[sum xi_i <= (1 - kappa) K / 2] against its bound."""
-    if not (0 < kappa < 1):
-        raise ValueError("kappa must be in (0, 1)")
-    xi = np.asarray(xi)
-    K = xi.shape[1]
-    threshold = (1 - kappa) * K / 2.0
-    emp = float((xi.sum(axis=1) <= threshold).mean())
-    bound = math.exp(-(1 - kappa) ** 2 * K / 2.0)
-    return {"kappa": kappa, "K": K, "threshold": threshold,
-            "empirical": emp, "bound": bound}
-
-
-# ---------------------------------------------------------------------------
-# cube pair probabilities across an annulus (d=1)
-
-
-@dataclass
-class CubePairProbs:
-    i: int
-    delta: float
-    gamma: float
-    inner_cells: list
-    outer_cells: list
-    p_connect: np.ndarray          # matrix P[V1_k ~ V2_l]
-    min_separation: float
-    sandwich_lo: float             # exp(-c delta^2) <= min P[not connect]
-    sandwich_ok: bool
-
-
-def cube_pair_edge_probs(ladder: AnnulusLadder, i: int, delta: float,
-                         beta: float, gamma: float = 1.0) -> CubePairProbs:
-    """Exact edge probabilities between the cell tilings of two shells.
-
-    The inner shell (r_{i-1}, r_{i-1} + M_i/8] and outer shell
-    (r_i - M_i/8, r_i] are tiled by cells of side delta * M_i; delta
-    must satisfy the ladder's delta_max bound and 1/(8 delta) must be
-    an integer so the cells tile exactly.  Verifies the geometric
-    separation >= 3 M_i / 4 and the two-sided sandwich
-    exp(-c delta^2) <= P[not connected], P[connected] >= 1 -
-    exp(-c' delta^2) with c, c' from the actual geometry.
-    """
-    if not (1 <= i <= ladder.K):
-        raise ValueError("shell index out of range")
-    if delta > ladder.delta_max + 1e-12:
-        raise ValueError("delta violates the ladder's delta_max bound")
-    per_side = 1.0 / (8.0 * delta)
-    if abs(per_side - round(per_side)) > 1e-9:
-        raise ValueError("tiling mismatch: 1/(8 delta) must be an integer")
-    per_side = int(round(per_side))
-    Mi = float(ladder.M[i])
-    cell = delta * Mi
-    inner_lo, inner_hi = float(ladder.r[i - 1]), \
-        float(ladder.r[i - 1] + Mi / 8.0)
-    outer_lo, outer_hi = float(ladder.r[i] - Mi / 8.0), float(ladder.r[i])
-    inner_cells = _tile_sym_shell(inner_lo, inner_hi, per_side)
-    outer_cells = _tile_sym_shell(outer_lo, outer_hi, per_side)
-
-    min_sep = min(_interval_distance(a, b)
-                  for a in inner_cells for b in outer_cells)
-    if min_sep < 0.75 * Mi - 1e-9 * Mi:
-        raise ValueError("geometry violation: separation below 3 M_i / 4")
-    max_dist = float(ladder.r[i] + ladder.r[i - 1] + gamma * Mi)
-
-    P = np.zeros((len(inner_cells), len(outer_cells)))
-    ok_lo = True
-    ok_hi = True
-    c_lo = beta * (4.0 / 3.0) ** 2
-    c_hi = beta * (Mi / max_dist) ** 2
-    for a_idx, a in enumerate(inner_cells):
-        for b_idx, b in enumerate(outer_cells):
-            lam = beta * cg.interval_pair_integral(*a, *b)
-            P[a_idx, b_idx] = -math.expm1(-lam)
-            ok_lo &= math.exp(-lam) >= math.exp(-c_lo * delta ** 2) - 1e-12
-            ok_hi &= P[a_idx, b_idx] >= -math.expm1(
-                -c_hi * delta ** 2) - 1e-12
-    return CubePairProbs(i=i, delta=delta, gamma=gamma,
-                         inner_cells=inner_cells, outer_cells=outer_cells,
-                         p_connect=P, min_separation=min_sep,
-                         sandwich_lo=math.exp(-c_lo * delta ** 2),
-                         sandwich_ok=bool(ok_lo and ok_hi))
-
-
-def _tile_sym_shell(lo: float, hi: float, per_side: int) -> list:
-    """Cells of the symmetric shell {lo < |x| <= hi} as signed intervals."""
-    edges = np.linspace(lo, hi, per_side + 1)
-    cells = [(float(edges[c]), float(edges[c + 1])) for c in range(per_side)]
-    cells += [(-float(edges[c + 1]), -float(edges[c]))
-              for c in range(per_side)]
-    return cells
-
-
-def _interval_distance(a, b) -> float:
-    return max(b[0] - a[1], a[0] - b[1], 0.0)

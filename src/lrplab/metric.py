@@ -1,10 +1,11 @@
 """Chemical distance, restricted metrics, and the geodesic DAG.
 
 All distances are exact BFS distances (unit edge weights) on a sampled
-configuration, optionally restricted to a region: a restricted path may
-only visit vertices inside the region, endpoints included, so edges
-with an endpoint outside are excluded.  Unreached targets are reported
-as None at the public API; internally distance arrays use -1.
+configuration, optionally restricted to a region: a boolean mask over
+the linearized box.  A restricted path may only visit vertices inside
+the region, endpoints included, so edges with an endpoint outside are
+excluded.  Unreached targets are reported as None at the public API;
+internally distance arrays use -1.
 
 The geodesic DAG between x and y comes from one BFS field from x, cut
 off once y's level is settled, and a walk back from y one level at a
@@ -20,9 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import resolve_mask
-
 UNREACHED = -1
+
+
+def resolve_mask(graph, region) -> np.ndarray | None:
+    """None (the whole box) or a boolean membership array over the box."""
+    if region is None:
+        return None
+    mask = np.asarray(region, dtype=bool)
+    if mask.size != graph.n_vertices:
+        raise ValueError("mask size does not match box")
+    return mask
 
 
 def _nn_offsets(d: int) -> np.ndarray:
@@ -32,30 +41,23 @@ def _nn_offsets(d: int) -> np.ndarray:
     return offs[(offs != 0).any(axis=1)]
 
 
-def distance_field(graph, sources, region=None,
-                   extra_edges=None, target: int | None = None) -> np.ndarray:
-    """Multi-source BFS distance array (-1 where unreached).
+def distance_field(graph, source: int, region=None,
+                   target: int | None = None) -> np.ndarray:
+    """BFS distance array from one source (-1 where unreached).
 
-    `extra_edges` optionally wires additional vertex pairs for this
-    query only (used by the shortcut-pattern sweeps).  When `target`
-    is given the search stops once its level is settled.
+    When `target` is given the search stops once its level is settled.
     """
     m = graph.n_vertices
     mask = resolve_mask(graph, region)
     indptr, nbrs = graph.adjacency()
-    if extra_edges is not None and len(extra_edges):
-        indptr, nbrs = _extend_adjacency(m, indptr, nbrs, extra_edges)
     offsets = _nn_offsets(graph.config.d)
     strides = np.asarray(graph.config.strides, dtype=np.int64)
 
     dist = np.full(m, UNREACHED, dtype=np.int32)
-    src = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if mask is not None:
-        src = src[mask[src]]
-    if src.size == 0:
+    if mask is not None and not mask[source]:
         return dist
-    dist[src] = 0
-    frontier = np.unique(src)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
     level = 0
     while frontier.size:
         if target is not None and dist[target] >= 0:
@@ -91,78 +93,13 @@ def _expand(graph, frontier, indptr, nbrs, offsets, strides):
                             nbrs[long_idx]]))
 
 
-def _extend_adjacency(m, indptr, nbrs, extra_edges):
-    extra = np.asarray(extra_edges, dtype=np.int64).reshape(-1, 2)
-    nodes = np.concatenate([np.repeat(np.arange(m), np.diff(indptr)),
-                            extra[:, 0], extra[:, 1]])
-    targets = np.concatenate([nbrs, extra[:, 1], extra[:, 0]])
-    order = np.argsort(nodes, kind="stable")
-    nodes, targets = nodes[order], targets[order]
-    new_indptr = np.zeros(m + 1, dtype=np.int64)
-    np.add.at(new_indptr, nodes + 1, 1)
-    return np.cumsum(new_indptr), targets
-
-
-def distance(graph, x: int, y: int, region=None,
-             extra_edges=None) -> int | None:
+def distance(graph, x: int, y: int, region=None) -> int | None:
     """Chemical distance between vertices, or None if the region cuts them."""
     mask = resolve_mask(graph, region)
     if mask is not None and not (mask[x] and mask[y]):
         raise ValueError("endpoints must lie inside the region")
-    d = distance_field(graph, x, mask, extra_edges=extra_edges, target=y)[y]
+    d = distance_field(graph, x, mask, target=y)[y]
     return None if d == UNREACHED else int(d)
-
-
-def set_distance(graph, region_a, region_b, region_u=None) -> int | None:
-    """Distance between vertex sets A and B inside U (multi-source BFS)."""
-    mask_u = resolve_mask(graph, region_u)
-    mask_a = resolve_mask(graph, region_a)
-    mask_b = resolve_mask(graph, region_b)
-    if mask_u is not None:
-        mask_a = mask_a & mask_u
-        mask_b = mask_b & mask_u
-    if not mask_a.any() or not mask_b.any():
-        raise ValueError("A and B must intersect U")
-    sources = np.where(mask_a)[0]
-    dist = distance_field(graph, sources, mask_u)
-    hits = dist[mask_b]
-    hits = hits[hits >= 0]
-    return int(hits.min()) if hits.size else None
-
-
-def diameter(graph, region) -> int | None:
-    """Exact diameter of the region under its internal metric.
-
-    BFS from every vertex of the region; None if the region is
-    disconnected (reported distinctly from any finite value).
-    """
-    mask = resolve_mask(graph, region)
-    verts = np.where(mask)[0]
-    if verts.size == 0:
-        raise ValueError("region is empty")
-    best = 0
-    for v in verts:
-        dist = distance_field(graph, v, mask)
-        vals = dist[verts]
-        if (vals < 0).any():
-            return None
-        best = max(best, int(vals.max()))
-    return best
-
-
-def diameter_two_sweep(graph, region) -> int | None:
-    """Double-BFS lower bound on the diameter (exact on trees only)."""
-    mask = resolve_mask(graph, region)
-    verts = np.where(mask)[0]
-    if verts.size == 0:
-        raise ValueError("region is empty")
-    d0 = distance_field(graph, verts[0], mask)
-    vals = d0[verts]
-    if (vals < 0).any():
-        return None
-    far = verts[int(np.argmax(vals))]
-    d1 = distance_field(graph, far, mask)
-    return int(d1[verts].max())
 
 
 @dataclass
@@ -232,10 +169,8 @@ def sample_geodesic(dag: GeodesicDag, rng) -> list[int]:
 
     Walks backward from the target choosing each predecessor with
     probability proportional to its prefix count.  `rng` is a numpy
-    Generator or an RngStream.
+    Generator.
     """
-    if hasattr(rng, "generator"):
-        rng = rng.generator()
     path = [dag.target]
     cur = dag.target
     while cur != dag.source:
@@ -253,27 +188,3 @@ def sample_geodesic(dag: GeodesicDag, rng) -> list[int]:
 def path_edges(path) -> set:
     """Undirected edge set of a vertex path."""
     return {(min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])}
-
-
-def is_valid_path(graph, path, region=None) -> bool:
-    """Every hop uses a present edge and stays inside the region."""
-    mask = resolve_mask(graph, region)
-    if mask is not None and not all(mask[v] for v in path):
-        return False
-    long_set = {(int(i), int(j)) for i, j in graph.long_edges}
-    for a, b in zip(path[:-1], path[1:]):
-        ca, cb = graph.coords(a), graph.coords(b)
-        if np.abs(ca - cb).max() == 1:
-            continue
-        if (min(a, b), max(a, b)) not in long_set:
-            return False
-    return True
-
-
-def export_geodesic(path, dag: GeodesicDag, graph, fh) -> None:
-    """Text dump, one vertex per line as comma-separated coordinates."""
-    cx = ",".join(map(str, graph.coords(dag.source)))
-    cy = ",".join(map(str, graph.coords(dag.target)))
-    fh.write(f"# x={cx} y={cy} len={dag.dist} count={dag.count}\n")
-    for v in path:
-        fh.write(",".join(map(str, graph.coords(v))) + "\n")

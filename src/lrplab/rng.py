@@ -3,8 +3,8 @@
 Every random quantity in the package is drawn from a generator keyed by
 (master_seed, stream_id, substream_id).  Streams identify replicates:
 one `sample_graph` call builds exactly one generator, keyed by its
-stream, and draws every displacement class from it.  Substreams are
-left for per-stream jobs that need more than one generator.  Distinct
+stream, and draws every displacement class from it.  The substream id
+is left for per-stream jobs that need more than one generator.  Distinct
 key triples give statistically independent PCG64 streams; identical
 triples reproduce identical output byte for byte.
 
@@ -34,16 +34,13 @@ class Tag(IntEnum):
     """First element of each stream key, one per call site."""
 
     DIM_SAMPLE = 77001              # experiments `dim`: graph r
-    DIM_GEODESIC = 77002            # experiments `dim`: geodesic r
+    DIM_GEODESIC = 77002            # experiments `dim`: geodesics of graph r
     SPERNER_FAMILIES = 77011        # experiments `sperner`: families of n
     FIREWORK = 77021                # experiments `firework`: reach tail
     XI_VECTOR = 77031               # experiments `xi-coupling`: xi draws
     XI_FIREWORK = 77032             # experiments `xi-coupling`: firework
     MEDIAN_BOOTSTRAP = 90001        # scaling: median CI of ladder point
     THETA_BOOTSTRAP = 90002         # scaling: theta CI
-    MULTIPLICITY_SAMPLE = 90003     # scaling: graph r
-    MULTIPLICITY_GEODESIC = 90004   # scaling: geodesics of graph r
-    HOLDER_PAIRS = 90011            # dimension: holder profile pairs
     GOOD_CUBE_SAMPLE = 90021        # dimension: good-cube graph r
     CONNECTED_SET_SAMPLE = 90031    # dimension: connected-set graph r
     # the ladder index of the goodcubes a_s probe's `sample_distances`
@@ -71,12 +68,3 @@ class RngStream:
         key = _as_key(self.stream_id) + _as_key(self.substream_id)
         ss = np.random.SeedSequence(self.master_seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss))
-
-    def substream(self, substream_id: StreamKey) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_id, substream_id)
-
-
-def generator(master_seed: int, stream_id: StreamKey = 0,
-              substream_id: StreamKey = 0) -> np.random.Generator:
-    """Shorthand for RngStream(...).generator()."""
-    return RngStream(master_seed, stream_id, substream_id).generator()

@@ -1,9 +1,9 @@
 """Monte Carlo scaling statistics for the chemical distance.
 
 Estimates the distance exponent from medians a_n of d(0, n*1) over a
-geometric ladder of box sizes, builds the rescaled-distance ECDF, probes
-the continuity of the limiting law through the trend of its largest
-empirical atom, and reports geodesic multiplicity/overlap proxies.
+geometric ladder of box sizes, builds the rescaled-distance ECDF, and
+probes the continuity of the limiting law through the trend of its
+largest empirical atom.
 
 Distances are measured between x = n*1 and y = 2n*1 inside a box of
 side 3n, so both endpoints sit n away from every face; the residual
@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from .graph import ModelConfig, sample_graph
-from .metric import distance, geodesic_dag, path_edges, sample_geodesic
+from .metric import distance
 from .rng import RngStream, Tag
 
 
@@ -65,17 +65,6 @@ class Ecdf:
     a_n: float
     values: np.ndarray
     replicates: int
-
-    def mass_at_or_below(self, x: float) -> float:
-        return np.searchsorted(self.values, x, side="right") / len(self.values)
-
-
-@dataclass
-class MultiplicityStats:
-    counts: np.ndarray
-    fraction_unique: float
-    median_overlap: float
-    overlaps: np.ndarray
 
 
 def _measure_distance(d: int, beta: float, n: int, seed: int,
@@ -209,15 +198,6 @@ def ecdf(fit: ScalingFit, n: int) -> Ecdf:
                 replicates=len(values))
 
 
-def window_mass(e: Ecdf, a: float, eps: float) -> float:
-    """Empirical mass of the open window (a - eps, a + eps)."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    lo = np.searchsorted(e.values, a - eps, side="right")
-    hi = np.searchsorted(e.values, a + eps, side="left")
-    return (hi - lo) / len(e.values)
-
-
 def max_atom(e: Ecdf) -> float:
     """Largest empirical point mass of the rescaled distance."""
     _, counts = np.unique(e.values, return_counts=True)
@@ -235,34 +215,3 @@ def atom_trend(ecdfs: list[Ecdf]) -> tuple[np.ndarray, float, float]:
     masses = np.array([max_atom(e) for e in ecdfs])
     rho, p = stats.spearmanr(np.arange(len(masses)), masses)
     return masses, float(rho), float(p)
-
-
-def multiplicity_stats(d: int, beta: float, n: int, pairs, replicates: int,
-                       seed: int) -> MultiplicityStats:
-    """Geodesic count and overlap proxies for the given endpoint pairs.
-
-    Per replicate: count geodesics (exactly) between each pair and
-    measure the shared-edge fraction of two independently sampled
-    uniform geodesics.
-    """
-    counts = []
-    overlaps = []
-    for r in range(replicates):
-        cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-        g = sample_graph(cfg, stream_id=(Tag.MULTIPLICITY_SAMPLE, r))
-        rng = RngStream(seed, (Tag.MULTIPLICITY_GEODESIC, r)).generator()
-        for x, y in pairs:
-            xi, yi = int(g.index(x)), int(g.index(y))
-            if xi == yi:
-                raise ValueError("endpoints must be distinct")
-            dag = geodesic_dag(g, xi, yi)
-            counts.append(dag.count)
-            p1 = path_edges(sample_geodesic(dag, rng))
-            p2 = path_edges(sample_geodesic(dag, rng))
-            overlaps.append(len(p1 & p2) / dag.dist)
-    counts = np.asarray(counts, dtype=object)
-    overlaps = np.asarray(overlaps)
-    return MultiplicityStats(counts=counts,
-                             fraction_unique=float((counts == 1).mean()),
-                             median_overlap=float(np.median(overlaps)),
-                             overlaps=overlaps)

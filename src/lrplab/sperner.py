@@ -319,48 +319,3 @@ def load_family(path) -> SetFamily:
             sets.append(tuple(int(x) for x in line.split(",")) if line
                         else ())
     return SetFamily.from_sets(n, sets)
-
-
-# ---------------------------------------------------------------------------
-# exploratory bridge: families from distance windows over shortcut patterns
-
-
-@dataclass
-class WindowFamilyReport:
-    family: SetFamily
-    report: SpernerReport
-    distances: np.ndarray
-    window: tuple[float, float]
-
-
-def distance_window_family(graph, shortcuts, x: int, y: int, a: float,
-                           eps: float, region=None) -> WindowFamilyReport:
-    """Family of shortcut on/off patterns whose distance lands in a window.
-
-    Enumerates all 2^J patterns of the candidate long edges laid over
-    the graph, computes d(x, y) per pattern, and collects the patterns
-    with distance in the open window (a - eps, a + eps) as subsets of
-    [1, J].  Purely a report: arbitrary shortcut sets satisfy no
-    separation geometry, so nothing is asserted about the outcome.
-    """
-    from .metric import distance
-
-    J = len(shortcuts)
-    if J > 20:
-        raise ValueError("at most 20 candidate shortcuts")
-    for (u, v) in shortcuts:
-        disp = np.abs(graph.coords(u) - graph.coords(v)).max()
-        if disp < 2:
-            raise ValueError("shortcuts must be long displacements")
-    dists = np.empty(1 << J)
-    members = []
-    for pattern in range(1 << J):
-        extra = [shortcuts[j] for j in range(J) if pattern >> j & 1]
-        dd = distance(graph, x, y, region=region, extra_edges=extra)
-        dists[pattern] = math.inf if dd is None else dd
-        if a - eps < dists[pattern] < a + eps:
-            members.append(pattern)
-    family = SetFamily(n=max(J, 1), members=tuple(members))
-    return WindowFamilyReport(family=family,
-                              report=is_sperner_family(family),
-                              distances=dists, window=(a, eps))

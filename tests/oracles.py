@@ -93,6 +93,20 @@ def _moore_offsets(d):
     return offs[(offs != 0).any(axis=1)]
 
 
+def is_valid_path(graph, path, mask=None) -> bool:
+    """Every hop uses a present edge and every vertex lies in the mask."""
+    if mask is not None and not all(mask[v] for v in path):
+        return False
+    long_set = {(int(i), int(j)) for i, j in graph.long_edges}
+    for a, b in zip(path[:-1], path[1:]):
+        ca, cb = graph.coords(a), graph.coords(b)
+        if np.abs(ca - cb).max() == 1:
+            continue
+        if (min(a, b), max(a, b)) not in long_set:
+            return False
+    return True
+
+
 def enumerate_geodesics(graph, src: int, dst: int, length: int,
                         mask=None, node_budget: int = 2_000_000):
     """Depth-limited DFS: every path of exactly `length` hops src -> dst.

@@ -252,9 +252,21 @@ def test_cli_env_replicates_only_where_taken(tmp_path, monkeypatch):
 
 
 def test_cli_replicates_flag_rejected_where_not_taken(tmp_path, capsys):
-    assert main(["sample", "--out", str(tmp_path / "s"), "--n", "16",
-                 "--replicates", "40"]) == 2
+    # sample takes no replicates, so it offers no --replicates flag
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--out", str(tmp_path / "s"), "--n", "16",
+              "--replicates", "40"])
+    assert exc.value.code == 2
     assert "replicates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("var", ["LRPLAB_SEED", "LRPLAB_JOBS",
+                                 "LRPLAB_REPLICATES"])
+def test_cli_malformed_env_integer_named(tmp_path, monkeypatch, capsys,
+                                         var):
+    monkeypatch.setenv(var, "abc")
+    assert main(["sample", "--out", str(tmp_path / "s"), "--n", "8"]) == 2
+    assert var in capsys.readouterr().err
 
 
 def test_stream_tags_distinct_from_distance_keys():
@@ -305,3 +317,4 @@ def test_rng_streams_count_pool_workers(tmp_path):
     # 4 ladder points x (30 replicates + a bootstrap), 30 boundary-probe
     # replicates and the theta bootstrap
     assert streams == [155, 155]
+

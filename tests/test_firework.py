@@ -3,17 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from lrplab import contgeom as cg
 from lrplab.contgeom import crossing_probability
 from lrplab.firework import (FireworkModel, build_ladder,
-                             compute_crossing_probs, concentration_check,
-                             coupling_checks, cube_pair_edge_probs,
+                             compute_crossing_probs, coupling_checks,
                              default_step_cdf, jump_scaling_sweep,
                              matched_step_cdfs, reach_tail,
-                             simulate_firework, simulate_xi_vector,
-                             step_tail)
+                             simulate_firework, simulate_xi_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +46,8 @@ def test_ladder_m1_value():
 
 
 def test_interval_crossing_quarter():
-    p = crossing_probability(cg.interval(-0.5, 0.5), cg.interval(1.5, 2.5),
+    p = crossing_probability(cg.ContRegion(d=1, pieces=((-0.5, 0.5),)),
+                             cg.ContRegion(d=1, pieces=((1.5, 2.5),)),
                              beta=1.0)
     assert p == pytest.approx(0.25, abs=1e-12)
 
@@ -114,16 +113,6 @@ def test_jump_scaling_slopes():
 
 # ---------------------------------------------------------------------------
 # firework process
-
-
-def test_step_tail_identity_and_monotone():
-    c2 = 1.7
-    cdf = default_step_cdf(c2)
-    for s in range(1, 12):
-        assert step_tail(s, c2) == pytest.approx(1.0 - cdf[s - 1], rel=1e-12)
-    vals = [step_tail(s, c2) for s in range(1, 30)]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert vals[-1] < 1e-7
 
 
 def test_firework_degenerate_zero():
@@ -262,74 +251,6 @@ def test_matched_step_cdfs_shapes(ladder6):
         assert cdf[-1] == pytest.approx(1.0)
 
 
-def test_concentration_trivial_all_ones():
-    xi = np.ones((500, 6), dtype=bool)
-    for kappa in (0.2, 0.5, 0.9):
-        rep = concentration_check(xi, kappa)
-        assert rep["empirical"] == 0.0
-
-
-def test_concentration_fair_bernoulli_matches_binomial():
-    rng = np.random.default_rng(3)
-    K, runs = 10, 10 ** 5
-    xi = rng.random((runs, K)) < 0.5
-    rep = concentration_check(xi, kappa=0.5)
-    thresh = math.floor(rep["threshold"])
-    exact = stats.binom.cdf(thresh, K, 0.5)
-    se = math.sqrt(exact * (1 - exact) / runs)
-    assert abs(rep["empirical"] - exact) <= 3 * se
-
-
-def test_concentration_monotone_in_kappa():
-    rng = np.random.default_rng(4)
-    xi = rng.random((20000, 8)) < 0.7
-    vals = [concentration_check(xi, k)["empirical"]
-            for k in (0.2, 0.5, 0.8)]
-    assert vals[0] >= vals[1] >= vals[2]
-
-
 # ---------------------------------------------------------------------------
 # cube pairs
 
-
-@pytest.fixture(scope="module")
-def ladder_wide():
-    # larger c_star1 gives a usable delta_max for coarse tilings
-    return build_ladder(1e-12, theta=0.5, c_star1=2.0)
-
-
-def test_cube_pair_geometry_and_sandwich(ladder_wide):
-    cpp = cube_pair_edge_probs(ladder_wide, 3, delta=1 / 16, beta=1.0)
-    Mi = ladder_wide.M[3]
-    assert cpp.min_separation >= 0.75 * Mi * (1 - 1e-9)
-    assert cpp.sandwich_ok
-    assert cpp.p_connect.shape == (4, 4)
-    assert (cpp.p_connect > 0).all() and (cpp.p_connect < 1).all()
-
-
-def test_cube_pair_beta_to_zero(ladder_wide):
-    cpp = cube_pair_edge_probs(ladder_wide, 2, delta=1 / 16, beta=1e-12)
-    assert cpp.p_connect.max() < 1e-10
-
-
-def test_cube_pair_matches_adaptive_quadrature(ladder_wide):
-    cpp = cube_pair_edge_probs(ladder_wide, 4, delta=1 / 16, beta=1.0)
-    for (a, b, pv) in [(cpp.inner_cells[0], cpp.outer_cells[0],
-                        cpp.p_connect[0, 0]),
-                       (cpp.inner_cells[-1], cpp.outer_cells[-1],
-                        cpp.p_connect[-1, -1])]:
-        val, _ = integrate.dblquad(lambda v, u: (v - u) ** -2.0,
-                                   a[0], a[1], b[0], b[1],
-                                   epsabs=1e-18, epsrel=1e-10)
-        lam = -math.log1p(-pv)
-        assert lam == pytest.approx(val, rel=1e-8)
-
-
-def test_cube_pair_rejects_bad_tiling(ladder_wide):
-    with pytest.raises(ValueError, match="tiling"):
-        cube_pair_edge_probs(ladder_wide, 2, delta=0.013, beta=1.0)
-
-
-def test_cube_pair_rejects_large_delta(ladder_wide):
-    with pytest.raises(ValueError, match="delta"):
-        cube_pair_edge_probs(ladder_wide, 2, delta=0.25, beta=1.0)

@@ -120,11 +120,10 @@ def _sample_relabeled(cfg, stream_id):
     n = cfg.n
     ks = np.arange(2, n)
     ps = -np.expm1(-cfg.beta * class_integrals(1, n - 1)[1])
-    base = RngStream(cfg.seed, stream_id)
     total = 0
     nclasses = len(ks)
     for idx, (k, p) in enumerate(zip(ks, ps)):
-        rng = base.substream(nclasses - 1 - idx).generator()
+        rng = RngStream(cfg.seed, stream_id, nclasses - 1 - idx).generator()
         total += int(rng.binomial(n - int(k), p))
     return total
 

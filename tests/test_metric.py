@@ -4,16 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrplab.graph import ModelConfig, sample_graph
-from lrplab.metric import (diameter, diameter_two_sweep, distance,
-                           geodesic_dag, is_valid_path, path_edges,
-                           sample_geodesic, set_distance)
-from lrplab.regions import Annulus, Ball, Cube, MaskRegion
+from lrplab.metric import distance, geodesic_dag, path_edges, sample_geodesic
 
-from oracles import dijkstra_distance, enumerate_geodesics
+from oracles import dijkstra_distance, enumerate_geodesics, is_valid_path
 
 
 def _graph(d, n, seed, beta=1.0):
     return sample_graph(ModelConfig(d=d, beta=beta, n=n, seed=seed))
+
+
+def _squared_radius(g, center):
+    """Squared Euclidean distance of every vertex from `center`."""
+    return ((g.coords(np.arange(g.n_vertices)) - np.asarray(center))
+            ** 2).sum(axis=1)
 
 
 def test_distance_to_self_zero():
@@ -47,18 +50,17 @@ def test_distance_matches_dijkstra_d1():
 
 def test_distance_matches_dijkstra_restricted():
     g = _graph(2, 8, 9)
-    region = Ball(center=(3.5, 3.5), radius=3.2)
-    mask = region.mask(g)
+    mask = _squared_radius(g, (3.5, 3.5)) <= 3.2 ** 2  # closed ball
     verts = np.where(mask)[0]
     rng = np.random.default_rng(1)
     for _ in range(10):
         x, y = map(int, rng.choice(verts, 2))
-        assert distance(g, x, y, region) == dijkstra_distance(g, x, y, mask)
+        assert distance(g, x, y, mask) == dijkstra_distance(g, x, y, mask)
 
 
 def test_restriction_monotone():
     g = _graph(1, 96, 12)
-    inner = MaskRegion(np.arange(96) < 64)
+    inner = np.arange(96) < 64
     rng = np.random.default_rng(2)
     for _ in range(25):
         x, y = map(int, rng.integers(0, 64, 2))
@@ -82,68 +84,6 @@ def test_triangle_inequality_bulk():
                 fz = fields[z]
                 ys = triples[:, 0]
                 assert (fx[ys] <= fx[z] + fz[ys]).all()
-
-
-def test_set_distance_trivial_overlap():
-    g = _graph(1, 32, 4)
-    a = MaskRegion(np.arange(32) < 10)
-    b = MaskRegion((np.arange(32) >= 5) & (np.arange(32) < 20))
-    assert set_distance(g, a, b) == 0
-
-
-def test_set_distance_brute_force():
-    g = _graph(2, 4, 5)
-    m = g.n_vertices
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        ma = np.zeros(m, bool)
-        mb = np.zeros(m, bool)
-        ma[rng.choice(m, 3, replace=False)] = True
-        mb[rng.choice(m, 3, replace=False)] = True
-        got = set_distance(g, MaskRegion(ma), MaskRegion(mb))
-        want = min(dijkstra_distance(g, int(x), int(y))
-                   for x in np.where(ma)[0] for y in np.where(mb)[0])
-        assert got == want
-
-
-def test_set_distance_disconnected_region():
-    g = _graph(1, 40, 6, beta=1e-13)  # no long edges
-    u = np.zeros(40, bool)
-    u[:5] = True
-    u[30:] = True
-    a = MaskRegion(np.arange(40) < 5)
-    b = MaskRegion(np.arange(40) >= 30)
-    assert set_distance(g, a, b, MaskRegion(u)) is None
-
-
-def test_diameter_trivial():
-    g = _graph(1, 32, 7)
-    single = np.zeros(32, bool)
-    single[4] = True
-    assert diameter(g, MaskRegion(single)) == 0
-    pair = np.zeros(32, bool)
-    pair[4:6] = True
-    assert diameter(g, MaskRegion(pair)) == 1
-
-
-def test_diameter_matches_all_pairs_and_two_sweep():
-    g = _graph(2, 5, 8)
-    region = Cube(center=(2, 2), side=4)
-    mask = region.mask(g)
-    verts = np.where(mask)[0]
-    want = max(dijkstra_distance(g, int(x), int(y), mask)
-               for x in verts for y in verts)
-    got = diameter(g, region)
-    assert got == want
-    assert diameter_two_sweep(g, region) <= got
-
-
-def test_diameter_disconnected_reported():
-    g = _graph(1, 20, 9, beta=1e-13)
-    u = np.zeros(20, bool)
-    u[:3] = True
-    u[10:12] = True
-    assert diameter(g, MaskRegion(u)) is None
 
 
 def test_dag_single_edge():
@@ -201,7 +141,7 @@ def test_dag_unreached_fails_cleanly():
     u[:5] = True
     u[20:] = True
     with pytest.raises(ValueError):
-        geodesic_dag(g, 1, 25, MaskRegion(u))
+        geodesic_dag(g, 1, 25, u)
 
 
 def test_sample_geodesic_two_way_frequencies():
@@ -260,30 +200,12 @@ def test_path_edges():
 @settings(max_examples=20)
 def test_distance_annulus_region_consistency(seed):
     g = _graph(2, 7, seed % 17)
-    ann = Annulus(center=(3, 3), r_outer=3.5, r_inner=0.5)
-    mask = ann.mask(g)
+    r2 = _squared_radius(g, (3, 3))
+    mask = (r2 <= 3.5 ** 2) & (r2 > 0.5 ** 2)  # annulus 0.5 < |v| <= 3.5
     verts = np.where(mask)[0]
     rng = np.random.default_rng(seed)
     x, y = map(int, rng.choice(verts, 2))
-    assert distance(g, x, y, ann) == dijkstra_distance(g, x, y, mask)
-
-
-def test_geodesic_export_format(tmp_path):
-    import io
-
-    from lrplab.metric import export_geodesic
-    g = _graph(2, 5, 2)
-    x, y = int(g.index((0, 0))), int(g.index((4, 4)))
-    dag = geodesic_dag(g, x, y)
-    path = sample_geodesic(dag, np.random.default_rng(0))
-    buf = io.StringIO()
-    export_geodesic(path, dag, g, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0].startswith("# x=0,0 y=4,4 len=")
-    assert f"len={dag.dist}" in lines[0]
-    assert len(lines) == dag.dist + 2
-    coords = [tuple(map(int, ln.split(","))) for ln in lines[1:]]
-    assert coords[0] == (0, 0) and coords[-1] == (4, 4)
+    assert distance(g, x, y, mask) == dijkstra_distance(g, x, y, mask)
 
 
 def test_dag_preds_exactly_characterized():
@@ -332,7 +254,7 @@ def test_dag_preds_exactly_characterized():
             drop = 0.1 if d == 1 else 0.3
             allowed = np.random.default_rng(seed).random(g.n_vertices) > drop
             allowed[[x, y]] = True
-            region = MaskRegion(allowed)
+            region = allowed
         fx = oracle_field(g, x, allowed)
         fy = oracle_field(g, y, allowed)
         if y not in fx:
@@ -366,10 +288,9 @@ def test_dag_builds_one_field_toward_target(monkeypatch):
     calls = []
     field = metric.distance_field
 
-    def counting_field(graph, sources, region=None, extra_edges=None,
-                       target=None):
-        calls.append((sources, target))
-        return field(graph, sources, region, extra_edges, target)
+    def counting_field(graph, source, region=None, target=None):
+        calls.append((source, target))
+        return field(graph, source, region, target)
 
     monkeypatch.setattr(metric, "distance_field", counting_field)
     g = _graph(2, 8, 1)

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from lrplab.graph import ModelConfig, sample_graph
+from lrplab.experiments import _geodesic_pair, parse_config, report, run
+from lrplab.graph import LrpGraph, ModelConfig, sample_graph
+from lrplab.metric import geodesic_dag
 from lrplab.rng import Tag
 from lrplab.scaling import (Ecdf, Ladder, atom_trend, ecdf, estimate_medians,
-                            fit_theta, max_atom, multiplicity_stats,
-                            sample_distances, window_mass)
+                            fit_theta, max_atom, sample_distances)
 
-from oracles import enumerate_geodesics, dijkstra_distance
+from oracles import dijkstra_distance, enumerate_geodesics
 
 
 def test_ladder_validation():
@@ -111,38 +110,9 @@ def test_ecdf_median_normalization():
     for n in lad.n_values:
         e = ecdf(fit, n)
         # at least half the rescaled sample sits at or below 1
-        assert e.mass_at_or_below(1.0) >= 0.5
+        assert (e.values <= 1.0).mean() >= 0.5
         assert (np.diff(e.values) >= 0).all()
         assert (e.values >= 0).all()
-
-
-def test_window_mass_trivial_and_monotone():
-    e = Ecdf(n=8, a_n=2.0, values=np.sort(np.array(
-        [0.5, 0.75, 1.0, 1.0, 1.25, 2.0])), replicates=6)
-    assert window_mass(e, 1.0, 10.0) == 1.0
-    assert window_mass(e, -5.0, 0.5) == 0.0
-    masses = [window_mass(e, 1.0, eps) for eps in (0.1, 0.3, 0.8, 2.0)]
-    assert all(a <= b for a, b in zip(masses, masses[1:]))
-
-
-def test_window_mass_open_interval():
-    e = Ecdf(n=8, a_n=1.0, values=np.array([1.0, 2.0, 3.0]), replicates=3)
-    # boundary atoms excluded: (1, 3) catches only the middle point
-    assert window_mass(e, 2.0, 1.0) == pytest.approx(1 / 3)
-
-
-def test_window_mass_additive_over_disjoint_windows():
-    rng = np.random.default_rng(0)
-    vals = np.sort(rng.integers(0, 40, 200) / 7.0)
-    e = Ecdf(n=8, a_n=1.0, values=vals, replicates=200)
-    # windows (0.45, 1.55) and (1.55, 2.65) vs their union, no atoms at
-    # the shared endpoint or outer edges
-    a = window_mass(e, 1.0, 0.55)
-    b = window_mass(e, 2.1, 0.55)
-    u = window_mass(e, 1.55, 1.1)
-    atoms = set(np.round(vals, 9))
-    assert not {0.45, 1.55, 2.65} & atoms
-    assert a + b == pytest.approx(u)
 
 
 def test_atom_trend_n1_mass_one():
@@ -168,50 +138,65 @@ def test_atom_resampling_consistency():
     assert abs(a1 - a2) <= 3 * sigma
 
 
-def test_multiplicity_forced_single_path():
-    # no long edges: the unique geodesic is the lattice segment
-    stats = multiplicity_stats(1, 1e-13, 16, [((0,), (15,))],
-                               replicates=5, seed=3)
-    assert (stats.counts == 1).all()
-    assert stats.fraction_unique == 1.0
-    assert stats.median_overlap == 1.0
+# geodesic multiplicity: the dim runner's uniqueness probe
+
+
+def _dim_uniqueness(tmp_path, d, beta, n, geodesics, seed=3):
+    run(parse_config({
+        "kind": "dim", "seed": seed, "out": str(tmp_path / f"u{d}"),
+        "model": {"d": d, "beta": beta},
+        "params": {"n": n, "geodesics": geodesics, "scales": [1, 2],
+                   "theta_source": "manual", "theta": 0.5}}))
+    lines = (tmp_path / f"u{d}" / "uniqueness.csv").read_text().split()
+    assert lines[0] == "r,geodesics,shared_edge_fraction,hausdorff_over_n"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_multiplicity_forced_single_path(tmp_path):
+    # no long edges: the straight (diagonal) segment is the only
+    # geodesic, so both draws are it
+    for d in (1, 2):
+        rows = _dim_uniqueness(tmp_path, d, 1e-13, 4, 3)
+        assert rows == [[str(r), "1", "1", "0"] for r in range(3)]
+        report(tmp_path / f"u{d}")
+        assert ("unique geodesic fraction = 1 over 3 samples, median "
+                "shared-edge fraction = 1") in (
+            tmp_path / f"u{d}" / "summary.txt").read_text()
 
 
 def test_multiplicity_axis_pair_two_geodesics():
     # d=2 without long edges, (0,0)->(2,0): two geodesics sharing no
-    # edges, so overlap is 0 or 1 with equal chance
-    stats = multiplicity_stats(2, 1e-13, 3, [((0, 0), (2, 0))],
-                               replicates=200, seed=4)
-    assert (stats.counts == 2).all()
-    mean_overlap = stats.overlaps.mean()
-    sigma = 0.5 / np.sqrt(len(stats.overlaps))
-    assert abs(mean_overlap - 0.5) <= 3 * sigma
+    # edges, one lattice unit apart, so the two draws share all or none
+    # of their edges with equal chance
+    g = LrpGraph(config=ModelConfig(d=2, beta=1.0, n=3),
+                 long_edges=np.empty((0, 2), dtype=np.int64))
+    dag = geodesic_dag(g, int(g.index((0, 0))), int(g.index((2, 0))))
+    rng = np.random.default_rng(4)
+    pairs = [_geodesic_pair(g, dag, rng, 3)[1] for _ in range(200)]
+    assert all(count == 2 for count, _, _ in pairs)
+    for _, shared, hausdorff in pairs:
+        assert shared in (0.0, 1.0)
+        assert hausdorff == pytest.approx((1 - shared) / 3)
+    mean_shared = np.mean([shared for _, shared, _ in pairs])
+    assert abs(mean_shared - 0.5) <= 3 * 0.5 / np.sqrt(len(pairs))
 
 
-def test_multiplicity_counts_match_enumeration():
+def test_multiplicity_counts_match_enumeration(tmp_path):
+    n, seed = 16, 3
+    rows = _dim_uniqueness(tmp_path, 1, 1.0, n, 8, seed)
+    assert [int(row[0]) for row in rows] == list(range(8))
     checked = 0
-    for seed in range(10):
-        cfg = ModelConfig(d=1, beta=1.0, n=64, seed=seed)
-        g = sample_graph(cfg, stream_id=(Tag.MULTIPLICITY_SAMPLE, 0))
-        x, y = 5, 40
-        D = dijkstra_distance(g, x, y)
-        paths = enumerate_geodesics(g, x, y, D)
-        if paths is None or len(paths) > 10 ** 4:
+    for row in rows:
+        g = sample_graph(ModelConfig(d=1, beta=1.0, n=3 * n, seed=seed),
+                         stream_id=(Tag.DIM_SAMPLE, int(row[0])))
+        D = dijkstra_distance(g, n, 2 * n)
+        paths = enumerate_geodesics(g, n, 2 * n, D)
+        if paths is None:
             continue
-        stats = multiplicity_stats(1, 1.0, 64, [((x,), (y,))],
-                                   replicates=1, seed=seed)
-        assert stats.counts[0] == len(paths)
+        assert int(row[1]) == len(paths)
+        assert 0.0 <= float(row[2]) <= 1.0 and float(row[3]) >= 0.0
         checked += 1
-    assert checked >= 4
-
-
-@given(st.floats(0.1, 3.0), st.floats(0.01, 1.0))
-@settings(max_examples=25)
-def test_window_mass_bounds(a, eps):
-    vals = np.sort(np.abs(np.sin(np.arange(57))))
-    e = Ecdf(n=4, a_n=1.0, values=vals, replicates=57)
-    m = window_mass(e, a, eps)
-    assert 0.0 <= m <= 1.0
+    assert checked >= 6
 
 
 def test_sample_distances_parallel_matches_serial():

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrplab.graph import ModelConfig, sample_graph
 from lrplab.sperner import (SetFamily, central_binomial_term, classify_member,
-                            distance_window_family, event_probability,
-                            generate_family, is_sperner_family,
+                            event_probability, generate_family,
+                            is_sperner_family,
                             load_family, log_central_term, lym_sum,
                             save_family, sperner_bound_check)
 
@@ -178,53 +177,6 @@ def test_family_validation():
         SetFamily(n=4, members=(1, 1))
     with pytest.raises(ValueError):
         SetFamily(n=2, members=(7,))
-
-
-# ---------------------------------------------------------------------------
-# distance-window bridge
-
-
-def _chain_graph(n):
-    return sample_graph(ModelConfig(d=1, beta=1e-13, n=n, seed=0))
-
-
-def test_window_family_full_power_set_not_sperner():
-    g = _chain_graph(16)
-    shortcuts = [(0, 4), (6, 10)]
-    rep = distance_window_family(g, shortcuts, 0, 15, a=12.0, eps=100.0)
-    assert len(rep.family.members) == 4
-    assert not rep.report.is_sperner
-
-
-def test_window_family_empty_window_vacuous():
-    g = _chain_graph(16)
-    rep = distance_window_family(g, [(0, 4)], 0, 15, a=-50.0, eps=0.5)
-    assert len(rep.family.members) == 0
-    assert rep.report.is_sperner
-
-
-def test_window_family_planted_level_set_is_sperner():
-    # disjoint shortcuts of equal gain: the window around the
-    # two-shortcut distance captures exactly the 2-subsets level
-    n = 64
-    g = _chain_graph(n)
-    gain = 5  # each shortcut saves gain - 1 = 4 steps
-    J = 6
-    shortcuts = [(i * 10, i * 10 + gain) for i in range(J)]
-    base = n - 1
-    t = 2
-    a = base - t * (gain - 1)
-    rep = distance_window_family(g, shortcuts, 0, n - 1, a=float(a), eps=1.0)
-    sizes = {m.bit_count() for m in rep.family.members}
-    assert sizes == {t}
-    assert len(rep.family.members) == math.comb(J, t)
-    assert rep.report.is_sperner
-
-
-def test_window_family_rejects_too_many():
-    g = _chain_graph(16)
-    with pytest.raises(ValueError):
-        distance_window_family(g, [(0, 3)] * 21, 0, 15, a=1.0, eps=0.1)
 
 
 def test_witness_maximality_brute_force():
