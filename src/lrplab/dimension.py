@@ -5,7 +5,8 @@ cube side s = delta * L, with boundary points assigned to the lower
 cube: label(v) = ceil(v / s) - 1 per axis.  Anchored tilings nest under
 halving, so N_{delta/2} <= 2^d N_delta holds exactly.  The dimension
 estimate is the slope of the log mean count over many paths against
-log(1/delta).
+log(1/delta).  The mass distribution check weighs a path by its unit
+steps and compares each cube's mass with C (diam / L)^Delta.
 
 The coarse-graining side covers: special crossing-edge pairs of a cube,
 the (3s, alpha, b)-good cube test with its per-realization
@@ -91,6 +92,46 @@ def mean_dimension_fit(paths, deltas, L, graph=None) -> DimFit:
     y = np.log(counts)
     slope, _, r2 = line_fit(x, y)
     return DimFit(log_inv_delta=x, log_counts=y, dim_hat=slope, r_squared=r2)
+
+
+@dataclass
+class MassCheckReport:
+    deltas: np.ndarray
+    max_ratio: np.ndarray
+    passed: bool
+    worst_ratio: float
+
+
+def mass_distribution_check(path, deltas, L: float, Delta: float,
+                            C: float, graph=None) -> MassCheckReport:
+    """Check zeta_P(V) <= C (euclid_diam(V)/L)^Delta over dyadic covers.
+
+    The path is parametrized by its unit steps; zeta_P(V) is the
+    fraction of steps whose start vertex lies in V, so the masses sum
+    to one exactly.  Returns the per-scale worst ratio of mass to
+    threshold and the overall pass flag.
+    """
+    coords = _path_coords(path, graph)
+    steps = coords[:-1]
+    length = len(steps)
+    if length == 0:
+        raise ValueError("path has no steps")
+    d = coords.shape[1]
+    ratios = []
+    for dl in deltas:
+        s = dl * L
+        if s < 1:
+            raise ValueError("delta * L must be at least one lattice unit")
+        labs = _labels(steps, s)
+        _, counts = np.unique(labs, axis=0, return_counts=True)
+        zeta = counts / length
+        threshold = C * (dl * math.sqrt(d)) ** Delta
+        ratios.append(float(zeta.max() / threshold))
+    ratios = np.asarray(ratios)
+    return MassCheckReport(deltas=np.asarray(list(deltas), dtype=float),
+                           max_ratio=ratios,
+                           passed=bool((ratios <= 1.0).all()),
+                           worst_ratio=float(ratios.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ interval [0, reach], and the all-covered probability decays
 geometrically in k.  A continuum edge-process sampler (d=1) draws the
 exact joint law of the E_i indicator vector xi so the domination
 P[xi restricted to S all zero] <= P[matched firework covers |S| sites]
-can be checked empirically.
+can be checked empirically, as can the Chernoff bound on its sum.
 """
 
 from __future__ import annotations
@@ -460,3 +460,16 @@ def coupling_checks(ladder: AnnulusLadder, beta: float, xi: XiSample,
                                  fw_tail=tail, sigma=sigma,
                                  holds=w <= tail + sigma_factor * sigma))
     return out
+
+
+def concentration_check(xi: np.ndarray, kappa: float) -> dict:
+    """Empirical P[sum xi_i <= (1 - kappa) K / 2] against its bound."""
+    if not (0 < kappa < 1):
+        raise ValueError("kappa must be in (0, 1)")
+    xi = np.asarray(xi)
+    K = xi.shape[1]
+    threshold = (1 - kappa) * K / 2.0
+    emp = float((xi.sum(axis=1) <= threshold).mean())
+    bound = math.exp(-(1 - kappa) ** 2 * K / 2.0)
+    return {"kappa": kappa, "K": K, "threshold": threshold,
+            "empirical": emp, "bound": bound}

@@ -208,3 +208,62 @@ def enumerate_classes(d: int, max_norm: int):
 
     for c1 in range(2, max_norm + 1):
         yield from rec([c1], c1)
+
+
+def expected_degree(beta: float, d: int, cutoff: int,
+                    tolerance: float = DEFAULT_TOLERANCE) -> tuple[float, float]:
+    """Mean degree of a site: sure neighbors plus long-edge probabilities.
+
+    Returns (mu, tail_bound) where mu = (3^d - 1) + sum of p_k over
+    2 <= ||k||_inf <= cutoff and tail_bound rigorously dominates the
+    truncated remainder sum over ||k||_inf > cutoff, via
+    p_k <= beta * I(k) and an integral comparison of the lattice sum.
+
+    Every site has 3^d - 1 sure ell-infinity neighbors (2d when d=1).
+    """
+    if cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    classes, integrals = class_integrals(d, cutoff, tolerance)
+    total = 3 ** d - 1 + float(_orbit_sizes(classes)
+                               @ -np.expm1(-beta * integrals))
+    return total, _degree_tail_bound(beta, d, cutoff)
+
+
+def _orbit_sizes(classes: np.ndarray) -> np.ndarray:
+    """Number of lattice displacements in each canonical class (row):
+    distinct coordinate permutations times 2^(nonzero coordinates)."""
+    d = classes.shape[1]
+    run = np.ones(len(classes), dtype=np.int64)
+    repeats = np.ones(len(classes), dtype=np.int64)
+    for m in range(1, d):
+        # rows are sorted, so equal coordinates are adjacent
+        run = np.where(classes[:, m] == classes[:, m - 1], run + 1, 1)
+        repeats *= run
+    return math.factorial(d) // repeats * 2 ** (classes != 0).sum(axis=1)
+
+
+def _degree_tail_bound(beta: float, d: int, cutoff: int) -> float:
+    """Upper bound on sum of p_k over ||k||_inf > cutoff.
+
+    Uses p_k <= beta I(k) <= beta (|k| - sqrt(d))^(-2d) and dominates
+    the lattice sum by the integral over {|x| > cutoff - 1/2} of
+    (|x| - 3 sqrt(d)/2)^(-2d) dx (each site's unit cell shifts the
+    radius by at most sqrt(d)/2).  The radial integral has a closed
+    form per dimension.
+    """
+    lo = cutoff - 0.5
+    s = 1.5 * math.sqrt(d)
+    t0 = lo - s
+    if t0 <= 1:
+        raise ValueError("cutoff too small for a meaningful tail bound")
+    surface = {1: 2.0, 2: 2 * math.pi, 3: 4 * math.pi}[d]
+    # integral of r^(d-1) (r-s)^(-2d) dr from lo to infinity, expanded
+    # in t = r - s
+    if d == 1:
+        val = 1.0 / t0
+    elif d == 2:
+        val = 1.0 / (2 * t0 ** 2) + s / (3 * t0 ** 3)
+    else:
+        val = (1.0 / (3 * t0 ** 3) + s / (2 * t0 ** 4)
+               + s * s / (5 * t0 ** 5))
+    return beta * surface * val

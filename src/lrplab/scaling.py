@@ -198,6 +198,15 @@ def ecdf(fit: ScalingFit, n: int) -> Ecdf:
                 replicates=len(values))
 
 
+def window_mass(e: Ecdf, a: float, eps: float) -> float:
+    """Empirical mass of the open window (a - eps, a + eps)."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    lo = np.searchsorted(e.values, a - eps, side="right")
+    hi = np.searchsorted(e.values, a + eps, side="left")
+    return (hi - lo) / len(e.values)
+
+
 def max_atom(e: Ecdf) -> float:
     """Largest empirical point mass of the rescaled distance."""
     _, counts = np.unique(e.values, return_counts=True)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from lrplab.dimension import (GoodCubeParams, box_count, classify_good_cube,
                               connected_set_growth, enumerate_connected_sets,
                               find_special_pairs, good_cube_rate,
-                              mean_dimension_fit, mean_renormalized_degree,
-                              renormalize)
+                              mass_distribution_check, mean_dimension_fit,
+                              mean_renormalized_degree, renormalize)
 from lrplab.graph import ModelConfig, sample_graph
 from lrplab.metric import geodesic_dag, sample_geodesic
 
@@ -113,11 +113,15 @@ def test_nesting_bound_exact(seed):
 
 
 def test_mass_check_masses_sum_to_one():
-    path = straight_path(100)
-    s = 8.0
-    labs = (np.arange(100)[:, None] - 1) // int(s)
-    _, counts = np.unique(labs, axis=0, return_counts=True)
-    assert counts.sum() == 100  # steps, not vertices
+    # the 8 steps of a path inside one 8-cube carry all of its mass
+    rep = mass_distribution_check(straight_path(8) + 1, [0.125], 64,
+                                  Delta=0.0, C=1.0)
+    assert rep.worst_ratio == 1.0
+    # 100 steps over 8-cubes: the heaviest holds 8 steps, not 8 of the
+    # 101 vertices
+    rep = mass_distribution_check(straight_path(100), [0.125], 64,
+                                  Delta=0.0, C=1.0)
+    assert rep.worst_ratio == pytest.approx(8 / 100)
 
 
 # ---------------------------------------------------------------------------
@@ -333,3 +337,38 @@ def test_box_cover_sanity_bounds(seed):
         span = np.linalg.norm(coords.max(axis=0) - coords.min(axis=0))
         s = 2.0 ** -j * L
         assert bc.count >= math.ceil(span / (s * math.sqrt(d)) - 1e-9)
+
+
+def test_mass_check_trivial_exponent():
+    rep = mass_distribution_check(straight_path(64), [0.25, 0.125], 64,
+                                  Delta=0.0, C=1.0)
+    assert rep.passed
+
+
+def test_mass_check_straight_path_linear():
+    rep = mass_distribution_check(straight_path(256), [2.0 ** -j
+                                                       for j in (2, 3, 4, 5)],
+                                  256, Delta=1.0, C=2.0)
+    assert rep.passed
+
+
+def test_mass_check_detects_violation():
+    # all mass in one box at fine scales must violate small C
+    path = np.zeros((33, 1), dtype=int)
+    rep = mass_distribution_check(path, [0.125], 64, Delta=1.0, C=0.5)
+    assert not rep.passed
+
+
+def test_mass_check_geodesics_high_pass_rate():
+    # Delta below the distance exponent with a modest constant: at
+    # least 95% of sampled geodesics pass across dyadic scales
+    n = 512
+    theta_hat = 0.45
+    passed = 0
+    total = 40
+    for r in range(total):
+        p = _sampled_geodesic_coords(r, n)
+        rep = mass_distribution_check(p, [2.0 ** -j for j in (2, 3, 4, 5)],
+                                      float(n), Delta=theta_hat - 0.1, C=2.0)
+        passed += rep.passed
+    assert passed / total >= 0.95

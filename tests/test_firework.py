@@ -3,15 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from lrplab import contgeom as cg
 from lrplab.contgeom import crossing_probability
 from lrplab.firework import (FireworkModel, build_ladder,
-                             compute_crossing_probs, coupling_checks,
-                             default_step_cdf, jump_scaling_sweep,
-                             matched_step_cdfs, reach_tail,
-                             simulate_firework, simulate_xi_vector)
+                             compute_crossing_probs, concentration_check,
+                             coupling_checks, default_step_cdf,
+                             jump_scaling_sweep, matched_step_cdfs,
+                             reach_tail, simulate_firework,
+                             simulate_xi_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,27 @@ def test_matched_step_cdfs_shapes(ladder6):
         assert (np.diff(cdf) >= -1e-12).all()
         assert cdf[-1] == pytest.approx(1.0)
 
+def test_concentration_trivial_all_ones():
+    xi = np.ones((500, 6), dtype=bool)
+    for kappa in (0.2, 0.5, 0.9):
+        rep = concentration_check(xi, kappa)
+        assert rep["empirical"] == 0.0
 
-# ---------------------------------------------------------------------------
-# cube pairs
 
+def test_concentration_fair_bernoulli_matches_binomial():
+    rng = np.random.default_rng(3)
+    K, runs = 10, 10 ** 5
+    xi = rng.random((runs, K)) < 0.5
+    rep = concentration_check(xi, kappa=0.5)
+    thresh = math.floor(rep["threshold"])
+    exact = stats.binom.cdf(thresh, K, 0.5)
+    se = math.sqrt(exact * (1 - exact) / runs)
+    assert abs(rep["empirical"] - exact) <= 3 * se
+
+
+def test_concentration_monotone_in_kappa():
+    rng = np.random.default_rng(4)
+    xi = rng.random((20000, 8)) < 0.7
+    vals = [concentration_check(xi, k)["empirical"]
+            for k in (0.2, 0.5, 0.8)]
+    assert vals[0] >= vals[1] >= vals[2]

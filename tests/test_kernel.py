@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from lrplab.kernel import (DisplacementKernel, canonical_class,
                            class_integrals, edge_probability,
-                           enumerate_classes, kernel_integral,
-                           tail_radius)
+                           enumerate_classes, expected_degree,
+                           kernel_integral, tail_radius)
 
 from oracles import kernel_closed_d1, kernel_quad_oracle
 
@@ -152,3 +153,36 @@ def test_d3_table_bounded_and_tail_consistent():
         assert r2 < r * r
         tail = r2 ** -3 * (1 + 15 / (6 * r2))
         assert kernel_integral(k, 3) == pytest.approx(tail, rel=tol)
+
+
+def test_expected_degree_nearest_neighbors_only():
+    mu, tail = expected_degree(beta=1e-13, d=1, cutoff=100)
+    assert mu == pytest.approx(2.0, abs=1e-10)
+    assert tail < 1e-11
+
+
+def test_expected_degree_cutoff_self_consistency():
+    mu4, tail4 = expected_degree(beta=1.0, d=1, cutoff=10 ** 4)
+    mu5, tail5 = expected_degree(beta=1.0, d=1, cutoff=10 ** 5)
+    assert abs(mu5 - mu4) <= tail4
+    assert tail5 < tail4
+
+
+@pytest.mark.parametrize("d,max_norm", [(1, 9), (2, 6), (3, 4)])
+def test_orbit_sizes_count_displacements(d, max_norm):
+    # brute force: every lattice displacement counted by its class
+    from collections import Counter
+
+    from lrplab.kernel import _orbit_sizes
+    counted = Counter(canonical_class(k) for k in itertools.product(
+        range(-max_norm, max_norm + 1), repeat=d)
+        if max(map(abs, k)) >= 2)
+    classes = class_integrals(d, max_norm)[0]
+    assert _orbit_sizes(classes).tolist() == \
+        [counted[tuple(c)] for c in classes.tolist()]
+
+
+def test_expected_degree_monotone_in_beta():
+    mus = [expected_degree(beta=b, d=1, cutoff=200)[0]
+           for b in (0.5, 1.0, 2.0)]
+    assert mus[0] < mus[1] < mus[2]

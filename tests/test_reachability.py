@@ -23,14 +23,19 @@ ENTRY_POINTS = {"cli.main", "experiments.run", "experiments.report",
                 "experiments.verify_run"}
 # public names that no entry point calls but that are kept: the checks
 # of the acceptance suite, a test reference, the readers and writers of
-# the graph and family file formats, the config-file loader, and the
-# kernel table view the benchmark harness reads
+# the graph and family file formats, the config-file loader, the kernel
+# table view the benchmark harness reads, and four estimators of paper
+# quantities that no runner reports yet (expected degree, the ECDF
+# window mass, the Chernoff concentration of the xi vector, the mass
+# distribution check of a path)
 KEEP = {"firework.jump_scaling_sweep", "firework.simulate_firework",
         "kernel.edge_probability", "kernel.kernel_integral",
         "graph.expected_long_edge_total", "sperner.log_central_term",
         "kernel.canonical_class", "graph.load_binary", "graph.import_text",
         "sperner.save_family", "experiments.load_config",
-        "kernel.DisplacementKernel.entries"}
+        "kernel.DisplacementKernel.entries", "kernel.expected_degree",
+        "scaling.window_mass", "firework.concentration_check",
+        "dimension.mass_distribution_check"}
 
 
 class _Module:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrplab.experiments import _geodesic_pair, parse_config, report, run
 from lrplab.graph import LrpGraph, ModelConfig, sample_graph
 from lrplab.metric import geodesic_dag
 from lrplab.rng import Tag
 from lrplab.scaling import (Ecdf, Ladder, atom_trend, ecdf, estimate_medians,
-                            fit_theta, max_atom, sample_distances)
+                            fit_theta, max_atom, sample_distances,
+                            window_mass)
 
 from oracles import dijkstra_distance, enumerate_geodesics
 
@@ -229,3 +232,41 @@ def test_bootstrap_draws_differ_across_seeds(monkeypatch):
     for ni in range(1, 4):
         assert draws[7][ni] != draws[8][ni - 1]
         assert draws[7][ni] != draws[7][ni - 1]
+
+
+def test_window_mass_trivial_and_monotone():
+    e = Ecdf(n=8, a_n=2.0, values=np.sort(np.array(
+        [0.5, 0.75, 1.0, 1.0, 1.25, 2.0])), replicates=6)
+    assert window_mass(e, 1.0, 10.0) == 1.0
+    assert window_mass(e, -5.0, 0.5) == 0.0
+    masses = [window_mass(e, 1.0, eps) for eps in (0.1, 0.3, 0.8, 2.0)]
+    assert all(a <= b for a, b in zip(masses, masses[1:]))
+
+
+def test_window_mass_open_interval():
+    e = Ecdf(n=8, a_n=1.0, values=np.array([1.0, 2.0, 3.0]), replicates=3)
+    # boundary atoms excluded: (1, 3) catches only the middle point
+    assert window_mass(e, 2.0, 1.0) == pytest.approx(1 / 3)
+
+
+def test_window_mass_additive_over_disjoint_windows():
+    rng = np.random.default_rng(0)
+    vals = np.sort(rng.integers(0, 40, 200) / 7.0)
+    e = Ecdf(n=8, a_n=1.0, values=vals, replicates=200)
+    # windows (0.45, 1.55) and (1.55, 2.65) vs their union, no atoms at
+    # the shared endpoint or outer edges
+    a = window_mass(e, 1.0, 0.55)
+    b = window_mass(e, 2.1, 0.55)
+    u = window_mass(e, 1.55, 1.1)
+    atoms = set(np.round(vals, 9))
+    assert not {0.45, 1.55, 2.65} & atoms
+    assert a + b == pytest.approx(u)
+
+
+@given(st.floats(0.1, 3.0), st.floats(0.01, 1.0))
+@settings(max_examples=25)
+def test_window_mass_bounds(a, eps):
+    vals = np.sort(np.abs(np.sin(np.arange(57))))
+    e = Ecdf(n=4, a_n=1.0, values=vals, replicates=57)
+    m = window_mass(e, a, eps)
+    assert 0.0 <= m <= 1.0
