@@ -21,21 +21,19 @@ workers' counts.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import __version__
-from .graph import ModelConfig, export_text, sample_graph, save_binary
+from .graph import (ModelConfig, _atomic_open, export_text, sample_graph,
+                    save_binary)
 from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
 from .scaling import (Ladder, ScalingFit, atom_trend, ecdf,
@@ -140,20 +138,6 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return f"{float(x):.17g}"
-
-
-@contextlib.contextmanager
-def _atomic_open(path: Path):
-    """Text handle on a temp file beside `path` that is renamed over
-    `path` when the block ends cleanly, so a failed write leaves the old
-    file intact and no temp file behind."""
-    tmp = Path(path).with_name(Path(path).name + ".tmp")
-    try:
-        with open(tmp, "w", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
@@ -310,9 +294,17 @@ def _geodesic_pair(graph, dag, rng, n: int):
     second = sample_geodesic(dag, rng)
     a, b = graph.coords(np.asarray(first)), graph.coords(np.asarray(second))
     shared = len(path_edges(first) & path_edges(second)) / dag.dist
-    gaps = cdist(a, b)
-    hausdorff = max(gaps.min(axis=0).max(), gaps.min(axis=1).max())
-    return a, (dag.count, shared, hausdorff / n)
+    return a, (dag.count, shared, _hausdorff(a, b) / n)
+
+
+def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean Hausdorff distance between two integer point sets.
+
+    The squared gaps are exact integers and sqrt is correctly rounded,
+    so this equals the float64 distance-matrix computation bit for bit.
+    """
+    gaps = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return math.sqrt(max(gaps.min(axis=0).max(), gaps.min(axis=1).max()))
 
 
 def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:

@@ -18,13 +18,16 @@ reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .kernel import DEFAULT_TOLERANCE, DisplacementKernel, enumerate_classes
+from .kernel import DEFAULT_TOLERANCE, DisplacementKernel, class_array
 from .rng import RngStream, StreamKey
 
 _MAGIC = b"LRPG"
@@ -146,8 +149,7 @@ def class_table(d: int, n: int) -> ClassTable:
     # canonical classes (|k| sorted descending) keyed in base n
     weights = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
     keys = -np.sort(-np.abs(k), axis=1) @ weights
-    table_keys = np.array(list(enumerate_classes(d, n - 1)),
-                          dtype=np.int64).reshape(-1, d) @ weights
+    table_keys = class_array(d, n - 1) @ weights
     order = np.argsort(table_keys)
     klass = order[np.searchsorted(table_keys, keys, sorter=order)]
     for arr in (k, pairs, klass):
@@ -198,10 +200,25 @@ def expected_long_edge_total(config: ModelConfig,
     return float(table.pairs @ kernel.probabilities[table.klass])
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode: str = "w"):
+    """Handle on a temp file beside `path`, text by default or binary for
+    mode "wb", that is renamed over `path` when the block ends cleanly,
+    so a failed write leaves the old file intact and no temp file
+    behind."""
+    tmp = Path(path).with_name(Path(path).name + ".tmp")
+    try:
+        with open(tmp, mode, newline=None if "b" in mode else "\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_binary(graph: LrpGraph, path) -> None:
     """Versioned binary dump: LRPG header then little-endian u64 pairs."""
     cfg = graph.config
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.d, cfg.n, cfg.beta,
                               cfg.seed, graph.long_edges.shape[0]))
         graph.long_edges.astype("<u8").tofile(fh)
@@ -219,14 +236,16 @@ def load_binary(path) -> LrpGraph:
             raise ValueError(f"not a graph file (magic {magic!r})")
         if version != _VERSION:
             raise ValueError(f"unsupported version {version}")
-        edges = np.fromfile(fh, dtype="<u8", count=2 * count)
-        if edges.size != 2 * count:
-            raise ValueError("truncated edge list")
-        if fh.read(1):
-            raise ValueError("trailing bytes after the edge list")
+        body = fh.read()
+    # sized against the bytes present, so a corrupt count allocates nothing
+    if len(body) < 16 * count:
+        raise ValueError("truncated edge list")
+    if len(body) > 16 * count:
+        raise ValueError("trailing bytes after the edge list")
     config = ModelConfig(d=d, beta=beta, n=n, seed=seed)
     # ends >= 2^63 wrap negative here and fail the range check
-    edges = edges.reshape(count, 2).astype(np.int64)
+    edges = np.frombuffer(body, dtype="<u8").reshape(count, 2).astype(
+        np.int64)
     _check_edges(config, edges)
     return LrpGraph(config=config, long_edges=edges)
 
@@ -234,7 +253,7 @@ def load_binary(path) -> LrpGraph:
 def export_text(graph: LrpGraph, path) -> None:
     """Plain-text edge list: header '# d n beta seed', one 'i j' per line."""
     cfg = graph.config
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(f"# {cfg.d} {cfg.n} {cfg.beta:.17g} {cfg.seed}\n")
         for i, j in graph.long_edges:
             fh.write(f"{i} {j}\n")

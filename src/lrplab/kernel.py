@@ -43,8 +43,11 @@ DEFAULT_TOLERANCE = 1e-6
 # form (next Taylor order of the cube-pair average); padded ~10%.
 _TAIL_ERR_COEF = {2: 1.51, 3: 3.6}
 
-# quadrature points held at once: bounds the batch memory in every d
-_CHUNK = 1 << 16
+# quadrature points held at once: bounds the batch memory in every d.
+# At 2^14 doubles a d=2 batch temporary is 128 KiB, small enough for
+# glibc to reuse heap memory; larger ones were each mapped afresh and
+# faulted in page by page, batch after batch
+_CHUNK = 1 << 14
 
 
 def canonical_class(k) -> tuple[int, ...]:
@@ -114,12 +117,20 @@ def class_integrals(d: int, max_norm: int,
     Independent of beta and cached, so every table of the same
     (d, max_norm, tolerance) shares one computation.
     """
-    classes = np.array(list(enumerate_classes(d, max_norm)),
-                       dtype=np.int64).reshape(-1, d)
+    classes = class_array(d, max_norm)
     integrals = _integrals(classes, tolerance)
-    classes.flags.writeable = False
     integrals.flags.writeable = False
     return classes, integrals
+
+
+@functools.lru_cache(maxsize=16)
+def class_array(d: int, max_norm: int) -> np.ndarray:
+    """Read-only (m, d) array of `enumerate_classes(d, max_norm)`, cached,
+    so the kernel integrals and the class table of a box share one walk."""
+    classes = np.array(list(enumerate_classes(d, max_norm)),
+                       dtype=np.int64).reshape(-1, d)
+    classes.flags.writeable = False
+    return classes
 
 
 def kernel_integral(k, d: int | None = None,

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
 
 from .graph import ModelConfig, sample_graph
 from .metric import distance
@@ -222,5 +221,8 @@ def atom_trend(ecdfs: list[Ecdf]) -> tuple[np.ndarray, float, float]:
     if len(ecdfs) < 3:
         raise ValueError("need at least 3 ladder points")
     masses = np.array([max_atom(e) for e in ecdfs])
+    # imported here: scipy.stats takes ~0.8 s to import, and only
+    # this p-value needs it
+    from scipy import stats
     rho, p = stats.spearmanr(np.arange(len(masses)), masses)
     return masses, float(rho), float(p)

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lrplab
 from lrplab.cli import main
 from lrplab.experiments import (ConfigError, IntegrityError, load_config,
                                 parse_config, report, run, verify_run,
@@ -318,3 +322,43 @@ def test_rng_streams_count_pool_workers(tmp_path):
     # replicates and the theta bootstrap
     assert streams == [155, 155]
 
+
+# run in a fresh interpreter: the CLI imports no scipy, and once
+# lrplab.experiments is imported no run imports anything more, so a
+# run's time is its own work.  `scaling` is left out: its Spearman
+# p-value imports scipy.stats.
+_COLD_START = """
+import json, sys
+import lrplab.cli
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from lrplab.experiments import parse_config, run
+before = set(sys.modules)
+for i, (kind, d, params) in enumerate(json.loads(sys.argv[2])):
+    run(parse_config({"kind": kind, "seed": 3, "out": f"{sys.argv[1]}/{i}",
+                      "model": {"d": d, "beta": 1.0}, "params": params}))
+print(json.dumps([scipy, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_runs_import_nothing_past_the_package(tmp_path):
+    runs = [("dim", 1, {"n": 16, "geodesics": 2, "scales": [1, 2],
+                        "theta_source": "fit", **_LADDER}),
+            ("dim", 2, {"n": 6, "geodesics": 2, "scales": [0, 1],
+                        "theta_source": "manual", "theta": 0.5}),
+            ("sample", 1, {"n": 32}),
+            ("goodcubes", 1, {"s": 8, "alphas": [0.5], "replicates": 100,
+                              "a_s_replicates": 30, "cs_n": 64, "cs_k": 3,
+                              "cs_replicates": 5}),
+            ("sperner", 1, {"n_values": [4], "families_per_n": 5}),
+            ("firework", 1, {"runs": 200, "k_min": 1, "k_max": 4}),
+            ("xi-coupling", 1, {"runs": 200, "max_subset_size": 2})]
+    src = str(Path(lrplab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path), json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    scipy, added = json.loads(proc.stdout.splitlines()[-1])
+    assert scipy == []
+    assert added == []

@@ -1,8 +1,12 @@
 import itertools
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from lrplab.graph import (LrpGraph, ModelConfig, class_table,
@@ -233,9 +237,92 @@ def test_binary_rejects_trailing_bytes(tmp_path):
         load_binary(p)
 
 
+@pytest.mark.parametrize("count", [2 ** 20, 2 ** 40, 2 ** 64 - 1])
+def test_binary_rejects_corrupt_count(tmp_path, count):
+    # the edge count is the header's last field, bytes 31..38; it is
+    # checked against the bytes present before anything is allocated
+    p = tmp_path / "g.lrpg"
+    save_binary(sample_graph(ModelConfig(d=1, beta=1.0, n=16, seed=1)), p)
+    raw = p.read_bytes()
+    p.write_bytes(raw[:31] + count.to_bytes(8, "little") + raw[39:])
+    with pytest.raises(ValueError, match="truncated edge list"):
+        load_binary(p)
+
+
 @pytest.mark.parametrize("lines", ["0 5\n0 3", "0 3\n0 3"])
 def test_text_rejects_unsorted_or_duplicate_rows(tmp_path, lines):
     p = tmp_path / "edges.txt"
     p.write_text(f"# 1 8 1.0 0\n{lines}\n")
     with pytest.raises(ValueError, match="sorted and unique"):
         import_text(p)
+
+
+@pytest.mark.parametrize("write", [save_binary, export_text])
+def test_failed_graph_write_keeps_old_file(tmp_path, write):
+    target = tmp_path / "graph.out"
+    write(sample_graph(ModelConfig(d=1, beta=1.0, n=16, seed=1)), target)
+    before = target.read_bytes()
+    # a ragged edge list fails after the header is written
+    ragged = np.empty(2, dtype=object)
+    ragged[:] = [[0, 5], [1, 6, 9]]
+    with pytest.raises((TypeError, ValueError)):
+        write(LrpGraph(ModelConfig(d=1, beta=1.0, n=16, seed=2), ragged),
+              target)
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.out"]
+
+
+@st.composite
+def _graphs(draw):
+    """A configuration and any long-edge list a sample of it could hold."""
+    d = draw(st.integers(1, 3))
+    config = ModelConfig(d=d, n=draw(st.integers(2, (40, 7, 4)[d - 1])),
+                         beta=draw(st.floats(0.0, exclude_min=True)),
+                         seed=draw(st.integers(0, 2 ** 64 - 1)))
+    ends = st.integers(0, config.n_vertices - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=30))
+    shape = (config.n,) * d
+    edges = sorted({(min(i, j), max(i, j)) for i, j in pairs
+                    if max(abs(a - b) for a, b in zip(
+                        np.unravel_index(i, shape),
+                        np.unravel_index(j, shape))) >= 2})
+    return LrpGraph(config, np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+@given(_graphs())
+def test_file_formats_round_trip(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_binary(g, Path(tmp) / "g.lrpg")
+        h = load_binary(Path(tmp) / "g.lrpg")
+        export_text(g, Path(tmp) / "g.txt")
+        config, edges = import_text(Path(tmp) / "g.txt")
+    assert h.config == config == g.config
+    assert np.array_equal(h.long_edges, g.long_edges)
+    assert np.array_equal(edges, g.long_edges)
+
+
+# header bytes a valid file cannot differ in alone: the magic (0..3),
+# the version (4..5) and the edge count (31..38)
+_STRUCTURAL = {*range(0, 6), *range(31, 39)}
+
+
+@given(_graphs(), st.data())
+def test_binary_single_byte_corruption(g, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.lrpg"
+        save_binary(g, path)
+        raw = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        raw[pos] = data.draw(st.integers(0, 255).filter(
+            lambda v: v != raw[pos]))
+        path.write_bytes(raw)
+        try:
+            h = load_binary(path)
+        except ValueError:
+            return
+        # a changed d, n, beta, seed or edge end can encode another valid
+        # graph, which the format cannot tell from the saved one; the
+        # loader must return exactly the graph those bytes encode
+        assert pos not in _STRUCTURAL
+        save_binary(h, path)
+        assert path.read_bytes() == raw

@@ -120,6 +120,23 @@ def test_batched_d2_table_matches_oracle():
         assert I == pytest.approx(kernel_quad_oracle(k, 2), rel=1e-9)
 
 
+def test_class_table_and_integrals_share_one_walk(monkeypatch):
+    from lrplab import graph, kernel
+    walks = []
+    real = kernel.enumerate_classes
+
+    def counted(d, max_norm):
+        walks.append((d, max_norm))
+        return real(d, max_norm)
+
+    monkeypatch.setattr(kernel, "enumerate_classes", counted)
+    for cached in (graph.class_table, kernel.class_integrals,
+                   kernel.class_array):
+        cached.cache_clear()
+    graph.sample_graph(graph.ModelConfig(d=2, beta=1.0, n=9, seed=1))
+    assert walks == [(2, 8)]
+
+
 def test_table_shares_cached_integrals_across_beta():
     before = class_integrals.cache_info().hits
     t1 = DisplacementKernel.build(2, beta=0.5, max_norm=7)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrplab.experiments import _geodesic_pair, parse_config, report, run
+from lrplab.experiments import (_geodesic_pair, _hausdorff, parse_config,
+                                report, run)
 from lrplab.graph import LrpGraph, ModelConfig, sample_graph
 from lrplab.metric import geodesic_dag
 from lrplab.rng import Tag
@@ -182,6 +183,20 @@ def test_multiplicity_axis_pair_two_geodesics():
         assert hausdorff == pytest.approx((1 - shared) / 3)
     mean_shared = np.mean([shared for _, shared, _ in pairs])
     assert abs(mean_shared - 0.5) <= 3 * 0.5 / np.sqrt(len(pairs))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_hausdorff_matches_scipy_bit_for_bit(d):
+    from scipy.spatial.distance import directed_hausdorff
+    rng = np.random.default_rng(40 + d)
+    for _ in range(200):
+        # two integer walks with steps up to 40, started anywhere in the
+        # 3n box of n = 2048
+        a, b = (np.cumsum(rng.integers(-40, 41, size=(rng.integers(1, 60), d)),
+                          axis=0) + rng.integers(0, 6144, size=d)
+                for _ in range(2))
+        assert _hausdorff(a, b) == max(directed_hausdorff(a, b)[0],
+                                       directed_hausdorff(b, a)[0])
 
 
 def test_multiplicity_counts_match_enumeration(tmp_path):
