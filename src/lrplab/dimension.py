@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import ModelConfig, sample_graph
-from .metric import _expand, _nn_offsets, distance_field
+from .metric import _lattice_neighbours, _nn_offsets, distance_field
 from .rng import Tag
 from .scaling import line_fit
 
@@ -195,17 +195,12 @@ def _crossing_edges(graph, z, half: float, inward: bool):
     out = list(zip(np.where(flip, b, a).tolist(),
                    np.where(flip, a, b).tolist()))
     # lattice edges: vertices just inside the boundary paired with
-    # ell-infinity neighbors outside (an empty CSR leaves long edges out)
+    # ell-infinity neighbors outside
     inside = np.where(_in_cube(graph.coords(np.arange(graph.n_vertices)),
                                z, half))[0]
     shell = inside[(np.abs(graph.coords(inside) - np.asarray(z, dtype=float))
                     > half - 1.0 - 1e-9).any(axis=1)]
-    no_long = np.zeros(graph.n_vertices + 1, dtype=np.int64)
-    pos, u = _expand(graph, shell, no_long, no_long[:0],
-                     _nn_offsets(graph.config.d),
-                     np.asarray(graph.config.strides, dtype=np.int64))
-    order = np.argsort(pos, kind="stable")
-    pos, u = pos[order], u[order]
+    pos, u = _lattice_neighbours(graph, shell)
     outside = ~_in_cube(graph.coords(u), z, half)
     v, u = shell[pos[outside]].tolist(), u[outside].tolist()
     return out + list(zip(u, v) if inward else zip(v, u))

@@ -99,24 +99,35 @@ class LrpGraph:
         coords = np.asarray(coords, dtype=np.int64)
         return coords @ np.asarray(self.config.strides, dtype=np.int64)
 
+    def pad(self, v) -> np.ndarray:
+        """Linear ids -> ids of the box padded by one ghost layer, the
+        (n + 2)^d box whose coordinates are shifted by one."""
+        n, d = self.config.n, self.config.d
+        coords = np.unravel_index(v, (n,) * d)
+        return np.ravel_multi_index(tuple(c + 1 for c in coords),
+                                    (n + 2,) * d)
+
+    def unpad(self, p) -> np.ndarray:
+        """Padded ids -> linear ids; a ghost raises ValueError."""
+        n, d = self.config.n, self.config.d
+        coords = np.unravel_index(p, (n + 2,) * d)
+        return np.ravel_multi_index(tuple(c - 1 for c in coords), (n,) * d)
+
     def adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR (indptr, neighbors) over the long edges, both directions."""
+        """CSR (indptr, neighbors) over the long edges, both directions,
+        on padded ids (see `pad`): the long neighbours of padded id p
+        are nbrs[indptr[p]:indptr[p + 1]], those above p first, then
+        those below, each ascending."""
         if self._adjacency is None:
-            m = self.n_vertices
-            if self.long_edges.size:
-                nodes = np.concatenate(
-                    [self.long_edges[:, 0], self.long_edges[:, 1]])
-                nbrs = np.concatenate(
-                    [self.long_edges[:, 1], self.long_edges[:, 0]])
-                order = np.argsort(nodes, kind="stable")
-                nodes, nbrs = nodes[order], nbrs[order]
-                indptr = np.zeros(m + 1, dtype=np.int64)
-                np.add.at(indptr, nodes + 1, 1)
-                indptr = np.cumsum(indptr)
-            else:
-                indptr = np.zeros(m + 1, dtype=np.int64)
-                nbrs = np.empty(0, dtype=np.int64)
-            object.__setattr__(self, "_adjacency", (indptr, nbrs))
+            n, d = self.config.n, self.config.d
+            ends = self.pad(self.long_edges)
+            nodes = np.concatenate([ends[:, 0], ends[:, 1]])
+            nbrs = np.concatenate([ends[:, 1], ends[:, 0]])
+            order = np.argsort(nodes, kind="stable")
+            indptr = np.zeros((n + 2) ** d + 1, dtype=np.int64)
+            np.cumsum(np.bincount(nodes, minlength=(n + 2) ** d),
+                      out=indptr[1:])
+            object.__setattr__(self, "_adjacency", (indptr, nbrs[order]))
         return self._adjacency
 
 

@@ -7,21 +7,42 @@ the region, endpoints included, so edges with an endpoint outside are
 excluded.  Unreached targets are reported as None at the public API;
 internally distance arrays use -1.
 
-The geodesic DAG between x and y comes from one BFS field from x, cut
-off once y's level is settled, and a walk back from y one level at a
-time: the predecessors of a vertex at level L are its neighbours at
-distance L - 1 from x.  It holds, for every vertex on some geodesic,
+Searches run on padded ids (`LrpGraph.pad`): the box padded by one
+ghost layer, (n + 2)^d ids, on which the graph's long-edge CSR is
+built.  Every box vertex then has all 3^d - 1 lattice neighbours, so a
+lattice step is the frontier plus cached id deltas, with no
+coordinates and no bounds check.  Ghosts, and vertices outside the
+region, start out labelled as visited.
+
+A search toward a target is one lockstep BFS over two copies of the
+padded box, interleaved as ids 2p + c: x grows in copy 0 and y in
+copy 1, and each iteration expands both frontiers in the same numpy
+calls.  At the first iteration r whose new vertices include one that
+carries both labels, d(x, y) = D is the least dx + dy among them:
+before that iteration no vertex was labelled twice, so D > 2(r - 1),
+and the geodesic vertex with dx = r and dy = D - r <= r was labelled
+in it.  A search thus takes ~D/2 iterations instead of D.
+
+The geodesic DAG starts from that search.  With h = D - r, the split
+layer {dx = h, dy = r} meets every geodesic once.  From it one walk
+goes back toward x on x-levels and one goes forward toward y, taking
+the neighbours of S_{L-1} with dy = D - L as S_L; both run in lockstep.
+One expansion of every vertex found then gives each its predecessors,
+its neighbours one level lower, in neighbour order: lattice offsets
+first, then CSR order.  It holds, for every vertex on some geodesic,
 its level, its predecessor list and the number of geodesics from x to
 it, counted exactly with Python ints.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 UNREACHED = -1
+_BLOCKED = -2     # label of ghosts and of vertices outside the region
 
 
 def resolve_mask(graph, region) -> np.ndarray | None:
@@ -34,63 +55,127 @@ def resolve_mask(graph, region) -> np.ndarray | None:
     return mask
 
 
+@functools.lru_cache(maxsize=None)
 def _nn_offsets(d: int) -> np.ndarray:
-    """All 3^d - 1 ell-infinity unit displacements."""
+    """All 3^d - 1 ell-infinity unit displacements (read-only)."""
     grids = np.meshgrid(*([np.array([-1, 0, 1])] * d), indexing="ij")
     offs = np.stack([g.ravel() for g in grids], axis=1)
-    return offs[(offs != 0).any(axis=1)]
+    offs = offs[(offs != 0).any(axis=1)]
+    offs.flags.writeable = False
+    return offs
+
+
+@functools.lru_cache(maxsize=64)
+def _padded_deltas(d: int, n: int) -> np.ndarray:
+    """Padded-id deltas of the `_nn_offsets` displacements (read-only)."""
+    strides = (n + 2) ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    deltas = _nn_offsets(d) @ strides
+    deltas.flags.writeable = False
+    return deltas
+
+
+def _lattice_neighbours(graph, v) -> tuple[np.ndarray, np.ndarray]:
+    """In-box lattice neighbours of vertices `v` as (position in v,
+    neighbour), vertex by vertex in `_nn_offsets` order."""
+    n, d = graph.config.n, graph.config.d
+    deltas = _padded_deltas(d, n)
+    nb = (graph.pad(v)[:, None] + deltas).ravel()
+    inside = np.logical_and.reduce(
+        [(c >= 1) & (c <= n) for c in np.unravel_index(nb, (n + 2,) * d)])
+    pos = np.repeat(np.arange(len(v)), deltas.size)
+    return pos[inside], graph.unpad(nb[inside])
+
+
+def _expand(front, steps, indptr, nbrs):
+    """Neighbours of interleaved ids 2p + c, keeping each one's copy c,
+    and the long-edge count of each frontier vertex.  The lattice
+    neighbours come first, vertex by vertex in `steps` order, then the
+    long ones, vertex by vertex in CSR order."""
+    near = (front[:, None] + steps).ravel()
+    base = front >> 1
+    starts = indptr[base]
+    counts = indptr[base + 1] - starts
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    if not total:
+        return near, counts
+    idx = np.repeat(starts - ends + counts, counts) + np.arange(total)
+    far = (nbrs[idx] << 1) | np.repeat(front & 1, counts)
+    return np.concatenate([near, far]), counts
+
+
+def _unique(cand, stamp):
+    """The distinct ids of `cand`, by a scatter stamp over `stamp`."""
+    ar = np.arange(cand.size, dtype=stamp.dtype)
+    stamp[cand] = ar
+    return cand[stamp[cand] == ar]
+
+
+@dataclass
+class _Search:
+    """State of a finished lockstep search (see the module docstring)."""
+
+    labels: np.ndarray     # over interleaved ids, -1/-2 where unlabelled
+    inner: np.ndarray      # the box part of `labels`, shape (n,)*d + (2,)
+    front: np.ndarray      # ids labelled in the last iteration
+    level: int             # iterations run
+    dist: int | None       # d(x, y); None without a target or if cut off
+    stamp: np.ndarray      # stamp buffer for `_unique`
+
+
+def _search(graph, x: int, y: int | None, mask) -> _Search:
+    """BFS from x in copy 0 and, with a target y, from y in copy 1 in
+    lockstep, until the copies meet or a frontier runs out."""
+    n, d = graph.config.n, graph.config.d
+    labels = np.full((n + 2,) * d + (2,), _BLOCKED, dtype=np.int32)
+    inner = labels[(slice(1, -1),) * d]
+    inner[...] = UNREACHED
+    if mask is not None:
+        inner[~mask.reshape((n,) * d)] = _BLOCKED
+    labels = labels.reshape(-1)
+    stamp = np.empty_like(labels)
+    steps = 2 * _padded_deltas(d, n)
+    indptr, nbrs = graph.adjacency()
+    sources = [x] if y is None else [x, y]
+    front = 2 * graph.pad(sources) + np.arange(len(sources))
+    front = front[labels[front] == UNREACHED]
+    labels[front] = 0
+    level, dist = 0, None
+    while front.size:
+        if y is not None:
+            other = labels[front ^ 1]
+            if other.max() >= 0:
+                dist = level + int(other[other >= 0].min())
+                break
+            # the box is connected, so only a region can cut a side off
+            if mask is not None:
+                in_y = np.count_nonzero(front & 1)
+                if in_y == 0 or in_y == front.size:
+                    break
+        level += 1
+        cand = _expand(front, steps, indptr, nbrs)[0]
+        front = _unique(cand[labels[cand] == UNREACHED], stamp)
+        labels[front] = level
+    return _Search(labels=labels, inner=inner, front=front, level=level,
+                   dist=dist, stamp=stamp)
 
 
 def distance_field(graph, source: int, region=None,
                    target: int | None = None) -> np.ndarray:
     """BFS distance array from one source (-1 where unreached).
 
-    When `target` is given the search stops once its level is settled.
+    When `target` is given, the search is the two-sided one toward it:
+    it stops once the two sides meet, and the array holds the source
+    side's labels with d(source, target) at the target's entry.
     """
-    m = graph.n_vertices
     mask = resolve_mask(graph, region)
-    indptr, nbrs = graph.adjacency()
-    offsets = _nn_offsets(graph.config.d)
-    strides = np.asarray(graph.config.strides, dtype=np.int64)
-
-    dist = np.full(m, UNREACHED, dtype=np.int32)
-    if mask is not None and not mask[source]:
-        return dist
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        if target is not None and dist[target] >= 0:
-            break
-        level += 1
-        cand = _expand(graph, frontier, indptr, nbrs, offsets, strides)[1]
-        cand = cand[dist[cand] < 0]
-        if mask is not None and cand.size:
-            cand = cand[mask[cand]]
-        if cand.size == 0:
-            break
-        cand = np.unique(cand)
-        dist[cand] = level
-        frontier = cand
+    search = _search(graph, source, target, mask)
+    dist = search.inner[..., 0].ravel()
+    if mask is not None:
+        np.maximum(dist, UNREACHED, out=dist)
+    if search.dist is not None:
+        dist[target] = search.dist
     return dist
-
-
-def _expand(graph, frontier, indptr, nbrs, offsets, strides):
-    """Neighbours of a frontier as (position in frontier, neighbour).
-
-    Lattice neighbours come offset by offset in `offsets` order, then
-    long neighbours in CSR order.
-    """
-    nc = graph.coords(frontier) + offsets[:, None]
-    off_idx, pos = np.nonzero(((nc >= 0) & (nc < graph.config.n)).all(axis=2))
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    long_pos = np.repeat(np.arange(frontier.size), counts)
-    long_idx = np.arange(long_pos.size) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts)
-    return (np.concatenate([pos, long_pos]),
-            np.concatenate([frontier[pos] + (offsets @ strides)[off_idx],
-                            nbrs[long_idx]]))
 
 
 def distance(graph, x: int, y: int, region=None) -> int | None:
@@ -127,39 +212,65 @@ def geodesic_dag(graph, x: int, y: int, region=None,
                  exact_counts: bool = True) -> GeodesicDag:
     """Build the predecessor DAG of all x->y geodesics inside the region.
 
-    One BFS field from x, stopped once y's level is settled; then a walk
-    back from y, where the preds of v at level L are its neighbours at
+    One two-sided search, then walks from its split layer back toward x
+    and on toward y (see the module docstring), then one expansion of
+    the vertices found: the preds of v at level L are its neighbours at
     level L - 1 in neighbour order.  So preds holds exactly the edges
     (u, v) with dist(x,u) + 1 = dist(x,v) and dist(v,y) = dist(x,y) -
     dist(x,v), and counts[v] = sum of counts over preds[v], summed
     forward and exact.  `exact_counts` is ignored; it is accepted for
     callers written when counts could saturate.
     """
-    dist = distance_field(graph, x, region, target=y)
-    if dist[y] < 0:
+    search = _search(graph, x, y, resolve_mask(graph, region))
+    if search.dist is None:
         raise ValueError("target unreached within region")
-    D = int(dist[y])
+    D, r = search.dist, search.level
+    labels, stamp = search.labels, search.stamp
+    h = D - r
+    steps = 2 * _padded_deltas(graph.config.d, graph.config.n)
     indptr, nbrs = graph.adjacency()
-    offsets = _nn_offsets(graph.config.d)
-    strides = np.asarray(graph.config.strides, dtype=np.int64)
-    layer = np.array([y], dtype=np.int64)
-    walk = []  # levels D..1, each as (vertex, preds) in vertex order
-    for lvl in range(D, 0, -1):
-        pos, nb = _expand(graph, layer, indptr, nbrs, offsets, strides)
-        keep = dist[nb] == lvl - 1
-        order = np.argsort(pos[keep], kind="stable")
-        pos, nb = pos[keep][order], nb[keep][order]
-        cuts = np.searchsorted(pos, np.arange(layer.size + 1)).tolist()
-        ps = nb.tolist()
-        walk.append([(v, ps[a:b]) for v, a, b
-                     in zip(layer.tolist(), cuts, cuts[1:])])
-        layer = np.unique(nb)
-    levels, preds, counts = {int(x): 0}, {}, {int(x): 1}
-    for lvl, level_preds in enumerate(reversed(walk), start=1):
-        for v, ps in level_preds:
-            levels[v] = lvl
-            preds[v] = ps
-            counts[v] = sum(counts[u] for u in ps)
+
+    def walk(front, level):
+        cand = _expand(front, steps, indptr, nbrs)[0]
+        return _unique(cand[labels[cand] == level], stamp)
+
+    # the split layer in copy 0; its copy-1 twin starts the walk to y
+    in_y = search.front[(search.front & 1) == 1]
+    split = in_y[labels[in_y ^ 1] == h] ^ 1
+    layers = [split]
+    to_y = split ^ 1
+    if r > h:       # odd D: one step toward y brings dy down to h
+        to_y = walk(to_y, h)
+        layers.append(to_y)
+    front = np.concatenate([split, to_y])
+    for level in range(h - 1, -1, -1):
+        front = walk(front, level)
+        layers.append(front)
+    ids = np.concatenate(layers)
+    lvl = np.where(ids & 1, D - labels[ids], labels[ids])
+    verts = ids >> 1
+    order = np.lexsort((verts, lvl))       # by level, then by vertex
+    verts, lvl = verts[order], lvl[order]
+    # preds: every neighbour one level lower, in neighbour order; only
+    # x sits at level 0
+    level_of = np.full(labels.size // 2, UNREACHED, dtype=np.int32)
+    level_of[verts] = lvl
+    cand, n_long = _expand(2 * verts[1:], steps, indptr, nbrs)
+    rows = np.arange(verts.size - 1)
+    pos = np.concatenate([np.repeat(rows, steps.size),
+                          np.repeat(rows, n_long)])
+    cand = cand >> 1
+    keep = level_of[cand] == lvl[1:][pos] - 1
+    pos, cand = pos[keep], cand[keep]
+    order = np.argsort(pos, kind="stable")
+    cuts = np.searchsorted(pos[order], np.arange(verts.size)).tolist()
+    ps = graph.unpad(cand[order]).tolist()
+    vs = graph.unpad(verts).tolist()
+    levels = dict(zip(vs, lvl.tolist()))
+    preds, counts = {}, {vs[0]: 1}
+    for v, a, b in zip(vs[1:], cuts, cuts[1:]):
+        preds[v] = vp = ps[a:b]
+        counts[v] = sum(counts[u] for u in vp)
     return GeodesicDag(source=int(x), target=int(y), dist=D, levels=levels,
                        preds=preds, counts=counts)
 

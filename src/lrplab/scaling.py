@@ -185,7 +185,12 @@ def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
     # draws what rng.choice(samples[l], R) would, round by round
     idx = rng.integers(0, R, size=(boots, L, R))
     meds = np.median(samples[np.arange(L)[:, None], idx], axis=2)
-    slopes = np.array([line_fit(x, np.log(m))[0] for m in meds])
+    # line_fit's solve alone, one right-hand side a round: one solve
+    # with a column per round rounds some slopes apart in the last bit
+    # once the ladder has 8 or more points
+    A = np.vstack([x, np.ones_like(x)]).T
+    slopes = np.array([np.linalg.lstsq(A, y, rcond=None)[0][0]
+                       for y in np.log(meds)])
     ci = (float(np.quantile(slopes, 0.025)),
           float(np.quantile(slopes, 0.975)))
     return replace(fit, theta_hat=slope, r_squared=r2, theta_ci=ci)

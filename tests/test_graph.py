@@ -59,11 +59,15 @@ def test_graph_soundness():
 def test_adjacency_round_trip():
     g = sample_graph(ModelConfig(d=1, beta=1.5, n=200, seed=3))
     indptr, nbrs = g.adjacency()
+    # the CSR is over padded ids: ghosts hold no edges
+    assert indptr.size == (g.config.n + 2) + 1
     rebuilt = set()
     for v in range(g.n_vertices):
-        for u in nbrs[indptr[v]:indptr[v + 1]]:
-            rebuilt.add((min(v, int(u)), max(v, int(u))))
+        p = int(g.pad(v))
+        for u in g.unpad(nbrs[indptr[p]:indptr[p + 1]]).tolist():
+            rebuilt.add((min(v, u), max(v, u)))
     assert rebuilt == {tuple(r) for r in g.long_edges.tolist()}
+    assert indptr[g.pad(g.n_vertices - 1) + 1] == indptr[-1] == nbrs.size
 
 
 def test_mean_long_edge_count_d1_large():

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrplab.graph import ModelConfig, sample_graph
-from lrplab.metric import distance, geodesic_dag, path_edges, sample_geodesic
+from lrplab.metric import (_nn_offsets, distance, geodesic_dag, path_edges,
+                           sample_geodesic)
 
 from oracles import dijkstra_distance, enumerate_geodesics, is_valid_path
 
@@ -211,7 +212,11 @@ def test_distance_annulus_region_consistency(seed):
 def test_dag_preds_exactly_characterized():
     # preds must contain exactly the edges (u, v) with
     # dist(x,u) + 1 = dist(x,v) and dist(x,u) + 1 + dist(v,y) = dist(x,y),
-    # reconstructed here from oracle distance fields inside the region
+    # reconstructed here from oracle distance fields inside the region,
+    # in v's neighbour order: lattice offsets in lexicographic order
+    # (as `_nn_offsets`), then long neighbours above v ascending, then
+    # long neighbours below v ascending.  sample_geodesic draws by
+    # position in these lists, so the order fixes the sampled bytes.
     import heapq
     import itertools
 
@@ -267,17 +272,21 @@ def test_dag_preds_exactly_characterized():
         expected = {}
         long_set = {tuple(e) for e in g.long_edges.tolist()}
 
-        def connected(u, v):
-            du = np.abs(g.coords(u) - g.coords(v)).max()
-            return du == 1 or (min(u, v), max(u, v)) in long_set
-
         on = [v for v in fx if v in fy and fx[v] + fy[v] == D]
+        offs = [o for o in itertools.product((-1, 0, 1), repeat=d) if any(o)]
+        assert offs == [tuple(o) for o in _nn_offsets(d).tolist()]
+        onset = set(on)
         for v in on:
             if v == x:
                 continue
-            expected[v] = sorted(u for u in on if fx[u] == fx[v] - 1
-                                 and connected(u, v))
-        assert {v: sorted(ps) for v, ps in dag.preds.items()} == expected
+            cv = g.coords(v)
+            near = [int(g.index(c)) for c in (cv + np.array(offs))
+                    if ((c >= 0) & (c < n)).all()]
+            far = [j for i, j in long_set if i == v]
+            far = sorted(far) + sorted(i for i, j in long_set if j == v)
+            expected[v] = [u for u in near + far
+                           if u in onset and fx[u] == fx[v] - 1]
+        assert dag.preds == expected
         assert dag.levels == {v: fx[v] for v in on}
         assert dag.levels[x] == 0 and dag.levels[y] == D
 
@@ -285,14 +294,16 @@ def test_dag_preds_exactly_characterized():
 def test_dag_builds_one_field_toward_target(monkeypatch):
     import lrplab.metric as metric
 
+    # one two-sided search from x toward y, and no distance field
     calls = []
-    field = metric.distance_field
+    search = metric._search
 
-    def counting_field(graph, source, region=None, target=None):
-        calls.append((source, target))
-        return field(graph, source, region, target)
+    def counting_search(graph, x, y, mask):
+        calls.append((x, y))
+        return search(graph, x, y, mask)
 
-    monkeypatch.setattr(metric, "distance_field", counting_field)
+    monkeypatch.setattr(metric, "_search", counting_search)
+    monkeypatch.setattr(metric, "distance_field", None)
     g = _graph(2, 8, 1)
     dag = geodesic_dag(g, 3, 60)
     assert calls == [(3, 60)]
@@ -316,3 +327,65 @@ def test_geodesic_count_exact_beyond_64_bits():
     assert exact > 2 ** 64
     path = sample_geodesic(dag, np.random.default_rng(0))
     assert len(path) == 51 and is_valid_path(g, path)
+
+
+@pytest.mark.parametrize("d, n, beta", [(1, 48, 1.0), (2, 7, 1.0),
+                                        (2, 9, 1e-13), (3, 4, 1.0)])
+def test_two_sided_search_against_dijkstra(d, n, beta):
+    # x == y, D = 1 and both parities of D, with and without a mask;
+    # the two sides meet after ceil(D / 2) iterations
+    rng = np.random.default_rng(d * 100 + n)
+    g = _graph(d, n, 21, beta=beta)
+    masks = [None, rng.random(g.n_vertices) > 0.2]
+    pairs = [(5, 5), (5, 6)] + [tuple(map(int, rng.integers(
+        0, g.n_vertices, 2))) for _ in range(30)]
+    parities = set()
+    for mask in masks:
+        for x, y in pairs:
+            if mask is not None:
+                mask[[x, y]] = True
+            D = dijkstra_distance(g, x, y, mask)
+            assert distance(g, x, y, mask) == D
+            if D is None:
+                with pytest.raises(ValueError):
+                    geodesic_dag(g, x, y, mask)
+                continue
+            dag = geodesic_dag(g, x, y, mask)
+            assert dag.dist == D and dag.levels[y] == D
+            if D == 0:
+                assert (dag.count, dag.levels, dag.preds) == (1, {x: 0}, {})
+            if D == 1:
+                assert dag.count == 1 and dag.preds == {y: [x]}
+            path = sample_geodesic(dag, rng)
+            assert len(path) == D + 1 and is_valid_path(g, path, mask)
+            parities.add(min(D, 2 + D % 2))
+    assert parities == {0, 1, 2, 3}
+
+
+def test_two_sided_search_target_cut_off_by_mask():
+    # no long edges in d=1: a gap in the mask separates 2 from 40
+    g = _graph(1, 48, 3, beta=1e-13)
+    assert len(g.long_edges) == 0
+    mask = np.ones(48, bool)
+    mask[20:23] = False
+    assert dijkstra_distance(g, 2, 40, mask) is None
+    assert distance(g, 2, 40, mask) is None
+    assert distance(g, 40, 2, mask) is None
+    with pytest.raises(ValueError):
+        geodesic_dag(g, 2, 40, mask)
+    # the side with the smaller component runs out first either way
+    mask[:2] = False
+    mask[3:20] = False
+    assert distance(g, 2, 40, mask) is None
+    assert distance(g, 40, 2, mask) is None
+
+
+def test_two_sided_search_endpoint_outside_mask():
+    g = _graph(2, 6, 4)
+    mask = np.ones(36, bool)
+    mask[7] = False
+    for x, y in ((7, 30), (30, 7), (7, 7)):
+        with pytest.raises(ValueError):
+            distance(g, x, y, mask)
+        with pytest.raises(ValueError):
+            geodesic_dag(g, x, y, mask)

@@ -90,6 +90,36 @@ def test_fit_theta_bootstrap_matches_per_round_loop():
                             float(np.quantile(slopes, 0.975)))
 
 
+def test_fit_theta_bootstrap_ci_equals_line_fit_loop():
+    # the bootstrap's CI must equal, bit for bit, the CI of one line_fit
+    # per round over the same medians: on the 4-point benchmark ladder,
+    # the 7-point default one, and an 8-point one, where one lstsq
+    # call with a column per round rounds some slopes differently
+    from lrplab.rng import RngStream
+    from lrplab.scaling import ScalingFit, line_fit
+    gen = np.random.default_rng(3)
+    for lad_n in ((32, 64, 128, 256), (32, 64, 128, 256, 512, 1024, 2048),
+                  tuple(16 * 2 ** k for k in range(8))):
+        for seed in range(5):
+            samples = {n: gen.integers(1, 3 * n ** 0.7, 30).astype(float)
+                       for n in lad_n}
+            fit = ScalingFit(
+                d=1, beta=1.0, seed=seed, n_values=lad_n, replicates=30,
+                medians=np.array([np.median(samples[n]) for n in lad_n]),
+                ci_lo=np.zeros(len(lad_n)), ci_hi=np.zeros(len(lad_n)),
+                samples=samples)
+            out = fit_theta(fit)
+            x = np.log(np.asarray(lad_n, dtype=float))
+            stacked = np.stack([samples[n] for n in lad_n])
+            rng = RngStream(seed, (Tag.THETA_BOOTSTRAP,)).generator()
+            idx = rng.integers(0, 30, size=(500, len(lad_n), 30))
+            meds = np.median(stacked[np.arange(len(lad_n))[:, None], idx],
+                             axis=2)
+            slopes = [line_fit(x, np.log(m))[0] for m in meds]
+            assert out.theta_ci == (float(np.quantile(slopes, 0.025)),
+                                    float(np.quantile(slopes, 0.975)))
+
+
 def test_line_fit_constant_y_has_nan_r2():
     import warnings
     from lrplab.scaling import line_fit
