@@ -47,27 +47,25 @@ def _labels(coords: np.ndarray, s: float) -> np.ndarray:
     return np.ceil(c / s).astype(np.int64) - 1
 
 
-def box_count(path, delta: float, L: float, graph=None) -> BoxCover:
+def box_count(path, delta: float, L: float) -> BoxCover:
     """Cover of the path's vertex set by cubes of side delta * L.
 
-    `path` is a sequence of linear indices (requires `graph`) or an
-    (m, d) coordinate array.  Rejects covers finer than the lattice.
+    `path` is an (m, d) coordinate array.  Rejects covers finer than
+    the lattice.
     """
     s = delta * L
     if s < 1:
         raise ValueError("delta * L must be at least one lattice unit")
-    coords = _path_coords(path, graph)
+    coords = _path_coords(path)
     labs = _labels(coords, s)
     labels = frozenset(map(tuple, labs.tolist()))
     return BoxCover(delta=delta, L=L, labels=labels, count=len(labels))
 
 
-def _path_coords(path, graph) -> np.ndarray:
+def _path_coords(path) -> np.ndarray:
     arr = np.asarray(path)
     if arr.ndim == 1:
-        if graph is None:
-            raise ValueError("linear-index paths need the graph")
-        arr = graph.coords(arr)
+        raise ValueError("a path is an (m, d) coordinate array")
     if arr.size == 0:
         raise ValueError("path is empty")
     return arr.reshape(len(arr), -1)
@@ -81,12 +79,12 @@ class DimFit:
     r_squared: float
 
 
-def mean_dimension_fit(paths, deltas, L, graph=None) -> DimFit:
+def mean_dimension_fit(paths, deltas, L) -> DimFit:
     """Dimension fit on per-scale mean counts over many paths."""
     counts = np.zeros(len(deltas))
     for path in paths:
         for i, dl in enumerate(deltas):
-            counts[i] += box_count(path, dl, L, graph).count
+            counts[i] += box_count(path, dl, L).count
     counts /= len(paths)
     x = np.log(1.0 / np.asarray(deltas))
     y = np.log(counts)
@@ -103,7 +101,7 @@ class MassCheckReport:
 
 
 def mass_distribution_check(path, deltas, L: float, Delta: float,
-                            C: float, graph=None) -> MassCheckReport:
+                            C: float) -> MassCheckReport:
     """Check zeta_P(V) <= C (euclid_diam(V)/L)^Delta over dyadic covers.
 
     The path is parametrized by its unit steps; zeta_P(V) is the
@@ -111,7 +109,7 @@ def mass_distribution_check(path, deltas, L: float, Delta: float,
     to one exactly.  Returns the per-scale worst ratio of mass to
     threshold and the overall pass flag.
     """
-    coords = _path_coords(path, graph)
+    coords = _path_coords(path)
     steps = coords[:-1]
     length = len(steps)
     if length == 0:
@@ -231,8 +229,8 @@ def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
                                    n_special_pairs=0) for _ in grid]
     cube_mask = _in_cube(graph.coords(np.arange(graph.n_vertices)), z,
                          1.5 * s)
-    seps = np.array([np.linalg.norm(graph.coords(v1) - graph.coords(u2))
-                     for _, v1, u2, _ in pairs])
+    v1s, u2s = np.array([pair[1:3] for pair in pairs]).T
+    seps = np.linalg.norm(graph.coords(v1s) - graph.coords(u2s), axis=1)
     fields = {}
 
     def witness(params):

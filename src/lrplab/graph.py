@@ -4,8 +4,9 @@ Vertices are [0, n)^d linearized row-major.  Nearest-neighbor edges
 (ell-infinity distance 1, i.e. the full Moore neighborhood) are implicit
 and always present; only long edges (||k||_inf >= 2) are stored.
 
-Sampling walks the class table of the box: for each long displacement k
-(one per unordered pair orbit) the candidate pair count is
+Sampling walks the class table of the box, `kernel.class_table`, whose
+classes the kernel integrals index: for each long displacement k (one
+per unordered pair orbit) the candidate pair count is
 N_k = prod(n - |k_m|) and the number of present edges is an exact
 Binomial(N_k, p_k) draw, with positions a uniform sample without
 replacement.  Cost is proportional to the number of classes plus edges
@@ -19,7 +20,6 @@ reruns are byte-identical.
 from __future__ import annotations
 
 import contextlib
-import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernel import DEFAULT_TOLERANCE, DisplacementKernel, class_array
+from .kernel import DEFAULT_TOLERANCE, DisplacementKernel, class_table
 from .rng import RngStream, StreamKey
 
 _MAGIC = b"LRPG"
@@ -85,15 +85,10 @@ class LrpGraph:
         return self.config.n_vertices
 
     def coords(self, v) -> np.ndarray:
-        """Linear index -> lattice coordinates, vectorized."""
-        v = np.asarray(v)
+        """Linear index -> lattice coordinates, vectorized; an id outside
+        the box raises ValueError."""
         n, d = self.config.n, self.config.d
-        out = np.empty(v.shape + (d,), dtype=np.int64)
-        rem = v
-        for m in range(d - 1, -1, -1):
-            out[..., m] = rem % n
-            rem = rem // n
-        return out
+        return np.stack(np.unravel_index(v, (n,) * d), axis=-1)
 
     def index(self, coords) -> np.ndarray:
         coords = np.asarray(coords, dtype=np.int64)
@@ -129,43 +124,6 @@ class LrpGraph:
                       out=indptr[1:])
             object.__setattr__(self, "_adjacency", (indptr, nbrs[order]))
         return self._adjacency
-
-
-@dataclass(frozen=True)
-class ClassTable:
-    """Every long displacement of an n-box, one per unordered pair orbit.
-
-    Row r holds a displacement `k[r]` (||k||_inf >= 2, first nonzero
-    coordinate positive, so each pair {i, j} matches exactly one row),
-    its candidate pair count `pairs[r]` = prod(n - |k_m|), and the row
-    `klass[r]` of its canonical class in the kernel table for
-    max_norm n - 1.  Holds no beta; the arrays are read-only.
-    """
-
-    k: np.ndarray
-    pairs: np.ndarray
-    klass: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def class_table(d: int, n: int) -> ClassTable:
-    """Vectorised enumeration of the long displacements of an n-box."""
-    side = 2 * n - 1
-    # in row-major order of k + (n - 1), the displacements after k = 0
-    # are exactly those whose first nonzero coordinate is positive
-    flat = np.arange(side ** d // 2 + 1, side ** d, dtype=np.int64)
-    k = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - (n - 1)
-    k = k[np.abs(k).max(axis=1) >= 2]
-    pairs = np.prod(n - np.abs(k), axis=1)
-    # canonical classes (|k| sorted descending) keyed in base n
-    weights = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    keys = -np.sort(-np.abs(k), axis=1) @ weights
-    table_keys = class_array(d, n - 1) @ weights
-    order = np.argsort(table_keys)
-    klass = order[np.searchsorted(table_keys, keys, sorter=order)]
-    for arr in (k, pairs, klass):
-        arr.flags.writeable = False
-    return ClassTable(k=k, pairs=pairs, klass=klass)
 
 
 def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,

@@ -24,6 +24,12 @@ tolerance-derived radius the closed tail form
 C4(d)/|k|^4 with C4 measured, so the switch radius is chosen per
 tolerance rather than fixed.
 
+I(k) depends on k only through its canonical class, |k| sorted
+descending.  `class_table` enumerates the long displacements of an
+n-box in one vectorised pass and derives from it the class list and
+each displacement's class row; the integrals, the sampler and the
+expected-edge and degree sums all index that one table.
+
 I(k) does not depend on beta, so the per-class integrals are computed
 once per (d, max_norm, tolerance) and cached read-only; a table for a
 given beta only applies p = -expm1(-beta * I) to them.
@@ -108,29 +114,70 @@ def _integrals(classes: np.ndarray, tolerance: float) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class ClassTable:
+    """Every long displacement of an n-box, one per unordered pair orbit,
+    and the canonical classes they fall in.
+
+    `classes` holds every canonical class with 2 <= c1 <= n - 1, in
+    kernel order: c1 ascending, then each later coordinate descending.
+    Row r of `k` holds a displacement (||k||_inf >= 2, first nonzero
+    coordinate positive, so each pair {i, j} matches exactly one row),
+    its candidate pair count `pairs[r]` = prod(n - |k_m|), and the row
+    `klass[r]` of its class in `classes`.  Holds no beta; the arrays
+    are read-only.
+    """
+
+    classes: np.ndarray
+    k: np.ndarray
+    pairs: np.ndarray
+    klass: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def class_table(d: int, n: int) -> ClassTable:
+    """Vectorised enumeration of the long displacements of an n-box and
+    of their canonical classes."""
+    side = 2 * n - 1
+    # in row-major order of k + (n - 1), the displacements after k = 0
+    # are exactly those whose first nonzero coordinate is positive
+    flat = np.arange(side ** d // 2 + 1, side ** d, dtype=np.int64)
+    k = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - (n - 1)
+    k = k[np.abs(k).max(axis=1) >= 2]
+    pairs = np.prod(n - np.abs(k), axis=1)
+    # class c has the n-box id of (c1, n-1-c2, ..., n-1-cd); ascending
+    # ids follow kernel order, so a class's row is the rank of its id
+    mirror = np.abs(k)
+    mirror.sort(axis=1)
+    mirror = mirror[:, ::-1]
+    mirror[:, 1:] = n - 1 - mirror[:, 1:]
+    ids = np.ravel_multi_index(mirror.T, (n,) * d)
+    del mirror      # so the peak stays that of enumerating k
+    present = np.zeros(n ** d, dtype=bool)
+    present[ids] = True
+    klass = (np.cumsum(present) - 1)[ids]
+    classes = np.stack(np.unravel_index(np.flatnonzero(present), (n,) * d),
+                       axis=1)
+    classes[:, 1:] = n - 1 - classes[:, 1:]
+    for arr in (classes, k, pairs, klass):
+        arr.flags.writeable = False
+    return ClassTable(classes=classes, k=k, pairs=pairs, klass=klass)
+
+
 @functools.lru_cache(maxsize=16)
 def class_integrals(d: int, max_norm: int,
                     tolerance: float = DEFAULT_TOLERANCE
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (classes, I) arrays for every class of `enumerate_classes`.
+    """Read-only (classes, I) arrays for every class with
+    2 <= c1 <= max_norm, the `classes` of `class_table(d, max_norm + 1)`.
 
     Independent of beta and cached, so every table of the same
     (d, max_norm, tolerance) shares one computation.
     """
-    classes = class_array(d, max_norm)
+    classes = class_table(d, max_norm + 1).classes
     integrals = _integrals(classes, tolerance)
     integrals.flags.writeable = False
     return classes, integrals
-
-
-@functools.lru_cache(maxsize=16)
-def class_array(d: int, max_norm: int) -> np.ndarray:
-    """Read-only (m, d) array of `enumerate_classes(d, max_norm)`, cached,
-    so the kernel integrals and the class table of a box share one walk."""
-    classes = np.array(list(enumerate_classes(d, max_norm)),
-                       dtype=np.int64).reshape(-1, d)
-    classes.flags.writeable = False
-    return classes
 
 
 def kernel_integral(k, d: int | None = None,
@@ -177,7 +224,7 @@ class DisplacementKernel:
     """Per-class kernel integrals and edge probabilities for one beta.
 
     `classes`, `integrals` and `probabilities` are parallel read-only
-    arrays over the canonical classes of `enumerate_classes`; `entries`
+    arrays over the canonical classes of `class_table`; `entries`
     is the same table as a dict from class tuple to (I_k, p_k).
     """
 
@@ -208,19 +255,6 @@ class DisplacementKernel:
                             self.probabilities.tolist())))
 
 
-def enumerate_classes(d: int, max_norm: int):
-    """All canonical classes (c1 >= c2 >= ... >= 0) with 2 <= c1 <= max_norm."""
-    def rec(prefix, lo):
-        if len(prefix) == d:
-            yield tuple(prefix)
-            return
-        for c in range(lo, -1, -1):
-            yield from rec(prefix + [c], c)
-
-    for c1 in range(2, max_norm + 1):
-        yield from rec([c1], c1)
-
-
 def expected_degree(beta: float, d: int, cutoff: int,
                     tolerance: float = DEFAULT_TOLERANCE) -> tuple[float, float]:
     """Mean degree of a site: sure neighbors plus long-edge probabilities.
@@ -234,23 +268,11 @@ def expected_degree(beta: float, d: int, cutoff: int,
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    classes, integrals = class_integrals(d, cutoff, tolerance)
-    total = 3 ** d - 1 + float(_orbit_sizes(classes)
-                               @ -np.expm1(-beta * integrals))
+    # the table holds one of each pair k, -k
+    orbits = 2 * np.bincount(class_table(d, cutoff + 1).klass)
+    integrals = class_integrals(d, cutoff, tolerance)[1]
+    total = 3 ** d - 1 + float(orbits @ -np.expm1(-beta * integrals))
     return total, _degree_tail_bound(beta, d, cutoff)
-
-
-def _orbit_sizes(classes: np.ndarray) -> np.ndarray:
-    """Number of lattice displacements in each canonical class (row):
-    distinct coordinate permutations times 2^(nonzero coordinates)."""
-    d = classes.shape[1]
-    run = np.ones(len(classes), dtype=np.int64)
-    repeats = np.ones(len(classes), dtype=np.int64)
-    for m in range(1, d):
-        # rows are sorted, so equal coordinates are adjacent
-        run = np.where(classes[:, m] == classes[:, m - 1], run + 1, 1)
-        repeats *= run
-    return math.factorial(d) // repeats * 2 ** (classes != 0).sum(axis=1)
 
 
 def _degree_tail_bound(beta: float, d: int, cutoff: int) -> float:

@@ -42,6 +42,15 @@ def test_config_validation():
         ModelConfig(d=2, beta=1.0, n=2 ** 21)
 
 
+def test_coords_reject_ids_outside_the_box():
+    g = LrpGraph(config=ModelConfig(d=2, beta=1.0, n=5),
+                 long_edges=np.zeros((0, 2), dtype=np.int64))
+    assert g.coords(24).tolist() == [4, 4]
+    for bad in (-1, 25):
+        with pytest.raises(ValueError):
+            g.coords(bad)
+
+
 def test_graph_soundness():
     for cfg in (ModelConfig(d=1, beta=2.0, n=128, seed=9),
                 ModelConfig(d=2, beta=1.0, n=12, seed=9),
@@ -136,7 +145,7 @@ def _sample_relabeled(cfg, stream_id):
     return total
 
 
-@pytest.mark.parametrize("d,n", [(1, 10), (2, 5), (3, 4)])
+@pytest.mark.parametrize("d,n", [(1, 10), (2, 5), (3, 4), (1, 2), (3, 2)])
 def test_class_table_covers_orbits(d, n):
     table = class_table(d, n)
     reps = [tuple(k) for k in table.k.tolist()]
@@ -147,6 +156,7 @@ def test_class_table_covers_orbits(d, n):
               if max(map(abs, k)) >= 2}
     assert seen == expect
     classes = class_integrals(d, n - 1)[0]
+    assert classes.shape == (len({canonical_class(k) for k in reps}), d)
     for k, pairs, klass in zip(reps, table.pairs.tolist(),
                                table.klass.tolist()):
         assert pairs == math.prod(n - abs(c) for c in k)

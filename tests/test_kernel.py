@@ -1,14 +1,15 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrplab.kernel import (DisplacementKernel, canonical_class,
-                           class_integrals, edge_probability,
-                           enumerate_classes, expected_degree,
+from lrplab.kernel import (DEFAULT_TOLERANCE, DisplacementKernel,
+                           canonical_class, class_integrals, class_table,
+                           edge_probability, expected_degree,
                            kernel_integral, tail_radius)
 
 from oracles import kernel_closed_d1, kernel_quad_oracle
@@ -106,35 +107,42 @@ def test_tail_radius_certified():
             kernel_quad_oracle(k, d), rel=1e-6)
 
 
+def brute_orbits(d, max_norm):
+    """Number of long displacements with ||k||_inf <= max_norm in each
+    canonical class, by brute force."""
+    return Counter(canonical_class(k) for k in itertools.product(
+        range(-max_norm, max_norm + 1), repeat=d) if max(map(abs, k)) >= 2)
+
+
+def brute_classes(d, max_norm):
+    """Every canonical class with 2 <= c1 <= max_norm, in kernel order:
+    c1 ascending, then each later coordinate descending."""
+    return sorted(brute_orbits(d, max_norm),
+                  key=lambda c: (c[0],) + tuple(-x for x in c[1:]))
+
+
 def test_enumerate_classes_complete():
-    classes = list(enumerate_classes(2, 4))
-    assert all(c[0] >= c[1] >= 0 and 2 <= c[0] <= 4 for c in classes)
-    assert len(set(classes)) == len(classes)
-    assert canonical_class((-3, 2)) in classes
+    for d, max_norm in ((1, 9), (2, 6), (3, 5)):
+        classes = class_integrals(d, max_norm)[0]
+        assert classes.shape == (len(brute_classes(d, max_norm)), d)
+        assert list(map(tuple, classes.tolist())) == \
+            brute_classes(d, max_norm)
 
 
 def test_batched_d2_table_matches_oracle():
     classes, integrals = class_integrals(2, 8)
-    assert len(classes) == len(list(enumerate_classes(2, 8)))
+    assert len(classes) == len(brute_classes(2, 8))
     for k, I in zip(classes.tolist(), integrals):
         assert I == pytest.approx(kernel_quad_oracle(k, 2), rel=1e-9)
 
 
-def test_class_table_and_integrals_share_one_walk(monkeypatch):
-    from lrplab import graph, kernel
-    walks = []
-    real = kernel.enumerate_classes
-
-    def counted(d, max_norm):
-        walks.append((d, max_norm))
-        return real(d, max_norm)
-
-    monkeypatch.setattr(kernel, "enumerate_classes", counted)
-    for cached in (graph.class_table, kernel.class_integrals,
-                   kernel.class_array):
+def test_class_table_and_integrals_share_one_walk():
+    from lrplab import graph
+    for cached in (class_table, class_integrals):
         cached.cache_clear()
     graph.sample_graph(graph.ModelConfig(d=2, beta=1.0, n=9, seed=1))
-    assert walks == [(2, 8)]
+    assert class_integrals(2, 8, DEFAULT_TOLERANCE)[0] is \
+        class_table(2, 9).classes
 
 
 def test_table_shares_cached_integrals_across_beta():
@@ -160,7 +168,7 @@ def test_cached_integrals_read_only():
 
 def test_d3_table_bounded_and_tail_consistent():
     table = DisplacementKernel.build(3, beta=1.0, max_norm=6)
-    assert len(table.entries) == len(list(enumerate_classes(3, 6)))
+    assert len(table.entries) == len(brute_classes(3, 6))
     # just inside the tail radius the quadrature still runs; there it
     # must agree with the closed tail form within the tolerance
     tol = table.tolerance
@@ -187,16 +195,11 @@ def test_expected_degree_cutoff_self_consistency():
 
 @pytest.mark.parametrize("d,max_norm", [(1, 9), (2, 6), (3, 4)])
 def test_orbit_sizes_count_displacements(d, max_norm):
-    # brute force: every lattice displacement counted by its class
-    from collections import Counter
-
-    from lrplab.kernel import _orbit_sizes
-    counted = Counter(canonical_class(k) for k in itertools.product(
-        range(-max_norm, max_norm + 1), repeat=d)
-        if max(map(abs, k)) >= 2)
-    classes = class_integrals(d, max_norm)[0]
-    assert _orbit_sizes(classes).tolist() == \
-        [counted[tuple(c)] for c in classes.tolist()]
+    counted = brute_orbits(d, max_norm)
+    table = class_table(d, max_norm + 1)
+    # the table holds one of each pair k, -k
+    assert (2 * np.bincount(table.klass)).tolist() == \
+        [counted[tuple(c)] for c in table.classes.tolist()]
 
 
 def test_expected_degree_monotone_in_beta():
