@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .graph import (ModelConfig, _atomic_open, export_text, sample_graph,
-                    save_binary)
+                    sample_graphs, save_binary)
 from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
 from .scaling import (Ladder, ScalingFit, atom_trend, ecdf,
@@ -323,11 +323,10 @@ def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
     else:
         raise ConfigError("theta_source must be 'fit' or 'manual'")
     paths, probe = [], []
-    m = 3 * n
-    for r in range(n_geo):
-        cfg = ModelConfig(d=config.d, beta=config.beta, n=m,
-                          seed=config.seed)
-        g = sample_graph(cfg, stream_id=(Tag.DIM_SAMPLE, r))
+    cfg = ModelConfig(d=config.d, beta=config.beta, n=3 * n,
+                      seed=config.seed)
+    graphs = sample_graphs(cfg, [(Tag.DIM_SAMPLE, r) for r in range(n_geo)])
+    for r, g in enumerate(graphs):
         x = int(g.index(tuple([n] * config.d)))
         y = int(g.index(tuple([2 * n] * config.d)))
         rng = RngStream(config.seed, (Tag.DIM_GEODESIC, r)).generator()

@@ -15,15 +15,31 @@ RNG stream keyed by (seed, stream_id), in a fixed order: all class
 counts, then the positions of the one-edge classes, then those of the
 other classes in table order; so replicates are independently keyed and
 reruns are byte-identical.
+
+The positions of a class with c edges are what numpy's
+`choice(N_k, c, replace=False)` returns.  That is Floyd's algorithm,
+c draws bounded by N_k - c, ..., N_k - 1, then a shuffle, c - 1 draws
+bounded by c - 1, ..., 1, and these bounds depend on (N_k, c) alone.
+So the sampler replays them.  `sample_graph` draws a sample's class
+counts; its positions are drawn when it is first read, by one
+`integers` call over all its bounds in the order above.  Floyd's
+collision fix-up, the decode to edges, the sort and the padded-box CSR
+then follow.  `sample_graphs` draws the replicates of a batch of keys,
+each from its own generator, and runs these steps once for the whole
+batch.  A class on numpy's other branch (N_k > 10000 and
+c > N_k // 50, a shuffle of the tail of range(N_k)) keeps its own
+`choice` call, at its place in the order.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -33,6 +49,16 @@ from .rng import RngStream, StreamKey
 _MAGIC = b"LRPG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBQdQQ")
+
+# table rows times replicates drawn in one batch, which bounds the
+# batch's temporaries and the graphs it holds at once; a longer table
+# draws one replicate at a time
+_BATCH_ROWS = 1 << 13
+
+# numpy's `choice(N, c, replace=False)` runs Floyd's algorithm unless
+# N > 10000 and c > N // 50, where it shuffles the tail of range(N)
+_FLOYD_MAX_N = 10000
+_FLOYD_MAX_DIV = 50
 
 
 @dataclass(frozen=True)
@@ -67,18 +93,29 @@ class ModelConfig:
         return tuple(self.n ** (self.d - 1 - m) for m in range(self.d))
 
 
-@dataclass
 class LrpGraph:
     """One sampled configuration: implicit lattice plus explicit long edges.
 
     `long_edges` is an (m, 2) array of linearized endpoints with
-    i < j per row, sorted lexicographically.  Immutable once built.
+    i < j per row, sorted lexicographically.  Immutable once built.  A
+    graph from `sample_graph` holds its generator and class counts
+    until its edges or adjacency are first read, and then draws its
+    positions and decodes them (`_decode`); `sample_graphs` decodes the
+    graphs of a batch together.
     """
 
-    config: ModelConfig
-    long_edges: np.ndarray
-    _adjacency: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False)
+    def __init__(self, config: ModelConfig, long_edges: np.ndarray | None):
+        self.config = config
+        self._edges = long_edges
+        self._adjacency: tuple[np.ndarray, np.ndarray] | None = None
+        # (generator, class counts) of a sample not yet decoded
+        self._draw: tuple[np.random.Generator, np.ndarray] | None = None
+
+    @property
+    def long_edges(self) -> np.ndarray:
+        if self._draw is not None:
+            _decode([self])
+        return self._edges
 
     @property
     def n_vertices(self) -> int:
@@ -113,16 +150,12 @@ class LrpGraph:
         on padded ids (see `pad`): the long neighbours of padded id p
         are nbrs[indptr[p]:indptr[p + 1]], those above p first, then
         those below, each ascending."""
+        if self._draw is not None:
+            _decode([self])
         if self._adjacency is None:
-            n, d = self.config.n, self.config.d
             ends = self.pad(self.long_edges)
-            nodes = np.concatenate([ends[:, 0], ends[:, 1]])
-            nbrs = np.concatenate([ends[:, 1], ends[:, 0]])
-            order = np.argsort(nodes, kind="stable")
-            indptr = np.zeros((n + 2) ** d + 1, dtype=np.int64)
-            np.cumsum(np.bincount(nodes, minlength=(n + 2) ** d),
-                      out=indptr[1:])
-            object.__setattr__(self, "_adjacency", (indptr, nbrs[order]))
+            self._adjacency = _csr(ends[:, 0], ends[:, 1], 0, 1,
+                                   (self.config.n + 2) ** self.config.d)
         return self._adjacency
 
 
@@ -131,22 +164,62 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
     """Draw one configuration; identical (config, stream_id) reproduce bytes.
 
     One generator, keyed by (seed, stream_id), draws every class count
-    and position, so distinct replicate streams never collide.
+    and position, so distinct replicate streams never collide.  The
+    counts are drawn here, the positions when the graph is first read.
     """
+    table = class_table(config.d, config.n)
+    kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1,
+                                      tolerance)
+    rng = RngStream(config.seed, stream_id).generator()
+    graph = LrpGraph(config, None)
+    graph._draw = (rng, rng.binomial(table.pairs,
+                                     kernel.probabilities[table.klass]))
+    return graph
+
+
+def sample_graphs(config: ModelConfig, stream_ids,
+                  tolerance: float = DEFAULT_TOLERANCE) -> Iterator[LrpGraph]:
+    """`sample_graph(config, key)` for each stream key, in key order,
+    decoded in batches of at most `_BATCH_ROWS` table rows in all; a
+    graph's arrays are views into its batch's."""
+    keys = list(stream_ids)
+    rows = class_table(config.d, config.n).pairs.size
+    step = max(1, _BATCH_ROWS // max(1, rows))
+    for lo in range(0, len(keys), step):
+        graphs = [sample_graph(config, key, tolerance)
+                  for key in keys[lo:lo + step]]
+        _decode(graphs)
+        graphs.reverse()
+        while graphs:       # so a graph is dropped once its caller drops it
+            yield graphs.pop()
+
+
+def _decode(graphs: list[LrpGraph]) -> None:
+    """Draw the positions of the undecoded graphs among `graphs`, all of
+    one config, each from its own generator (`_positions`), and build
+    their edges and adjacency together."""
+    graphs = [g for g in graphs if g._draw is not None]
+    if not graphs:
+        return
+    config = graphs[0].config
     d, n = config.d, config.n
     table = class_table(d, n)
-    kernel = DisplacementKernel.build(d, config.beta, n - 1, tolerance)
-    rng = RngStream(config.seed, stream_id).generator()
-    counts = rng.binomial(table.pairs, kernel.probabilities[table.klass])
-    one = np.flatnonzero(counts == 1)
-    many = np.flatnonzero(counts > 1)
-    rows = np.concatenate([one, np.repeat(many, counts[many])])
-    pos = np.concatenate([rng.integers(0, table.pairs[one])] + [
-        rng.choice(table.pairs[r], size=counts[r], replace=False)
-        for r in many])
+    rngs = [g._draw[0] for g in graphs]
+    counts = [g._draw[1] for g in graphs]
+    # one graph, as in every batch of a long table: no stacked copy
+    counts = np.stack(counts) if len(counts) > 1 else counts[0][None]
+    rep, row = np.nonzero(counts)
+    c = counts[rep, row]
+    # each temporary is dropped once used, so the peak stays a few arrays
+    del counts
+    # each replicate's one-edge classes first, then the others
+    order = np.argsort(2 * rep + (c > 1), kind="stable")
+    rep, row, c = rep[order], row[order], c[order]
+    pos = _positions(rngs, rep, table.pairs[row], c)
+    rep = np.repeat(rep, c)
     # mixed-radix decode of each position to the base coordinates of
     # its pair; a class with k_m < 0 starts at -k_m so i + k stays in box
-    k = table.k[rows]
+    k = table.k[np.repeat(row, c)]
     sizes = n - np.abs(k)
     base = np.empty_like(k)
     for m in range(d - 1, -1, -1):
@@ -155,9 +228,118 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
     strides = np.asarray(config.strides, dtype=np.int64)
     i = base @ strides
     j = i + k @ strides      # > i: k is lexicographically positive
-    order = np.lexsort((j, i))
-    return LrpGraph(config=config,
-                    long_edges=np.stack([i[order], j[order]], axis=1))
+    order = _argsort_rows((rep, i, j), (len(graphs), config.n_vertices,
+                                        config.n_vertices))
+    edges = np.stack([i[order], j[order]], axis=1)
+    del i, j, pos, sizes
+    # padded ids (see `LrpGraph.pad`); replicate r's start at r * side
+    side = (n + 2) ** d
+    pstrides = np.asarray([(n + 2) ** (d - 1 - m) for m in range(d)],
+                          dtype=np.int64)
+    base += 1
+    lo_end = (base @ pstrides)[order]
+    base += k
+    hi_end = (base @ pstrides)[order]
+    rep = rep[order]
+    del k, base, order
+    ecut = np.searchsorted(rep, np.arange(len(graphs) + 1))
+    indptr, nbrs = _csr(lo_end, hi_end, rep, len(graphs), side)
+    del lo_end, hi_end, rep
+    for r, g in enumerate(graphs):
+        ptr = indptr[r * side:(r + 1) * side + 1]
+        g._edges = edges[ecut[r]:ecut[r + 1]]
+        g._adjacency = (ptr - ptr[0], nbrs[ptr[0]:ptr[-1]])
+        g._draw = None
+
+
+def _csr(lo: np.ndarray, hi: np.ndarray, rep, count: int,
+         side: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, neighbors) of `count` padded boxes of `side` ids
+    laid end to end, for the edges (lo, hi) of box `rep`, sorted by
+    (rep, lo, hi): each id's neighbours above it first, then those
+    below, each ascending.  Neighbours keep the ids of their own box."""
+    nodes = np.concatenate([lo + rep * side, hi + rep * side])
+    nbrs = np.concatenate([hi, lo])[np.argsort(nodes, kind="stable")]
+    indptr = np.zeros(count * side + 1, dtype=np.int64)
+    np.cumsum(np.bincount(nodes, minlength=count * side), out=indptr[1:])
+    return indptr, nbrs
+
+
+def _positions(rngs: list, rep: np.ndarray, pairs: np.ndarray,
+               c: np.ndarray) -> np.ndarray:
+    """For each entry e, c[e] distinct positions in range(pairs[e]),
+    drawn by generator rngs[rep[e]] (rep ascending) exactly as numpy's
+    `choice(pairs[e], c[e], replace=False)` calls, entry after entry,
+    would draw them; returned entry after entry, unsorted within one."""
+    tail = (pairs > _FLOYD_MAX_N) & (c > pairs // _FLOYD_MAX_DIV)
+    draws = np.where(tail, 0, 2 * c - 1)
+    first = np.cumsum(draws) - draws
+    cut = np.append(first, draws.sum())[
+        np.searchsorted(rep, np.arange(len(rngs) + 1))]
+    e = np.repeat(np.arange(c.size), draws)
+    off = np.arange(e.size) - first[e]
+    ce = c[e]
+    # Floyd's c bounds N - c ... N - 1, then the shuffle's c - 1 ... 1
+    bounds = np.where(off < ce, pairs[e] - ce + off, 2 * ce - 1 - off)
+    vals = np.empty(bounds.size, dtype=np.int64)
+    tails = np.flatnonzero(tail)[::-1].tolist()
+    chosen = {}
+    for r, rng in enumerate(rngs):
+        lo = cut[r]
+        while tails and rep[tails[-1]] == r:
+            t = tails.pop()
+            vals[lo:first[t]] = rng.integers(0, bounds[lo:first[t]],
+                                             endpoint=True)
+            chosen[t] = rng.choice(int(pairs[t]), size=int(c[t]),
+                                   replace=False)
+            lo = first[t]
+        vals[lo:cut[r + 1]] = rng.integers(0, bounds[lo:cut[r + 1]],
+                                           endpoint=True)
+    floyd = vals[off < ce]
+    del e, off, ce, bounds, vals
+    pos = _floyd(floyd, pairs[~tail], c[~tail])
+    if not chosen:
+        return pos
+    full = np.empty(c.sum(), dtype=np.int64)
+    full[np.repeat(~tail, c)] = pos
+    starts = np.cumsum(c) - c
+    for t, p in chosen.items():
+        full[starts[t]:starts[t] + c[t]] = p
+    return full
+
+
+def _floyd(vals: np.ndarray, pairs: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The subsets numpy's Floyd's algorithm makes of its raw draws.
+
+    `vals` holds, class after class, the c draws bounded by j = N - c,
+    ..., N - 1 of a c-subset of range(N).  A draw already in the
+    subset is replaced by j.  It is in the subset if an earlier draw of
+    its class has the same value, or if it equals the j of an earlier
+    step that was itself replaced; the second case chains back through
+    earlier steps, resolved by pointer jumping.
+    """
+    e = np.repeat(np.arange(c.size), c)
+    start = np.cumsum(c) - c
+    step = np.arange(e.size) - start[e]
+    low = pairs[e] - c[e]
+    # stable, so a repeated draw follows its class's earlier ones
+    order = _argsort_rows((e, vals), (c.size, int(pairs.max(initial=0))),
+                          stable=True)
+    e_in, vals_in = e[order], vals[order]
+    hit = np.zeros(e.size, dtype=bool)
+    hit[order[1:]] = ((e_in[1:] == e_in[:-1])
+                      & (vals_in[1:] == vals_in[:-1]))
+    del e_in, vals_in
+    back = vals - low                   # the step whose j equals the draw
+    parent = np.where((back >= 0) & (back < step), start[e] + back,
+                      np.arange(e.size))
+    while True:
+        hit |= hit[parent]
+        up = parent[parent]
+        if np.array_equal(up, parent):
+            break
+        parent = up
+    return np.where(hit, low + step, vals)
 
 
 def expected_long_edge_total(config: ModelConfig,
@@ -167,6 +349,19 @@ def expected_long_edge_total(config: ModelConfig,
     kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1,
                                       tolerance)
     return float(table.pairs @ kernel.probabilities[table.klass])
+
+
+def _argsort_rows(cols, sizes, stable: bool = False) -> np.ndarray:
+    """Indices that sort the rows of integer columns `cols`, first
+    column major, where column m holds values in [0, sizes[m]).  One
+    int64 key and `argsort` where the sizes' product fits in it,
+    `lexsort` otherwise."""
+    if math.prod(sizes) > 2 ** 63:
+        return np.lexsort(cols[::-1])
+    key = cols[0]
+    for col, size in zip(cols[1:], sizes[1:]):
+        key = key * size + col
+    return np.argsort(key, kind="stable" if stable else None)
 
 
 @contextlib.contextmanager

@@ -25,10 +25,11 @@ C4(d)/|k|^4 with C4 measured, so the switch radius is chosen per
 tolerance rather than fixed.
 
 I(k) depends on k only through its canonical class, |k| sorted
-descending.  `class_table` enumerates the long displacements of an
-n-box in one vectorised pass and derives from it the class list and
-each displacement's class row; the integrals, the sampler and the
-expected-edge and degree sums all index that one table.
+descending.  The class list is enumerated directly, with no box of
+displacements; the integrals and the degree sum, whose orbit sizes
+have a closed form, index it.  `class_table` enumerates the long
+displacements of an n-box in one vectorised pass and gives each its
+row in that list; the sampler and the expected-edge sum index it.
 
 I(k) does not depend on beta, so the per-class integrals are computed
 once per (d, max_norm, tolerance) and cached read-only; a table for a
@@ -135,6 +136,36 @@ class ClassTable:
 
 
 @functools.lru_cache(maxsize=16)
+def _classes(d: int, max_norm: int) -> np.ndarray:
+    """Read-only array of every canonical class with 2 <= c1 <=
+    max_norm, in kernel order, built coordinate by coordinate: each row
+    is followed by every next coordinate from its last one down to 0.
+    Cached, so the class table and the integrals share one array."""
+    classes = np.arange(2, max_norm + 1, dtype=np.int64)[:, None]
+    for _ in range(1, d):
+        last = classes[:, -1]
+        rows = np.repeat(np.arange(last.size), last + 1)
+        start = np.cumsum(last + 1) - (last + 1)
+        nxt = last[rows] - (np.arange(rows.size) - start[rows])
+        classes = np.column_stack([classes[rows], nxt])
+    classes.flags.writeable = False
+    return classes
+
+
+def _orbit_sizes(classes: np.ndarray) -> np.ndarray:
+    """Number of displacements in each canonical class (rows sorted
+    descending): 2^nnz(c) d! / prod of mult!, over the multiplicities
+    of the class's equal coordinates."""
+    d = classes.shape[1]
+    run = np.ones(len(classes), dtype=np.int64)
+    repeats = np.ones(len(classes), dtype=np.int64)    # prod of mult!
+    for m in range(1, d):
+        run = np.where(classes[:, m] == classes[:, m - 1], run + 1, 1)
+        repeats *= run
+    return 2 ** (classes > 0).sum(axis=1) * math.factorial(d) // repeats
+
+
+@functools.lru_cache(maxsize=16)
 def class_table(d: int, n: int) -> ClassTable:
     """Vectorised enumeration of the long displacements of an n-box and
     of their canonical classes."""
@@ -156,10 +187,8 @@ def class_table(d: int, n: int) -> ClassTable:
     present = np.zeros(n ** d, dtype=bool)
     present[ids] = True
     klass = (np.cumsum(present) - 1)[ids]
-    classes = np.stack(np.unravel_index(np.flatnonzero(present), (n,) * d),
-                       axis=1)
-    classes[:, 1:] = n - 1 - classes[:, 1:]
-    for arr in (classes, k, pairs, klass):
+    classes = _classes(d, n - 1)
+    for arr in (k, pairs, klass):
         arr.flags.writeable = False
     return ClassTable(classes=classes, k=k, pairs=pairs, klass=klass)
 
@@ -174,7 +203,7 @@ def class_integrals(d: int, max_norm: int,
     Independent of beta and cached, so every table of the same
     (d, max_norm, tolerance) shares one computation.
     """
-    classes = class_table(d, max_norm + 1).classes
+    classes = _classes(d, max_norm)
     integrals = _integrals(classes, tolerance)
     integrals.flags.writeable = False
     return classes, integrals
@@ -268,10 +297,9 @@ def expected_degree(beta: float, d: int, cutoff: int,
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    # the table holds one of each pair k, -k
-    orbits = 2 * np.bincount(class_table(d, cutoff + 1).klass)
-    integrals = class_integrals(d, cutoff, tolerance)[1]
-    total = 3 ** d - 1 + float(orbits @ -np.expm1(-beta * integrals))
+    classes, integrals = class_integrals(d, cutoff, tolerance)
+    total = 3 ** d - 1 + float(_orbit_sizes(classes)
+                               @ -np.expm1(-beta * integrals))
     return total, _degree_tail_bound(beta, d, cutoff)
 
 

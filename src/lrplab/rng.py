@@ -2,11 +2,12 @@
 
 Every random quantity in the package is drawn from a generator keyed by
 (master_seed, stream_id, substream_id).  Streams identify replicates:
-one `sample_graph` call builds exactly one generator, keyed by its
-stream, and draws every displacement class from it.  The substream id
-is left for per-stream jobs that need more than one generator.  Distinct
-key triples give statistically independent PCG64 streams; identical
-triples reproduce identical output byte for byte.
+`sample_graphs` builds exactly one generator per replicate, keyed by
+its stream, in key order (one `sample_graph` call builds one), and
+draws every displacement class of that replicate from it.  The
+substream id is left for per-stream jobs that need more than one
+generator.  Distinct key triples give statistically independent PCG64
+streams; identical triples reproduce identical output byte for byte.
 
 The first element of every stream key is a `Tag`, except for
 `scaling.sample_distances`, whose keys are (box factor, ladder index,

@@ -9,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from lrplab import graph
 from lrplab.graph import (LrpGraph, ModelConfig, class_table,
                           expected_long_edge_total, export_text,
                           import_text, load_binary, sample_graph,
-                          save_binary)
+                          sample_graphs, save_binary)
 from lrplab.kernel import canonical_class, class_integrals
 from lrplab.rng import RngStream
 
@@ -116,6 +117,76 @@ def test_one_generator_per_sample(monkeypatch):
         sample_graph(ModelConfig(d=d, beta=1.0, n=n, seed=1),
                      stream_id=(3, d))
     assert [b.stream_id for b in built] == [(3, 1), (3, 2), (3, 3)]
+
+
+# (N, c) pairs every replay test draws: one-edge classes, c = N <= 10000,
+# N >= 2^32, and both sides of numpy's Floyd / tail-shuffle boundary
+_EDGE_CASES = [(1, 1), (7, 1), (2, 2), (37, 37), (10000, 10000),
+               (10001, 200), (10001, 201), (2 ** 32, 3), (2 ** 32 + 1, 1),
+               (2 ** 33 + 7, 60), (2 ** 40, 500)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_positions_replay_numpy_choice(seed):
+    pick = np.random.default_rng(seed)
+    rep, entries = [], []
+    for r in range(3):
+        sizes = pick.integers(1, 20000, size=12)
+        cases = _EDGE_CASES + [(int(N), int(pick.integers(1, min(N, 3000)
+                                                          + 1)))
+                               for N in sizes]
+        pick.shuffle(cases)
+        rep += [r] * len(cases)
+        entries += cases
+    N, c = (np.array(col, dtype=np.int64) for col in zip(*entries))
+    ours = [RngStream(seed, r).generator() for r in range(3)]
+    pos = graph._positions(ours, np.array(rep), N, c)
+    theirs = [RngStream(seed, r).generator() for r in range(3)]
+    start = 0
+    for r, (n_, c_) in zip(rep, entries):
+        want = np.sort(theirs[r].choice(n_, c_, replace=False))
+        assert np.array_equal(np.sort(pos[start:start + c_]), want)
+        start += c_
+    assert start == pos.size
+    for a, b in zip(ours, theirs):
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("d,n,count", [
+    (1, 40, graph._BATCH_ROWS // 38 + 3),  # more keys than one batch
+    (1, 10050, 2),                         # tail-shuffle classes
+    (2, 9, 40), (3, 5, 20)])
+def test_sample_graphs_equal_one_at_a_time(monkeypatch, d, n, count):
+    cfg = ModelConfig(d=d, beta=1.5, n=n, seed=4)
+    keys = [(7, r) for r in range(count)]
+    built = []
+    real = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: built.append(self) or real(self))
+    batch = list(sample_graphs(cfg, keys))
+    assert [b.stream_id for b in built] == keys
+    assert len(batch) == count
+    for key, g in zip(keys, batch):
+        one = sample_graph(cfg, key)
+        # the CSR built from the edges alone, as adjacency() builds it
+        fresh = LrpGraph(config=cfg, long_edges=g.long_edges.copy())
+        assert np.array_equal(g.long_edges, one.long_edges)
+        for a, b, c in zip(g.adjacency(), one.adjacency(),
+                           fresh.adjacency()):
+            assert a.dtype == b.dtype == c.dtype == np.int64
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_argsort_rows_matches_lexsort():
+    pick = np.random.default_rng(2)
+    cols = (pick.integers(0, 3, 500), pick.integers(0, 40, 500),
+            pick.integers(0, 40, 500))
+    want = np.lexsort(cols[::-1])
+    assert np.array_equal(graph._argsort_rows(cols, (3, 40, 40), True),
+                          want)
+    # sizes whose product overflows one int64 key take lexsort
+    assert np.array_equal(graph._argsort_rows(cols, (3, 2 ** 40, 2 ** 40)),
+                          want)
 
 
 def test_substream_relabeling_invariance_ks():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lrplab import kernel
 from lrplab.kernel import (DEFAULT_TOLERANCE, DisplacementKernel,
                            canonical_class, class_integrals, class_table,
                            edge_probability, expected_degree,
@@ -206,3 +207,18 @@ def test_expected_degree_monotone_in_beta():
     mus = [expected_degree(beta=b, d=1, cutoff=200)[0]
            for b in (0.5, 1.0, 2.0)]
     assert mus[0] < mus[1] < mus[2]
+
+
+@pytest.mark.parametrize("d,cutoff", [(1, 50), (2, 30), (3, 12)])
+def test_orbit_sizes_closed_form_counts_the_box(d, cutoff):
+    classes = class_integrals(d, cutoff)[0]
+    # the box table holds one of each pair k, -k
+    assert np.array_equal(kernel._orbit_sizes(classes),
+                          2 * np.bincount(class_table(d, cutoff + 1).klass))
+
+
+def test_expected_degree_builds_no_class_table():
+    before = class_table.cache_info()
+    expected_degree(1.0, 3, 14)
+    after = class_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
