@@ -4,31 +4,31 @@ Vertices are [0, n)^d linearized row-major.  Nearest-neighbor edges
 (ell-infinity distance 1, i.e. the full Moore neighborhood) are implicit
 and always present; only long edges (||k||_inf >= 2) are stored.
 
-Sampling walks the class table of the box, `kernel.class_table`, whose
-classes the kernel integrals index: for each long displacement k (one
-per unordered pair orbit) the candidate pair count is
-N_k = prod(n - |k_m|) and the number of present edges is an exact
-Binomial(N_k, p_k) draw, with positions a uniform sample without
-replacement.  Cost is proportional to the number of classes plus edges
-drawn, never to the number of vertex pairs.  Each sample consumes one
-RNG stream keyed by (seed, stream_id), in a fixed order: all class
-counts, then the positions of the one-edge classes, then those of the
-other classes in table order; so replicates are independently keyed and
-reruns are byte-identical.
+Sampling walks the class list of the box, `kernel.class_table`.  A
+class's M_c members (one displacement per unordered pair orbit) share
+the edge probability p_c and the pair count N_c = prod(n - c_m), so
+their edges are one exact Binomial(M_c * N_c, p_c) draw at a uniform
+set of distinct positions; position s is pair s mod N_c of member
+s // N_c, an independent Binomial(N_c, p_c) per member.  Cost is
+proportional to classes plus edges drawn, never to vertex pairs.  Each
+sample consumes one RNG stream keyed by (seed, stream_id), in a fixed
+order: all class counts, then the positions of the one-edge classes,
+then those of the other classes in table order; so replicates are
+independently keyed and reruns are byte-identical.
 
-The positions of a class with c edges are what numpy's
-`choice(N_k, c, replace=False)` returns.  That is Floyd's algorithm,
-c draws bounded by N_k - c, ..., N_k - 1, then a shuffle, c - 1 draws
-bounded by c - 1, ..., 1, and these bounds depend on (N_k, c) alone.
-So the sampler replays them.  `sample_graph` draws a sample's class
-counts; its positions are drawn when it is first read, by one
-`integers` call over all its bounds in the order above.  Floyd's
-collision fix-up, the decode to edges, the sort and the padded-box CSR
-then follow.  `sample_graphs` draws the replicates of a batch of keys,
-each from its own generator, and runs these steps once for the whole
-batch.  A class on numpy's other branch (N_k > 10000 and
-c > N_k // 50, a shuffle of the tail of range(N_k)) keeps its own
-`choice` call, at its place in the order.
+The positions of a class with c edges among N = M_c * N_c are what
+numpy's `choice(N, c, replace=False)` returns: Floyd's algorithm, c
+draws bounded by N - c, ..., N - 1, then a shuffle, c - 1 draws bounded
+by c - 1, ..., 1, bounds that depend on (N, c) alone, so the sampler
+replays them.  `sample_graph` draws a sample's class counts; its
+positions are drawn when it is first read, by one `integers` call over
+all its bounds in the order above.  Floyd's collision fix-up, the
+decode to edges, the sort and the padded-box CSR then follow.
+`sample_graphs` draws the replicates of a batch of keys, each from its
+own generator, and runs these steps once for the whole batch.  A class
+on numpy's other branch (N > 10000 and c > N // 50, a shuffle of the
+tail of range(N)) keeps its own `choice` call, at its place in the
+order.
 """
 
 from __future__ import annotations
@@ -43,16 +43,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernel import DEFAULT_TOLERANCE, DisplacementKernel, class_table
+from .kernel import (DEFAULT_TOLERANCE, DisplacementKernel, class_table,
+                     orbit_members)
 from .rng import RngStream, StreamKey
 
 _MAGIC = b"LRPG"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBQdQQ")
 
-# table rows times replicates drawn in one batch, which bounds the
-# batch's temporaries and the graphs it holds at once; a longer table
-# draws one replicate at a time
+# classes times replicates drawn in one batch, which bounds the
+# batch's temporaries and the graphs it holds at once
 _BATCH_ROWS = 1 << 13
 
 # numpy's `choice(N, c, replace=False)` runs Floyd's algorithm unless
@@ -172,15 +172,15 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
                                       tolerance)
     rng = RngStream(config.seed, stream_id).generator()
     graph = LrpGraph(config, None)
-    graph._draw = (rng, rng.binomial(table.pairs,
-                                     kernel.probabilities[table.klass]))
+    graph._draw = (rng, rng.binomial(table.members * table.pairs,
+                                     kernel.probabilities))
     return graph
 
 
 def sample_graphs(config: ModelConfig, stream_ids,
                   tolerance: float = DEFAULT_TOLERANCE) -> Iterator[LrpGraph]:
     """`sample_graph(config, key)` for each stream key, in key order,
-    decoded in batches of at most `_BATCH_ROWS` table rows in all; a
+    decoded in batches of at most `_BATCH_ROWS` classes in all; a
     graph's arrays are views into its batch's."""
     keys = list(stream_ids)
     rows = class_table(config.d, config.n).pairs.size
@@ -215,15 +215,19 @@ def _decode(graphs: list[LrpGraph]) -> None:
     # each replicate's one-edge classes first, then the others
     order = np.argsort(2 * rep + (c > 1), kind="stable")
     rep, row, c = rep[order], row[order], c[order]
-    pos = _positions(rngs, rep, table.pairs[row], c)
+    members, pairs = table.members[row], table.pairs[row]
+    pos = _positions(rngs, rep, members * pairs, c)
     rep = np.repeat(rep, c)
+    # position -> (member, pair); entry e's members start at first[e]
+    first = np.cumsum(members) - members
+    member, pos = np.divmod(pos, np.repeat(pairs, c))
+    k = orbit_members(table.classes[row])[np.repeat(first, c) + member]
+    del member
     # mixed-radix decode of each position to the base coordinates of
     # its pair; a class with k_m < 0 starts at -k_m so i + k stays in box
-    k = table.k[np.repeat(row, c)]
-    sizes = n - np.abs(k)
     base = np.empty_like(k)
     for m in range(d - 1, -1, -1):
-        pos, base[:, m] = np.divmod(pos, sizes[:, m])
+        pos, base[:, m] = np.divmod(pos, n - np.abs(k[:, m]))
     base += np.maximum(-k, 0)
     strides = np.asarray(config.strides, dtype=np.int64)
     i = base @ strides
@@ -231,7 +235,7 @@ def _decode(graphs: list[LrpGraph]) -> None:
     order = _argsort_rows((rep, i, j), (len(graphs), config.n_vertices,
                                         config.n_vertices))
     edges = np.stack([i[order], j[order]], axis=1)
-    del i, j, pos, sizes
+    del i, j, pos
     # padded ids (see `LrpGraph.pad`); replicate r's start at r * side
     side = (n + 2) ** d
     pstrides = np.asarray([(n + 2) ** (d - 1 - m) for m in range(d)],
@@ -344,11 +348,11 @@ def _floyd(vals: np.ndarray, pairs: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def expected_long_edge_total(config: ModelConfig,
                              tolerance: float = DEFAULT_TOLERANCE) -> float:
-    """Exact mean number of long edges, sum of N_k p_k over classes."""
+    """Exact mean number of long edges, sum of M_c N_c p_c over classes."""
     table = class_table(config.d, config.n)
     kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1,
                                       tolerance)
-    return float(table.pairs @ kernel.probabilities[table.klass])
+    return float((table.members * table.pairs) @ kernel.probabilities)
 
 
 def _argsort_rows(cols, sizes, stable: bool = False) -> np.ndarray:

@@ -26,10 +26,8 @@ tolerance rather than fixed.
 
 I(k) depends on k only through its canonical class, |k| sorted
 descending.  The class list is enumerated directly, with no box of
-displacements; the integrals and the degree sum, whose orbit sizes
-have a closed form, index it.  `class_table` enumerates the long
-displacements of an n-box in one vectorised pass and gives each its
-row in that list; the sampler and the expected-edge sum index it.
+displacements; the integrals, the degree sum and `class_table`, whose
+per-class orbit, member and pair counts have closed forms, index it.
 
 I(k) does not depend on beta, so the per-class integrals are computed
 once per (d, max_norm, tolerance) and cached read-only; a table for a
@@ -39,6 +37,7 @@ given beta only applies p = -expm1(-beta * I) to them.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -111,28 +110,25 @@ def _integrals(classes: np.ndarray, tolerance: float) -> np.ndarray:
             axis = (k[rows, m, None] + t) ** 2
             dist2 = (dist2[:, :, None] + axis[:, None, :]).reshape(
                 rows.size, -1)
-        out[rows] = (1.0 / dist2) ** d @ wts
+        # a row sum, so that I(k) does not depend on k's place in a batch
+        out[rows] = ((1.0 / dist2) ** d * wts).sum(axis=1)
     return out
 
 
 @dataclass(frozen=True)
 class ClassTable:
-    """Every long displacement of an n-box, one per unordered pair orbit,
-    and the canonical classes they fall in.
+    """The canonical classes of an n-box's long displacements.
 
     `classes` holds every canonical class with 2 <= c1 <= n - 1, in
     kernel order: c1 ascending, then each later coordinate descending.
-    Row r of `k` holds a displacement (||k||_inf >= 2, first nonzero
-    coordinate positive, so each pair {i, j} matches exactly one row),
-    its candidate pair count `pairs[r]` = prod(n - |k_m|), and the row
-    `klass[r]` of its class in `classes`.  Holds no beta; the arrays
-    are read-only.
+    Class c has `members[c]` displacements with first nonzero coordinate
+    positive, one per pair orbit {k, -k}, each with `pairs[c]` =
+    prod(n - c_m) candidate pairs.  Holds no beta; arrays are read-only.
     """
 
     classes: np.ndarray
-    k: np.ndarray
+    members: np.ndarray
     pairs: np.ndarray
-    klass: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -167,30 +163,30 @@ def _orbit_sizes(classes: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def class_table(d: int, n: int) -> ClassTable:
-    """Vectorised enumeration of the long displacements of an n-box and
-    of their canonical classes."""
-    side = 2 * n - 1
-    # in row-major order of k + (n - 1), the displacements after k = 0
-    # are exactly those whose first nonzero coordinate is positive
-    flat = np.arange(side ** d // 2 + 1, side ** d, dtype=np.int64)
-    k = np.stack(np.unravel_index(flat, (side,) * d), axis=1) - (n - 1)
-    k = k[np.abs(k).max(axis=1) >= 2]
-    pairs = np.prod(n - np.abs(k), axis=1)
-    # class c has the n-box id of (c1, n-1-c2, ..., n-1-cd); ascending
-    # ids follow kernel order, so a class's row is the rank of its id
-    mirror = np.abs(k)
-    mirror.sort(axis=1)
-    mirror = mirror[:, ::-1]
-    mirror[:, 1:] = n - 1 - mirror[:, 1:]
-    ids = np.ravel_multi_index(mirror.T, (n,) * d)
-    del mirror      # so the peak stays that of enumerating k
-    present = np.zeros(n ** d, dtype=bool)
-    present[ids] = True
-    klass = (np.cumsum(present) - 1)[ids]
+    """Class list of an n-box with its member and pair counts."""
     classes = _classes(d, n - 1)
-    for arr in (k, pairs, klass):
+    members = _orbit_sizes(classes) // 2
+    pairs = np.prod(n - classes, axis=1)
+    for arr in (members, pairs):
         arr.flags.writeable = False
-    return ClassTable(classes=classes, k=k, pairs=pairs, klass=klass)
+    return ClassTable(classes=classes, members=members, pairs=pairs)
+
+
+def orbit_members(classes: np.ndarray) -> np.ndarray:
+    """The displacements of each class whose first nonzero coordinate is
+    positive, class after class, each class's in ascending order: its
+    signed coordinate permutations, deduplicated."""
+    d = classes.shape[1]
+    top = int(classes.max(initial=0))
+    shape = (2 * top + 1,) * d
+    # row-major ids of k + top: k's first nonzero is > 0 iff id > id(0)
+    ids = np.sort(np.stack([
+        np.ravel_multi_index((classes[:, perm] * signs + top).T, shape)
+        for perm in itertools.permutations(range(d))
+        for signs in itertools.product((1, -1), repeat=d)], axis=1))
+    keep = ids > math.prod(shape) // 2
+    keep[:, 1:] &= ids[:, 1:] != ids[:, :-1]
+    return np.stack(np.unravel_index(ids[keep], shape), axis=1) - top
 
 
 @functools.lru_cache(maxsize=16)

@@ -278,9 +278,9 @@ def geodesic_dag(graph, x: int, y: int, region=None,
 def sample_geodesic(dag: GeodesicDag, rng) -> list[int]:
     """One geodesic drawn uniformly among all geodesics in the DAG.
 
-    Walks backward from the target choosing each predecessor with
-    probability proportional to its prefix count.  `rng` is a numpy
-    Generator.
+    Walks backward from the target choosing each predecessor u of v
+    with probability counts[u] / counts[v], an int division that is
+    correctly rounded at any count.  `rng` is a numpy Generator.
     """
     path = [dag.target]
     cur = dag.target
@@ -289,8 +289,8 @@ def sample_geodesic(dag: GeodesicDag, rng) -> list[int]:
         if len(ps) == 1:
             cur = ps[0]
         else:
-            weights = np.array([dag.counts[u] for u in ps], dtype=float)
-            cur = ps[int(rng.choice(len(ps), p=weights / weights.sum()))]
+            weights = [dag.counts[u] / dag.counts[cur] for u in ps]
+            cur = ps[int(rng.choice(len(ps), p=weights))]
         path.append(cur)
     path.reverse()
     return path

@@ -3,8 +3,10 @@ recorded data files and generator counts.
 
 The digests were recorded before replicates were sampled in batches,
 from one-at-a-time sampling, so they pin that the batched sampler draws
-the same bytes.  A change that alters the RNG stream layout on purpose
-updates them and says so.
+the same bytes.  The d >= 2 digests were recorded again when a class
+came to draw the edges of all its members in one binomial call, and
+its integrals to be summed row by row.  A change that alters the RNG
+stream layout on purpose updates them and says so.
 """
 
 import pytest
@@ -44,15 +46,15 @@ GOLDEN = {
         "edges.txt": "c8758c0fa7d45933ba20bf855050940c"
                      "f17a90701979923790e1460da20618d0"}, 1),
     "sample-d2": ("sample", 2, 1, {"n": 24}, {
-        "graph.lrpg": "47c5b1e3fdf127c12ba6db8017fe240a"
-                      "dab3f861d51d990766893b9100d87384",
-        "edges.txt": "70eb2334c1ee74b6f065fd41ce7f1c3e"
-                     "67a07076f1f0d396b9c9e26be15c2768"}, 1),
+        "graph.lrpg": "5bf7ebb42ed2d9a3bb73c5c4aa8fc7a0"
+                      "27c0cc4272ffff2551379076edb7ea9b",
+        "edges.txt": "dabe553c1ffdd85d95caa3c54207d23f"
+                     "568e9760a87ed2ab919e8aaaac8fbd65"}, 1),
     "sample-d3": ("sample", 3, 1, {"n": 10}, {
-        "graph.lrpg": "3b1879be61b86d08af4e53485b8fb424"
-                      "dadedacc6444a1fdd8bb2b97c30b5c4a",
-        "edges.txt": "1311e47024e895c1dc66aa7dbbfdb8ba"
-                     "b83b7377fa4ed00565dd77b5fba0dab4"}, 1),
+        "graph.lrpg": "0faed40b32f4c3bb32a48cc9441ef986"
+                      "c8e9ecb3655c84dee9d1b2c448046a12",
+        "edges.txt": "c5af06c0a0d40a66a724318d903dac0e"
+                     "2f50a710c73fd1c9405e04c12c8e70dd"}, 1),
     "scaling-jobs1": ("scaling", 1, 1, _LADDER, _SCALING, 155),
     "scaling-jobs2": ("scaling", 1, 2, _LADDER, _SCALING, 155),
     "dim-d1-fit": ("dim", 1, 1, {"n": 64, "geodesics": 3,
@@ -69,12 +71,12 @@ GOLDEN = {
                                     "scales": [0, 1, 2, 3],
                                     "theta_source": "manual",
                                     "theta": 0.5}, {
-        "dim.csv": "a2ba177f6c67fa27d6667e053daf0d40"
-                   "3838015e4198b655cf351c6a1b2ef12b",
-        "dim.json": "15d28ca04abb5c0ab7e62c1ac4e187b2"
-                    "53ce198421106323e8252e2ed2baf68b",
-        "uniqueness.csv": "cf47f40dd69d08781b0af96dec0f3e1b"
-                          "6bb6165e811119c592149a1853dc0fd2"}, 6),
+        "dim.csv": "1434244e19643227147712359fd220a8"
+                   "09db7f805acad7b3e1c12a40dd1fe137",
+        "dim.json": "4fea58fa7f19457bdbb61d13e032448f"
+                    "871d14fbcd0b0212c293ae8ab63f6305",
+        "uniqueness.csv": "43050c217b1807ba3d9195d6d31823c9"
+                          "b8b8ab6b5610b66588724e84897da88a"}, 6),
     "goodcubes": ("goodcubes", 1, 1, {"s": 8, "alphas": [0.5, 0.25],
                                       "replicates": 100,
                                       "a_s_replicates": 30, "cs_n": 64,

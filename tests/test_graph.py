@@ -14,7 +14,8 @@ from lrplab.graph import (LrpGraph, ModelConfig, class_table,
                           expected_long_edge_total, export_text,
                           import_text, load_binary, sample_graph,
                           sample_graphs, save_binary)
-from lrplab.kernel import canonical_class, class_integrals
+from lrplab.kernel import (DisplacementKernel, canonical_class,
+                           class_integrals, orbit_members)
 from lrplab.rng import RngStream
 
 
@@ -106,6 +107,36 @@ def test_mean_count_d3():
                        for r in range(300)])
     se = counts.std(ddof=1) / np.sqrt(len(counts))
     assert abs(counts.mean() - mean_exact) <= 3 * se
+
+
+@pytest.mark.parametrize("d,n,reps", [(2, 6, 2000), (3, 4, 1000)])
+def test_sampler_law_per_displacement(d, n, reps):
+    # each lexicographically positive long displacement k of the box
+    # draws Binomial(N_k, p_k) edges per sample, independently; over
+    # `reps` samples a chi-square of the counts, cells expecting fewer
+    # than 5 edges pooled, each standardised by its binomial variance
+    cfg = ModelConfig(d=d, beta=1.0, n=n, seed=12)
+    shape = (2 * n - 1,) * d
+    observed = np.zeros(math.prod(shape))
+    for g in sample_graphs(cfg, range(reps)):
+        ends = g.long_edges
+        k = g.coords(ends[:, 1]) - g.coords(ends[:, 0]) + (n - 1)
+        observed += np.bincount(np.ravel_multi_index(k.T, shape),
+                                minlength=observed.size)
+    ks = [k for k in itertools.product(range(-(n - 1), n), repeat=d)
+          if k > (0,) * d and max(map(abs, k)) >= 2]
+    entries = DisplacementKernel.build(d, cfg.beta, n - 1).entries
+    p = np.array([entries[canonical_class(k)][1] for k in ks])
+    mean = reps * np.array([math.prod(n - abs(c) for c in k)
+                            for k in ks]) * p
+    var = mean * (1 - p)
+    obs = observed[[np.ravel_multi_index(np.add(k, n - 1), shape)
+                    for k in ks]]
+    big = mean >= 5
+    x2 = ((obs[big] - mean[big]) ** 2 / var[big]).sum() \
+        + (obs[~big].sum() - mean[~big].sum()) ** 2 / var[~big].sum()
+    assert mean[~big].sum() >= 5
+    assert stats.chi2.sf(x2, big.sum() + 1) >= 0.01
 
 
 def test_one_generator_per_sample(monkeypatch):
@@ -219,19 +250,20 @@ def _sample_relabeled(cfg, stream_id):
 @pytest.mark.parametrize("d,n", [(1, 10), (2, 5), (3, 4), (1, 2), (3, 2)])
 def test_class_table_covers_orbits(d, n):
     table = class_table(d, n)
-    reps = [tuple(k) for k in table.k.tolist()]
-    # one row per unordered pair orbit {k, -k} of long displacements
+    members = orbit_members(table.classes)
+    reps = [tuple(k) for k in members.tolist()]
+    # one member per unordered pair orbit {k, -k} of long displacements
     seen = set(reps) | {tuple(-c for c in k) for k in reps}
     assert len(seen) == 2 * len(reps)
     expect = {k for k in itertools.product(range(-(n - 1), n), repeat=d)
               if max(map(abs, k)) >= 2}
     assert seen == expect
-    classes = class_integrals(d, n - 1)[0]
-    assert classes.shape == (len({canonical_class(k) for k in reps}), d)
-    for k, pairs, klass in zip(reps, table.pairs.tolist(),
-                               table.klass.tolist()):
-        assert pairs == math.prod(n - abs(c) for c in k)
-        assert tuple(classes[klass].tolist()) == canonical_class(k)
+    # class after class, `members` of each
+    klass = np.repeat(np.arange(len(table.classes)), table.members)
+    assert [canonical_class(k) for k in reps] == \
+        list(map(tuple, table.classes[klass].tolist()))
+    assert table.pairs.tolist() == [math.prod(n - c for c in k)
+                                    for k in table.classes.tolist()]
     with pytest.raises(ValueError):
         table.pairs[0] = 0
 

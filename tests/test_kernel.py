@@ -137,6 +137,15 @@ def test_batched_d2_table_matches_oracle():
         assert I == pytest.approx(kernel_quad_oracle(k, 2), rel=1e-9)
 
 
+def test_class_integral_independent_of_box():
+    # a class's I(k) has the same bits in every box that holds it,
+    # whichever classes share its quadrature batch
+    full = class_integrals(2, 60)[1]
+    for m in range(8, 60):
+        part = class_integrals(2, m)[1]
+        assert np.array_equal(part, full[:part.size])
+
+
 def test_class_table_and_integrals_share_one_walk():
     from lrplab import graph
     for cached in (class_table, class_integrals):
@@ -198,8 +207,8 @@ def test_expected_degree_cutoff_self_consistency():
 def test_orbit_sizes_count_displacements(d, max_norm):
     counted = brute_orbits(d, max_norm)
     table = class_table(d, max_norm + 1)
-    # the table holds one of each pair k, -k
-    assert (2 * np.bincount(table.klass)).tolist() == \
+    # members are one of each pair k, -k
+    assert (2 * table.members).tolist() == \
         [counted[tuple(c)] for c in table.classes.tolist()]
 
 
@@ -212,9 +221,11 @@ def test_expected_degree_monotone_in_beta():
 @pytest.mark.parametrize("d,cutoff", [(1, 50), (2, 30), (3, 12)])
 def test_orbit_sizes_closed_form_counts_the_box(d, cutoff):
     classes = class_integrals(d, cutoff)[0]
-    # the box table holds one of each pair k, -k
-    assert np.array_equal(kernel._orbit_sizes(classes),
-                          2 * np.bincount(class_table(d, cutoff + 1).klass))
+    orbits = brute_orbits(d, cutoff)
+    counted = [orbits[tuple(c)] for c in classes.tolist()]
+    assert kernel._orbit_sizes(classes).tolist() == counted
+    # members are one of each pair k, -k
+    assert (2 * class_table(d, cutoff + 1).members).tolist() == counted
 
 
 def test_expected_degree_builds_no_class_table():

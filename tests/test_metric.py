@@ -329,6 +329,19 @@ def test_geodesic_count_exact_beyond_64_bits():
     assert len(path) == 51 and is_valid_path(g, path)
 
 
+def test_sample_geodesic_counts_beyond_float_range():
+    # no long edges, d=2, n=800: from (400,20) to (400,780) the geodesic
+    # count has 361 digits, past the largest float
+    from lrplab.graph import LrpGraph
+    g = LrpGraph(config=ModelConfig(d=2, beta=1.0, n=800),
+                 long_edges=np.empty((0, 2), dtype=np.int64))
+    x, y = int(g.index((400, 20))), int(g.index((400, 780)))
+    dag = geodesic_dag(g, x, y)
+    assert dag.dist == 760 and len(str(dag.count)) == 361
+    path = sample_geodesic(dag, np.random.default_rng(0))
+    assert len(path) == 761 and is_valid_path(g, path)
+
+
 @pytest.mark.parametrize("d, n, beta", [(1, 48, 1.0), (2, 7, 1.0),
                                         (2, 9, 1e-13), (3, 4, 1.0)])
 def test_two_sided_search_against_dijkstra(d, n, beta):
