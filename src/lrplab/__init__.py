@@ -9,11 +9,10 @@ blocking-witness (generalized Sperner) families, firework spreading
 tails, and annulus-crossing probabilities.
 """
 
-# numpy 2 imports these submodules on first use, and runs use all three
+# numpy 2 imports these submodules on first use, and runs use both
 # (np.unique reaches numpy.ma); importing them with the package keeps
 # that cost out of the first call
 import numpy.ma  # noqa: F401
-import numpy.polynomial  # noqa: F401
 import numpy.random  # noqa: F401
 
 __version__ = "0.1.0"

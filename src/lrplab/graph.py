@@ -37,6 +37,7 @@ import contextlib
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -48,8 +49,13 @@ from .kernel import (DEFAULT_TOLERANCE, DisplacementKernel, class_table,
 from .rng import RngStream, StreamKey
 
 _MAGIC = b"LRPG"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sHBQdQQ")
+_CRC = struct.Struct("<I")
+
+# the search labels two copies of the padded (n + 2)^d box in int32 and
+# the CSR holds an int64 indptr over it: 48 GiB at 2^31 padded sites
+_MAX_PADDED = 2 ** 31
 
 # classes times replicates drawn in one batch, which bounds the
 # batch's temporaries and the graphs it holds at once
@@ -81,8 +87,10 @@ class ModelConfig:
             raise ValueError("box side n must be >= 2")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 bits")
-        if self.n ** self.d > 2 ** 40:
-            raise ValueError("box too large for the vertex address space")
+        if (self.n + 2) ** self.d > _MAX_PADDED:
+            raise ValueError(
+                f"box too large for the search: (n + 2)^d = "
+                f"{(self.n + 2) ** self.d} padded sites exceed 2^31")
 
     @property
     def n_vertices(self) -> int:
@@ -384,17 +392,22 @@ def _atomic_open(path, mode: str = "w"):
 
 
 def save_binary(graph: LrpGraph, path) -> None:
-    """Versioned binary dump: LRPG header then little-endian u64 pairs."""
+    """Versioned binary dump: LRPG header, little-endian u64 pairs, then
+    a little-endian CRC-32 of both."""
     cfg = graph.config
+    header = _HEADER.pack(_MAGIC, _VERSION, cfg.d, cfg.n, cfg.beta,
+                          cfg.seed, graph.long_edges.shape[0])
     with _atomic_open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.d, cfg.n, cfg.beta,
-                              cfg.seed, graph.long_edges.shape[0]))
-        graph.long_edges.astype("<u8").tofile(fh)
+        fh.write(header)
+        edges = graph.long_edges.astype("<u8")
+        edges.tofile(fh)
+        fh.write(_CRC.pack(zlib.crc32(edges, zlib.crc32(header))))
 
 
 def load_binary(path) -> LrpGraph:
-    """Read a `save_binary` file; rejects truncated or trailing bytes and
-    edges that no sample can hold (see `_check_edges`)."""
+    """Read a `save_binary` file; rejects truncated or trailing bytes, a
+    checksum mismatch and edges that no sample can hold (see
+    `_check_edges`)."""
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) < _HEADER.size:
@@ -406,13 +419,18 @@ def load_binary(path) -> LrpGraph:
             raise ValueError(f"unsupported version {version}")
         body = fh.read()
     # sized against the bytes present, so a corrupt count allocates nothing
-    if len(body) < 16 * count:
+    size = 16 * count + _CRC.size
+    if len(body) < size:
         raise ValueError("truncated edge list")
-    if len(body) > 16 * count:
+    if len(body) > size:
         raise ValueError("trailing bytes after the edge list")
+    payload = memoryview(body)[:-_CRC.size]
+    if zlib.crc32(payload, zlib.crc32(raw)) != _CRC.unpack(
+            body[-_CRC.size:])[0]:
+        raise ValueError("checksum mismatch")
     config = ModelConfig(d=d, beta=beta, n=n, seed=seed)
     # ends >= 2^63 wrap negative here and fail the range check
-    edges = np.frombuffer(body, dtype="<u8").reshape(count, 2).astype(
+    edges = np.frombuffer(payload, dtype="<u8").reshape(count, 2).astype(
         np.int64)
     _check_edges(config, edges)
     return LrpGraph(config=config, long_edges=edges)

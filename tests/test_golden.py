@@ -5,8 +5,10 @@ The digests were recorded before replicates were sampled in batches,
 from one-at-a-time sampling, so they pin that the batched sampler draws
 the same bytes.  The d >= 2 digests were recorded again when a class
 came to draw the edges of all its members in one binomial call, and
-its integrals to be summed row by row.  A change that alters the RNG
-stream layout on purpose updates them and says so.
+its integrals to be summed row by row.  The three `graph.lrpg` digests
+were recorded again when the file gained its CRC-32 trailer (version
+2).  A change that alters the RNG stream layout on purpose updates them
+and says so.
 """
 
 import pytest
@@ -41,18 +43,18 @@ _SCALING = {
 # (kind, d, jobs, params, {file: sha256}, rng_streams)
 GOLDEN = {
     "sample-d1": ("sample", 1, 1, {"n": 256}, {
-        "graph.lrpg": "687f2e259e18e51cf30e00cb47177450"
-                      "f581aa362af2589bb65a7311bf9a2071",
+        "graph.lrpg": "936c60603249bf09686eac3f8e483894"
+                      "5b891497dbee9606bd0f753d4786a8bb",
         "edges.txt": "c8758c0fa7d45933ba20bf855050940c"
                      "f17a90701979923790e1460da20618d0"}, 1),
     "sample-d2": ("sample", 2, 1, {"n": 24}, {
-        "graph.lrpg": "5bf7ebb42ed2d9a3bb73c5c4aa8fc7a0"
-                      "27c0cc4272ffff2551379076edb7ea9b",
+        "graph.lrpg": "3ba198881340b4bb0ba6ccc632eef4fb"
+                      "81703810758501ea33705a229c431801",
         "edges.txt": "dabe553c1ffdd85d95caa3c54207d23f"
                      "568e9760a87ed2ab919e8aaaac8fbd65"}, 1),
     "sample-d3": ("sample", 3, 1, {"n": 10}, {
-        "graph.lrpg": "0faed40b32f4c3bb32a48cc9441ef986"
-                      "c8e9ecb3655c84dee9d1b2c448046a12",
+        "graph.lrpg": "0a41449bff8004ab522d683854167468"
+                      "78e231708fa41190847a4e4be8222cc5",
         "edges.txt": "c5af06c0a0d40a66a724318d903dac0e"
                      "2f50a710c73fd1c9405e04c12c8e70dd"}, 1),
     "scaling-jobs1": ("scaling", 1, 1, _LADDER, _SCALING, 155),

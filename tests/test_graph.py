@@ -44,6 +44,21 @@ def test_config_validation():
         ModelConfig(d=2, beta=1.0, n=2 ** 21)
 
 
+
+@pytest.mark.parametrize("d,n", [(1, 2 ** 31 - 1), (2, 2 ** 16), (3, 2 ** 11)])
+def test_config_refuses_boxes_the_search_cannot_hold(d, n):
+    # the search holds two int32 labels per padded site and the CSR an
+    # int64 indptr: the padded box is capped at 2^31 sites
+    with pytest.raises(ValueError, match="too large for the search"):
+        ModelConfig(d=d, beta=1.0, n=n)
+
+
+@pytest.mark.parametrize("d,n", [(1, 2 ** 31 - 2), (1, 10 ** 6), (2, 1536),
+                                 (3, 96)])
+def test_config_admits_boxes_the_search_holds(d, n):
+    assert ModelConfig(d=d, beta=1.0, n=n).n_vertices == n ** d
+
+
 def test_coords_reject_ids_outside_the_box():
     g = LrpGraph(config=ModelConfig(d=2, beta=1.0, n=5),
                  long_edges=np.zeros((0, 2), dtype=np.int64))
@@ -278,6 +293,56 @@ def test_binary_round_trip(tmp_path):
     save_binary(h, tmp_path / "g2.lrpg")
     assert (tmp_path / "g.lrpg").read_bytes() == \
         (tmp_path / "g2.lrpg").read_bytes()
+
+
+def _three_edges():
+    """A d=2, n=6 graph with three long edges."""
+    return LrpGraph(ModelConfig(d=2, beta=1.0, n=6, seed=5),
+                    np.array([[0, 2], [0, 14], [3, 35]], dtype=np.int64))
+
+
+def test_binary_every_single_byte_change_is_refused(tmp_path):
+    # the CRC-32 trailer catches the changes that still encode a valid
+    # graph: d, n, beta, seed and edge ends
+    p = tmp_path / "g.lrpg"
+    save_binary(_three_edges(), p)
+    raw = p.read_bytes()
+    assert len(raw) == 39 + 3 * 16 + 4
+    load_binary(p)
+    loaded = []
+    with open(p, "r+b", buffering=0) as fh:
+        for pos in range(len(raw)):
+            for value in range(256):
+                fh.seek(pos)
+                fh.write(bytes([value]))
+                try:
+                    load_binary(p)
+                except ValueError:
+                    continue
+                loaded.append((pos, value))
+            fh.seek(pos)
+            fh.write(raw[pos:pos + 1])
+    assert loaded == [(pos, raw[pos]) for pos in range(len(raw))]
+
+
+def test_binary_refuses_version_1(tmp_path):
+    # version 1 had no checksum trailer, and has no reader
+    p = tmp_path / "g.lrpg"
+    save_binary(_three_edges(), p)
+    raw = p.read_bytes()
+    p.write_bytes(raw[:4] + (1).to_bytes(2, "little") + raw[6:-4])
+    with pytest.raises(ValueError, match="unsupported version 1"):
+        load_binary(p)
+
+
+def test_binary_rejects_checksum_mismatch(tmp_path):
+    p = tmp_path / "g.lrpg"
+    save_binary(_three_edges(), p)
+    raw = bytearray(p.read_bytes())
+    raw[-1] ^= 1
+    p.write_bytes(raw)
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        load_binary(p)
 
 
 def test_binary_rejects_garbage(tmp_path):

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,14 +184,81 @@ def test_d3_table_bounded_and_tail_consistent():
     table = DisplacementKernel.build(3, beta=1.0, max_norm=6)
     assert len(table.entries) == len(brute_classes(3, 6))
     # just inside the tail radius the quadrature still runs; there it
-    # must agree with the closed tail form within the tolerance
+    # must agree with the closed tail form within the tolerance, on the
+    # axis and near the body diagonal
     tol = table.tolerance
     r = tail_radius(3, tol)
-    for k in ((math.floor(r), 0, 0), (60, 20, 10)):
+    for k in ((math.floor(r), 0, 0), (12, 12, 11)):
         r2 = float(sum(c * c for c in k))
         assert r2 < r * r
-        tail = r2 ** -3 * (1 + 15 / (6 * r2))
+        q = sum(c ** 4 for c in k) / r2 ** 2
+        tail = r2 ** -3 * (1 + 15 / (6 * r2) + (113 / 15 - 4 * q) / r2 ** 2)
         assert kernel_integral(k, 3) == pytest.approx(tail, rel=tol)
+
+
+def _shell(d, lo, hi):
+    """Every canonical class with lo <= |k| < hi."""
+    classes = class_integrals(d, math.ceil(hi))[0]
+    r = np.sqrt((classes ** 2).sum(axis=1))
+    return classes[(r >= lo) & (r < hi)]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tail_certified_in_every_direction(d):
+    # the tail form's error is largest on the body diagonal, not on the
+    # axis; every class of the shell where it takes over must meet the
+    # tolerance against the quadrature
+    r = tail_radius(d, 1e-6)
+    shell = _shell(d, r, r + 2)
+    assert len(shell) > 10
+    tail = kernel._integrals(shell, 1e-6)
+    quad = kernel._quadrature(shell.astype(float), 16)
+    np.testing.assert_allclose(tail, quad, rtol=1e-6, atol=0)
+    assert not np.array_equal(tail, quad)
+
+
+def test_tail_radius_bounds():
+    assert tail_radius(2, 1e-6) < 20
+    assert tail_radius(3, 1e-6) < 25
+
+
+_BUILD_D3 = """
+import time
+from lrplab.kernel import class_integrals
+t0 = time.perf_counter()
+class_integrals(3, 47)
+print(time.perf_counter() - t0)
+"""
+
+
+def test_d3_table_builds_fast():
+    # the d=3 box-48 table, in a fresh interpreter with no cache
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _BUILD_D3], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          check=True)
+    assert float(proc.stdout) < 2.0
+
+
+@pytest.mark.parametrize("nodes", [8, 16, 32])
+def test_panel_rule_matches_leggauss(nodes):
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    t = np.concatenate([(x - 1) / 2, (x + 1) / 2])
+    tw = np.concatenate([w, w]) / 2 * (1 - np.abs(t))
+    got_t, got_w = kernel._panel_rule(nodes)
+    np.testing.assert_allclose(got_t, t, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got_w, tw, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d,hi", [(2, 17), (3, 22)])
+def test_eight_node_panels_match_sixteen(d, hi):
+    # past |k| = 6 the kernel takes 8 nodes per panel
+    k = _shell(d, 6, hi).astype(float)
+    np.testing.assert_allclose(kernel._quadrature(k, 8),
+                               kernel._quadrature(k, 16), rtol=1e-15,
+                               atol=0)
 
 
 def test_expected_degree_nearest_neighbors_only():
