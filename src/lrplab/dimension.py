@@ -11,7 +11,8 @@ steps and compares each cube's mass with C (diam / L)^Delta.
 The coarse-graining side covers: special crossing-edge pairs of a cube,
 the (3s, alpha, b)-good cube test with its per-realization
 monotonicity, empirical good rates, and exact enumeration of connected
-cube sets through a root.
+cube sets through a root.  A good-cube region is a flat boolean box
+mask cut from integer slices (`_cube`).
 """
 
 from __future__ import annotations
@@ -154,24 +155,28 @@ class GoodCubeParams:
             raise ValueError("theta must be in (0, 1)")
 
 
-def _in_cube(coords, center, half):
-    diff = np.abs(np.asarray(coords, dtype=float) - np.asarray(center,
-                                                               dtype=float))
-    return (diff <= half + 1e-9).all(axis=-1)
+def _cube(graph, z, r: float) -> np.ndarray:
+    """Flat box mask of V_r(z): site v is in it iff |v - z|_inf <= floor(r).
+    The cube must fit in the box; it is empty for -1 <= r < 0."""
+    n, d = graph.config.n, graph.config.d
+    k = math.floor(r)
+    mask = np.zeros((n,) * d, dtype=bool)
+    mask[tuple(slice(c - k, c + k + 1) for c in z)] = True
+    return mask.ravel()
 
 
 def find_special_pairs(graph, z, s: float):
     """All ordered pairs (entering edge, exiting edge) of V_s / V_3s.
 
-    An entering edge has u1 outside V_s(z) and v1 inside; an exiting
-    edge has u2 inside V_3s(z) and v2 outside.  Lattice edges count.
+    V_s(z) and V_3s(z) are the cubes of ell-infinity radius floor(s / 2)
+    and floor(1.5 s) about the integer site z (see `_cube`).  An
+    entering edge has u1 outside V_s(z) and v1 inside; an exiting edge
+    has u2 inside V_3s(z) and v2 outside.  Lattice edges count.
     Returns tuples (u1, v1, u2, v2) of linear indices; the two edges
     are distinct as undirected edges.
     """
-    n = graph.config.n
-    lo3 = np.asarray(z, dtype=float) - 1.5 * s
-    hi3 = np.asarray(z, dtype=float) + 1.5 * s
-    if (lo3 < -0.5).any() or (hi3 > n - 0.5).any():
+    r3 = math.floor(1.5 * s)
+    if min(z) - r3 < 0 or max(z) + r3 >= graph.config.n:
         raise ValueError("V_3s(z) must fit inside the box")
     entering = _crossing_edges(graph, z, s / 2.0, inward=True)
     exiting = _crossing_edges(graph, z, 1.5 * s, inward=False)
@@ -184,27 +189,21 @@ def find_special_pairs(graph, z, s: float):
     return pairs
 
 
-def _crossing_edges(graph, z, half: float, inward: bool):
-    """Directed edges crossing the cube boundary |v - z|_inf <= half:
-    long edges in edge order, then lattice edges by inner vertex."""
-    # long edges, oriented (outside, inside) if inward else the reverse
-    a, b = graph.long_edges[:, 0], graph.long_edges[:, 1]
-    in_a = _in_cube(graph.coords(a), z, half)
-    cross = in_a != _in_cube(graph.coords(b), z, half)
-    flip = in_a[cross] == inward
-    a, b = a[cross], b[cross]
-    out = list(zip(np.where(flip, b, a).tolist(),
-                   np.where(flip, a, b).tolist()))
-    # lattice edges: vertices just inside the boundary paired with
-    # ell-infinity neighbors outside
-    inside = np.where(_in_cube(graph.coords(np.arange(graph.n_vertices)),
-                               z, half))[0]
-    shell = inside[(np.abs(graph.coords(inside) - np.asarray(z, dtype=float))
-                    > half - 1.0 - 1e-9).any(axis=1)]
+def _crossing_edges(graph, z, r: float, inward: bool):
+    """Directed edges crossing the boundary of V_r(z): long edges in
+    edge order, then lattice edges by inner vertex."""
+    mask = _cube(graph, z, r)
+    # each edge as (inside, outside), reversed at the end if inward
+    inside = mask[graph.long_edges]
+    cross = inside[:, 0] != inside[:, 1]
+    e = graph.long_edges[cross]
+    e = np.where(inside[cross, :1], e, e[:, ::-1])
+    # lattice edges: the cube's outer layer paired with its
+    # ell-infinity neighbours outside
+    shell = np.flatnonzero(mask & ~_cube(graph, z, r - 1))
     pos, u = _lattice_neighbours(graph, shell)
-    outside = ~_in_cube(graph.coords(u), z, half)
-    v, u = shell[pos[outside]].tolist(), u[outside].tolist()
-    return out + list(zip(u, v) if inward else zip(v, u))
+    e = np.concatenate([e, np.stack([shell[pos], u], axis=1)[~mask[u]]])
+    return list(map(tuple, (e[:, ::-1] if inward else e).tolist()))
 
 
 @dataclass
@@ -230,8 +229,7 @@ def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
     if not pairs:
         return [CubeClassification(good=True, witness=None,
                                    n_special_pairs=0) for _ in grid]
-    cube_mask = _in_cube(graph.coords(np.arange(graph.n_vertices)), z,
-                         1.5 * s)
+    cube_mask = _cube(graph, z, 1.5 * s)
     v1s, u2s = np.array([pair[1:3] for pair in pairs]).T
     seps = np.linalg.norm(graph.coords(v1s) - graph.coords(u2s), axis=1)
     fields = {}
@@ -256,6 +254,10 @@ def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
             for w in map(witness, grid)]
 
 
+GOOD_CUBE_BOX_FACTOR = 9   # box side over cube side in `good_cube_rate`
+WILSON_Z = 1.96            # normal quantile of its 95% Wilson interval
+
+
 @dataclass
 class GoodRate:
     alpha: float
@@ -268,13 +270,13 @@ class GoodRate:
 
 def good_cube_rate(d: int, beta: float, s: int,
                    grid: list[GoodCubeParams], a_s: float, replicates: int,
-                   seed: int, box_factor: int = 9) -> list[GoodRate]:
+                   seed: int) -> list[GoodRate]:
     """Monte Carlo P[cube is good] with a Wilson 95% interval, one rate
     per entry of `grid`; each replicate's configuration is sampled once
     and classified under every entry."""
     if replicates < 100:
         raise ValueError("need at least 100 replicates")
-    n = box_factor * s
+    n = GOOD_CUBE_BOX_FACTOR * s
     z = tuple([n // 2] * d)
     hits = np.zeros(len(grid), dtype=np.int64)
     cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
@@ -290,8 +292,8 @@ def good_cube_rate(d: int, beta: float, s: int,
     return out
 
 
-def _wilson(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    p = k / n
+def _wilson(k: int, n: int) -> tuple[float, float]:
+    p, z = k / n, WILSON_Z
     denom = 1 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     margin = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -322,39 +324,30 @@ class RenormGraph:
 
 
 def renormalize(graph, s: int) -> RenormGraph:
-    """Coarse-grain the box into side-s cubes.
+    """Coarse-grain the box into side-s cubes, site v into cube v // s.
 
     Cubes are adjacent iff they are ell-infinity lattice neighbors
     (sure nearest-neighbor vertex edges join touching cubes) or some
     long edge connects them.
     """
-    cfg = graph.config
-    n, d = cfg.n, cfg.d
+    n, d = graph.config.n, graph.config.d
     if n % s:
         raise ValueError("cube side must divide the box side")
     m = n // s
-    shape = tuple([m] * d)
+    # lattice links, cube by cube in `_nn_offsets` order, then one link
+    # per long edge whose ends lie in different cubes
+    cells = np.indices((m,) * d).reshape(d, -1).T
+    nb = cells[:, None, :] + _nn_offsets(d)
+    src, off = np.nonzero(((nb >= 0) & (nb < m)).all(axis=2))
+    ends = graph.coords(graph.long_edges) // s
+    ends = ends[(ends[:, 0] != ends[:, 1]).any(axis=1)]
+    a = np.concatenate([cells[src], ends[:, 0]]).tolist()
+    b = np.concatenate([nb[src, off], ends[:, 1]]).tolist()
     adj: dict[tuple, set] = {}
-
-    def link(a, b):
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-
-    for cube in np.ndindex(*shape):
-        arr = np.asarray(cube)
-        for off in _nn_offsets(d):
-            nb = arr + off
-            if ((nb >= 0) & (nb < m)).all():
-                link(cube, tuple(int(x) for x in nb))
-    e = graph.long_edges
-    if e.size:
-        ca = graph.coords(e[:, 0]) // s
-        cb = graph.coords(e[:, 1]) // s
-        for a, b in zip(ca, cb):
-            ta, tb = tuple(int(x) for x in a), tuple(int(x) for x in b)
-            if ta != tb:
-                link(ta, tb)
-    return RenormGraph(shape=shape, s=s, adj=adj)
+    for u, v in zip(map(tuple, a), map(tuple, b)):
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    return RenormGraph(shape=(m,) * d, s=s, adj=adj)
 
 
 def mean_renormalized_degree(rg: RenormGraph) -> float:

@@ -44,8 +44,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .kernel import (DEFAULT_TOLERANCE, DisplacementKernel, class_table,
-                     orbit_members)
+from .kernel import DisplacementKernel, class_table, orbit_members
 from .rng import RngStream, StreamKey
 
 _MAGIC = b"LRPG"
@@ -167,17 +166,16 @@ class LrpGraph:
         return self._adjacency
 
 
-def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
-                 tolerance: float = DEFAULT_TOLERANCE) -> LrpGraph:
+def sample_graph(config: ModelConfig, stream_id: StreamKey = 0) -> LrpGraph:
     """Draw one configuration; identical (config, stream_id) reproduce bytes.
 
     One generator, keyed by (seed, stream_id), draws every class count
     and position, so distinct replicate streams never collide.  The
     counts are drawn here, the positions when the graph is first read.
+    The kernel is built at `kernel.DEFAULT_TOLERANCE`.
     """
     table = class_table(config.d, config.n)
-    kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1,
-                                      tolerance)
+    kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1)
     rng = RngStream(config.seed, stream_id).generator()
     graph = LrpGraph(config, None)
     graph._draw = (rng, rng.binomial(table.members * table.pairs,
@@ -185,8 +183,7 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0,
     return graph
 
 
-def sample_graphs(config: ModelConfig, stream_ids,
-                  tolerance: float = DEFAULT_TOLERANCE) -> Iterator[LrpGraph]:
+def sample_graphs(config: ModelConfig, stream_ids) -> Iterator[LrpGraph]:
     """`sample_graph(config, key)` for each stream key, in key order,
     decoded in batches of at most `_BATCH_ROWS` classes in all; a
     graph's arrays are views into its batch's."""
@@ -194,8 +191,7 @@ def sample_graphs(config: ModelConfig, stream_ids,
     rows = class_table(config.d, config.n).pairs.size
     step = max(1, _BATCH_ROWS // max(1, rows))
     for lo in range(0, len(keys), step):
-        graphs = [sample_graph(config, key, tolerance)
-                  for key in keys[lo:lo + step]]
+        graphs = [sample_graph(config, key) for key in keys[lo:lo + step]]
         _decode(graphs)
         graphs.reverse()
         while graphs:       # so a graph is dropped once its caller drops it
@@ -354,12 +350,10 @@ def _floyd(vals: np.ndarray, pairs: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.where(hit, low + step, vals)
 
 
-def expected_long_edge_total(config: ModelConfig,
-                             tolerance: float = DEFAULT_TOLERANCE) -> float:
+def expected_long_edge_total(config: ModelConfig) -> float:
     """Exact mean number of long edges, sum of M_c N_c p_c over classes."""
     table = class_table(config.d, config.n)
-    kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1,
-                                      tolerance)
+    kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1)
     return float((table.members * table.pairs) @ kernel.probabilities)
 
 

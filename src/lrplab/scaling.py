@@ -24,6 +24,9 @@ from .graph import sample_graph  # noqa: F401
 from .metric import distance
 from .rng import RngStream, Tag
 
+MEDIAN_BOOTS = 400       # bootstrap rounds of a ladder point's median CI
+MEDIAN_CI_LEVEL = 0.95   # and its coverage
+
 
 @dataclass(frozen=True)
 class Ladder:
@@ -150,13 +153,12 @@ def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
                       samples=samples, boundary_check=boundary)
 
 
-def _bootstrap_median_ci(values: np.ndarray, seed: int, ladder_index: int,
-                         boots: int = 400,
-                         level: float = 0.95) -> tuple[float, float]:
+def _bootstrap_median_ci(values: np.ndarray, seed: int,
+                         ladder_index: int) -> tuple[float, float]:
     rng = RngStream(seed, (Tag.MEDIAN_BOOTSTRAP, ladder_index)).generator()
-    idx = rng.integers(0, len(values), size=(boots, len(values)))
+    idx = rng.integers(0, len(values), size=(MEDIAN_BOOTS, len(values)))
     meds = np.median(values[idx], axis=1)
-    alpha = (1 - level) / 2
+    alpha = (1 - MEDIAN_CI_LEVEL) / 2
     return (float(np.quantile(meds, alpha)),
             float(np.quantile(meds, 1 - alpha)))
 

@@ -137,15 +137,32 @@ def test_special_pairs_lattice_only_matches_brute_force():
     assert len(pairs) == len(brute)
 
 
-def _brute_special_pairs(g, z, s):
-    all_edges = []
+@pytest.mark.parametrize("s, z", [(4, (6, 7)), (5, (7, 9))])
+def test_special_pairs_d2_match_brute_force(s, z):
+    # odd s puts the V_s and V_3s faces at half-integers (s/2, 1.5 s)
+    for seed in range(3):
+        g = sample_graph(ModelConfig(d=2, beta=2.0, n=17, seed=seed))
+        assert g.long_edges.shape[0] > 0
+        pairs = find_special_pairs(g, z, s)
+        brute = _brute_special_pairs(g, z, s)
+        assert set(pairs) == brute
+        assert len(pairs) == len(brute)
+
+
+def _all_edges(g):
+    """Box coordinates, and every lattice and long edge as an id pair."""
+    edges = []
     m = g.n_vertices
     coords = g.coords(np.arange(m))
     for v in range(m):
         for u in range(v + 1, m):
             if np.abs(coords[v] - coords[u]).max() == 1:
-                all_edges.append((u, v))
-    all_edges += [tuple(e) for e in g.long_edges.tolist()]
+                edges.append((u, v))
+    return coords, edges + [tuple(e) for e in g.long_edges.tolist()]
+
+
+def _brute_special_pairs(g, z, s):
+    coords, all_edges = _all_edges(g)
     z_arr = np.asarray(z)
 
     def in_cube(v, half):
@@ -244,6 +261,23 @@ def test_renormalize_path_graph_counts():
     assert np.prod(rg.shape) == 8
     counts = enumerate_connected_sets(rg, (4,), 3)
     assert counts.tolist() == [1, 2, 3]
+
+
+@pytest.mark.parametrize("n, s", [(12, 3), (12, 4)])
+def test_renormalize_d2_matches_brute_force(n, s):
+    # cubes are linked iff some lattice or long edge joins their sites
+    for seed in range(3):
+        g = sample_graph(ModelConfig(d=2, beta=1.5, n=n, seed=seed))
+        coords, edges = _all_edges(g)
+        brute = {}
+        for u, v in edges:
+            cu, cv = (tuple((coords[w] // s).tolist()) for w in (u, v))
+            if cu != cv:
+                brute.setdefault(cu, set()).add(cv)
+                brute.setdefault(cv, set()).add(cu)
+        rg = renormalize(g, s)
+        assert rg.shape == (n // s, n // s)
+        assert rg.adj == brute
 
 
 def test_renormalize_rejects_ragged():

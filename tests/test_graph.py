@@ -483,13 +483,10 @@ def test_file_formats_round_trip(g):
     assert np.array_equal(edges, g.long_edges)
 
 
-# header bytes a valid file cannot differ in alone: the magic (0..3),
-# the version (4..5) and the edge count (31..38)
-_STRUCTURAL = {*range(0, 6), *range(31, 39)}
-
-
 @given(_graphs(), st.data())
 def test_binary_single_byte_corruption(g, data):
+    # the CRC-32 trailer refuses every single-byte change, header and
+    # checksum bytes included, on any graph the strategy draws
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "g.lrpg"
         save_binary(g, path)
@@ -498,13 +495,5 @@ def test_binary_single_byte_corruption(g, data):
         raw[pos] = data.draw(st.integers(0, 255).filter(
             lambda v: v != raw[pos]))
         path.write_bytes(raw)
-        try:
-            h = load_binary(path)
-        except ValueError:
-            return
-        # a changed d, n, beta, seed or edge end can encode another valid
-        # graph, which the format cannot tell from the saved one; the
-        # loader must return exactly the graph those bytes encode
-        assert pos not in _STRUCTURAL
-        save_binary(h, path)
-        assert path.read_bytes() == raw
+        with pytest.raises(ValueError):
+            load_binary(path)
