@@ -89,15 +89,13 @@ def build_ladder(eps: float, theta: float, c_star1: float) -> AnnulusLadder:
 
 @dataclass
 class CrossingProbs:
-    ladder: AnnulusLadder
-    beta: float
-    d: int
     p_gap: np.ndarray        # P[A_i], index 1..K
     p_shell: np.ndarray      # P[E_i], index 1..K
 
 
-def compute_crossing_probs(ladder: AnnulusLadder, beta: float,
-                           d: int = 1) -> CrossingProbs:
+def compute_crossing_probs(ladder: AnnulusLadder,
+                           beta: float) -> CrossingProbs:
+    """The exact d=1 probabilities of the ladder's A_i and E_i."""
     K = ladder.K
     p_gap = np.zeros(K + 1)
     p_shell = np.zeros(K + 1)
@@ -105,13 +103,12 @@ def compute_crossing_probs(ladder: AnnulusLadder, beta: float,
         a = float(ladder.r[i - 1])
         if a > 0:
             p_gap[i] = cg.crossing_probability(
-                cg.ball(a, d), cg.ball_complement(
-                    ladder.annulus_inner_radius(i), d), beta)
+                cg.ball(a, 1), cg.ball_complement(
+                    ladder.annulus_inner_radius(i), 1), beta)
         p_shell[i] = cg.crossing_probability(
-            cg.ball(ladder.shell_inner_radius(i), d),
-            cg.ball_complement(float(ladder.r[i]), d), beta)
-    return CrossingProbs(ladder=ladder, beta=beta, d=d,
-                         p_gap=p_gap[1:], p_shell=p_shell[1:])
+            cg.ball(ladder.shell_inner_radius(i), 1),
+            cg.ball_complement(float(ladder.r[i]), 1), beta)
+    return CrossingProbs(p_gap=p_gap[1:], p_shell=p_shell[1:])
 
 
 def ball_jump_probability(ratio: float, beta: float, d: int) -> float:
@@ -139,9 +136,12 @@ def jump_scaling_sweep(ratios, beta: float, d: int):
 # firework process
 
 
-def default_step_cdf(c2: float, s_max: int = 64) -> np.ndarray:
-    """alpha(s) = exp(-c2 / (1/8 + 2^s)) for s = 0..s_max."""
-    s = np.arange(s_max + 1)
+STEP_MAX = 64       # the default step law's table ends at this step
+
+
+def default_step_cdf(c2: float) -> np.ndarray:
+    """alpha(s) = exp(-c2 / (1/8 + 2^s)) for s = 0..STEP_MAX."""
+    s = np.arange(STEP_MAX + 1)
     return np.exp(-c2 / (0.125 + 2.0 ** s))
 
 
@@ -155,7 +155,6 @@ class FireworkModel:
 
     k: int
     step_cdf: np.ndarray
-    c2: float | None = None
 
     def __post_init__(self):
         cdf = np.asarray(self.step_cdf, dtype=float)
@@ -169,7 +168,7 @@ class FireworkModel:
 
     @classmethod
     def default(cls, k: int, c2: float = 1.0) -> "FireworkModel":
-        return cls(k=k, step_cdf=default_step_cdf(c2), c2=c2)
+        return cls(k=k, step_cdf=default_step_cdf(c2))
 
 
 def _sample_steps(cdf: np.ndarray, rng, shape) -> np.ndarray:
@@ -383,6 +382,9 @@ def _sym_cell_pair_integral(cell_a, cell_b) -> float:
 # coupling of xi against the matched firework
 
 
+SIGMA_FACTOR = 3.0  # coupling_checks' allowance, in standard errors
+
+
 @dataclass
 class CouplingCheck:
     subset: tuple[int, ...]
@@ -437,11 +439,10 @@ def firework_cover_tail(ladder: AnnulusLadder, beta: float, subset,
 
 def coupling_checks(ladder: AnnulusLadder, beta: float, xi: XiSample,
                     runs_fw: int, rng: np.random.Generator,
-                    subsets=None, sigma_factor: float = 3.0
-                    ) -> list[CouplingCheck]:
+                    subsets=None) -> list[CouplingCheck]:
     """w_S = P[xi zero on S] against the matched firework cover tail.
 
-    Checks w_S <= tail + sigma_factor * sigma for every requested
+    Checks w_S <= tail + SIGMA_FACTOR * sigma for every requested
     subset (default: all nonempty subsets), sigma combining both
     binomial errors.
     """
@@ -458,7 +459,7 @@ def coupling_checks(ladder: AnnulusLadder, beta: float, xi: XiSample,
                           + tail * (1 - tail) / runs_fw + 1e-12)
         out.append(CouplingCheck(subset=tuple(S), w_empirical=w,
                                  fw_tail=tail, sigma=sigma,
-                                 holds=w <= tail + sigma_factor * sigma))
+                                 holds=w <= tail + SIGMA_FACTOR * sigma))
     return out
 
 

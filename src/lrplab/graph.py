@@ -12,23 +12,19 @@ set of distinct positions; position s is pair s mod N_c of member
 s // N_c, an independent Binomial(N_c, p_c) per member.  Cost is
 proportional to classes plus edges drawn, never to vertex pairs.  Each
 sample consumes one RNG stream keyed by (seed, stream_id), in a fixed
-order: all class counts, then the positions of the one-edge classes,
-then those of the other classes in table order; so replicates are
-independently keyed and reruns are byte-identical.
+order: all class counts, then the positions of the classes hit in table
+order; so replicates are independently keyed and reruns are
+byte-identical.
 
-The positions of a class with c edges among N = M_c * N_c are what
-numpy's `choice(N, c, replace=False)` returns: Floyd's algorithm, c
-draws bounded by N - c, ..., N - 1, then a shuffle, c - 1 draws bounded
-by c - 1, ..., 1, bounds that depend on (N, c) alone, so the sampler
-replays them.  `sample_graph` draws a sample's class counts; its
-positions are drawn when it is first read, by one `integers` call over
-all its bounds in the order above.  Floyd's collision fix-up, the
-decode to edges, the sort and the padded-box CSR then follow.
-`sample_graphs` draws the replicates of a batch of keys, each from its
-own generator, and runs these steps once for the whole batch.  A class
-on numpy's other branch (N > 10000 and c > N // 50, a shuffle of the
-tail of range(N)) keeps its own `choice` call, at its place in the
-order.
+The positions of a class with c edges among N = M_c * N_c are a uniform
+c-subset of range(N) drawn by Floyd's algorithm (Bentley & Floyd 1987):
+c draws bounded by N - c, ..., N - 1, bounds that depend on (N, c)
+alone.  `sample_graph` draws a sample's class counts; its positions are
+drawn when it is first read, by one `integers` call over all its bounds
+in the order above.  Floyd's collision fix-up, the decode to edges, the
+sort and the padded-box CSR then follow.  `sample_graphs` draws the
+replicates of a batch of keys, each from its own generator, and runs
+these steps once for the whole batch.
 """
 
 from __future__ import annotations
@@ -59,11 +55,6 @@ _MAX_PADDED = 2 ** 31
 # classes times replicates drawn in one batch, which bounds the
 # batch's temporaries and the graphs it holds at once
 _BATCH_ROWS = 1 << 13
-
-# numpy's `choice(N, c, replace=False)` runs Floyd's algorithm unless
-# N > 10000 and c > N // 50, where it shuffles the tail of range(N)
-_FLOYD_MAX_N = 10000
-_FLOYD_MAX_DIV = 50
 
 
 @dataclass(frozen=True)
@@ -216,9 +207,6 @@ def _decode(graphs: list[LrpGraph]) -> None:
     c = counts[rep, row]
     # each temporary is dropped once used, so the peak stays a few arrays
     del counts
-    # each replicate's one-edge classes first, then the others
-    order = np.argsort(2 * rep + (c > 1), kind="stable")
-    rep, row, c = rep[order], row[order], c[order]
     members, pairs = table.members[row], table.pairs[row]
     pos = _positions(rngs, rep, members * pairs, c)
     rep = np.repeat(rep, c)
@@ -275,69 +263,37 @@ def _csr(lo: np.ndarray, hi: np.ndarray, rep, count: int,
 
 def _positions(rngs: list, rep: np.ndarray, pairs: np.ndarray,
                c: np.ndarray) -> np.ndarray:
-    """For each entry e, c[e] distinct positions in range(pairs[e]),
-    drawn by generator rngs[rep[e]] (rep ascending) exactly as numpy's
-    `choice(pairs[e], c[e], replace=False)` calls, entry after entry,
-    would draw them; returned entry after entry, unsorted within one."""
-    tail = (pairs > _FLOYD_MAX_N) & (c > pairs // _FLOYD_MAX_DIV)
-    draws = np.where(tail, 0, 2 * c - 1)
-    first = np.cumsum(draws) - draws
-    cut = np.append(first, draws.sum())[
-        np.searchsorted(rep, np.arange(len(rngs) + 1))]
-    e = np.repeat(np.arange(c.size), draws)
-    off = np.arange(e.size) - first[e]
-    ce = c[e]
-    # Floyd's c bounds N - c ... N - 1, then the shuffle's c - 1 ... 1
-    bounds = np.where(off < ce, pairs[e] - ce + off, 2 * ce - 1 - off)
-    vals = np.empty(bounds.size, dtype=np.int64)
-    tails = np.flatnonzero(tail)[::-1].tolist()
-    chosen = {}
-    for r, rng in enumerate(rngs):
-        lo = cut[r]
-        while tails and rep[tails[-1]] == r:
-            t = tails.pop()
-            vals[lo:first[t]] = rng.integers(0, bounds[lo:first[t]],
-                                             endpoint=True)
-            chosen[t] = rng.choice(int(pairs[t]), size=int(c[t]),
-                                   replace=False)
-            lo = first[t]
-        vals[lo:cut[r + 1]] = rng.integers(0, bounds[lo:cut[r + 1]],
-                                           endpoint=True)
-    floyd = vals[off < ce]
-    del e, off, ce, bounds, vals
-    pos = _floyd(floyd, pairs[~tail], c[~tail])
-    if not chosen:
-        return pos
-    full = np.empty(c.sum(), dtype=np.int64)
-    full[np.repeat(~tail, c)] = pos
-    starts = np.cumsum(c) - c
-    for t, p in chosen.items():
-        full[starts[t]:starts[t] + c[t]] = p
-    return full
+    """For each entry e, a uniform set of c[e] distinct positions in
+    range(pairs[e]), drawn by generator rngs[rep[e]] (rep ascending);
+    returned entry after entry, unsorted within one.
 
-
-def _floyd(vals: np.ndarray, pairs: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """The subsets numpy's Floyd's algorithm makes of its raw draws.
-
-    `vals` holds, class after class, the c draws bounded by j = N - c,
-    ..., N - 1 of a c-subset of range(N).  A draw already in the
-    subset is replaced by j.  It is in the subset if an earlier draw of
-    its class has the same value, or if it equals the j of an earlier
-    step that was itself replaced; the second case chains back through
+    Floyd's algorithm: step t = 0, ..., c - 1 of a c-subset of range(N)
+    draws v uniform on [0, j], j = N - c + t, and takes v, or j if v is
+    already in the subset.  Each generator draws every step of its
+    entries in one `integers` call.  v is in the subset if an earlier
+    step of its entry drew the same value, or if it equals the j of an
+    earlier step that itself took j; the second case chains back through
     earlier steps, resolved by pointer jumping.
     """
     e = np.repeat(np.arange(c.size), c)
     start = np.cumsum(c) - c
     step = np.arange(e.size) - start[e]
     low = pairs[e] - c[e]
-    # stable, so a repeated draw follows its class's earlier ones
-    order = _argsort_rows((e, vals), (c.size, int(pairs.max(initial=0))),
-                          stable=True)
+    j = low + step
+    cut = np.append(start, e.size)[
+        np.searchsorted(rep, np.arange(len(rngs) + 1))]
+    vals = np.empty(e.size, dtype=np.int64)
+    for r, rng in enumerate(rngs):
+        vals[cut[r]:cut[r + 1]] = rng.integers(0, j[cut[r]:cut[r + 1]],
+                                               endpoint=True)
+    # ties break by step, so a repeated draw follows its entry's earlier ones
+    order = _argsort_rows((e, vals, step), (c.size, int(pairs.max(initial=0)),
+                                            int(c.max(initial=0))))
     e_in, vals_in = e[order], vals[order]
     hit = np.zeros(e.size, dtype=bool)
     hit[order[1:]] = ((e_in[1:] == e_in[:-1])
                       & (vals_in[1:] == vals_in[:-1]))
-    del e_in, vals_in
+    del e_in, vals_in, order
     back = vals - low                   # the step whose j equals the draw
     parent = np.where((back >= 0) & (back < step), start[e] + back,
                       np.arange(e.size))
@@ -347,7 +303,7 @@ def _floyd(vals: np.ndarray, pairs: np.ndarray, c: np.ndarray) -> np.ndarray:
         if np.array_equal(up, parent):
             break
         parent = up
-    return np.where(hit, low + step, vals)
+    return np.where(hit, j, vals)
 
 
 def expected_long_edge_total(config: ModelConfig) -> float:
@@ -357,7 +313,7 @@ def expected_long_edge_total(config: ModelConfig) -> float:
     return float((table.members * table.pairs) @ kernel.probabilities)
 
 
-def _argsort_rows(cols, sizes, stable: bool = False) -> np.ndarray:
+def _argsort_rows(cols, sizes) -> np.ndarray:
     """Indices that sort the rows of integer columns `cols`, first
     column major, where column m holds values in [0, sizes[m]).  One
     int64 key and `argsort` where the sizes' product fits in it,
@@ -367,7 +323,7 @@ def _argsort_rows(cols, sizes, stable: bool = False) -> np.ndarray:
     key = cols[0]
     for col, size in zip(cols[1:], sizes[1:]):
         key = key * size + col
-    return np.argsort(key, kind="stable" if stable else None)
+    return np.argsort(key)
 
 
 @contextlib.contextmanager

@@ -1,13 +1,14 @@
-"""Deterministic stream/substream random generators.
+"""Deterministic stream random generators.
 
 Every random quantity in the package is drawn from a generator keyed by
-(master_seed, stream_id, substream_id).  Streams identify replicates:
-`sample_graphs` builds exactly one generator per replicate, keyed by
-its stream, in key order (one `sample_graph` call builds one), and
-draws every displacement class of that replicate from it.  The
-substream id is left for per-stream jobs that need more than one
-generator.  Distinct key triples give statistically independent PCG64
-streams; identical triples reproduce identical output byte for byte.
+(master_seed, stream_id).  Streams identify replicates: `sample_graphs`
+builds exactly one generator per replicate, keyed by its stream, in key
+order (one `sample_graph` call builds one), and draws every
+displacement class of that replicate from it.  Distinct keys give
+statistically independent PCG64 streams; identical keys reproduce
+identical output byte for byte.  The spawn key is the stream key
+followed by 0, the former substream slot, kept so that every stream
+keeps its bytes.
 
 The first element of every stream key is a `Tag`, except for
 `scaling.sample_distances`, whose keys are (box factor, ladder index,
@@ -60,12 +61,11 @@ class RngStream:
 
     master_seed: int
     stream_id: StreamKey = 0
-    substream_id: StreamKey = 0
 
     built: ClassVar[int] = 0        # generators built in this process
 
     def generator(self) -> np.random.Generator:
         RngStream.built += 1
-        key = _as_key(self.stream_id) + _as_key(self.substream_id)
+        key = _as_key(self.stream_id) + (0,)
         ss = np.random.SeedSequence(self.master_seed, spawn_key=key)
         return np.random.Generator(np.random.PCG64(ss))

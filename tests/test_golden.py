@@ -1,14 +1,13 @@
-"""Golden bytes: small runs of each sampling kind at seed 3 reproduce
+"""Golden bytes: small runs of each experiment kind at seed 3 reproduce
 recorded data files and generator counts.
 
-The digests were recorded before replicates were sampled in batches,
-from one-at-a-time sampling, so they pin that the batched sampler draws
-the same bytes.  The d >= 2 digests were recorded again when a class
-came to draw the edges of all its members in one binomial call, and
-its integrals to be summed row by row.  The three `graph.lrpg` digests
-were recorded again when the file gained its CRC-32 trailer (version
-2).  A change that alters the RNG stream layout on purpose updates them
-and says so.
+The digests of the sampled kinds were recorded again when positions
+came to be drawn by Floyd's algorithm alone (one draw per edge, no
+replay of numpy's `choice`); class counts and generator counts kept
+their values, and so did `goodcubes.json`, whose median distance a_s
+came out the same.  The `sperner`, `firework` and `xi-coupling` digests
+were recorded before that change and hold across it.  A change that
+alters the RNG stream layout on purpose updates them and says so.
 """
 
 import pytest
@@ -20,75 +19,94 @@ _LADDER = {"n_values": [8, 16, 32, 64], "replicates": 30}
 # the ladder's files, shared by `scaling` and `dim` with a fitted theta
 _FIT = {
     "ecdf_8.csv":
-        "016baa7e501808050c467ebb99134a250adc0500e5cf1c5c5a42552fde3332da",
+        "4e8a9d91fb8a0835d33ff1d9ca51d2c70f6e75f957275d9a0c1bafface7dfb81",
     "ecdf_16.csv":
-        "e4a9495ad81ac2a909d6792e6ea9e81c506dde1f83040ec61625715d18ebf851",
+        "cfb5ca2577a7f57ddd223396464b41826508258d5aa01684309fe5b3dbcd3fbd",
     "ecdf_32.csv":
-        "7c9bf767fb9cff604e704ca7cc609ef7184d322b276160aafc722b4158d32f86",
+        "82203353f634c8fd4b2eb37370d6f33854a5947fdfb279ad26c1fe1036ee36d3",
     "ecdf_64.csv":
-        "a9bb94556c6e1c845c21fc6e7d2bfbe8a1af3ac9ffbf789197ecc105ff6b3293",
+        "bf56fc88e7e0f4a91d55d06417840a191b8ff2fc9e999c894b192b94c5fd54e3",
     "medians.csv":
-        "edc19ae6305dc53f70677ccaf938558429ecde5cc1849cfa67c9044fba51ccae",
+        "9bf5ffb9b8fbddb63a08b15dd698f72eddaeaea680e98d13c8031a2dd97e8bb2",
     "theta.json":
-        "c3a2a569987ca7ff940112cfd9042be9a7558bfb755256273ecf6424c8d09e40",
+        "b113e2c9ed7a35ba97a5e5dcd35fc9c2281bd47d42467a1887168c02881000f1",
 }
 _SCALING = {
     **_FIT,
     "atoms.csv":
-        "01082bf65f251e452dc2dc986232e57b86f49a157f7c72e102bb53bad907d829",
+        "f96b609015aaf440c9bf1f1ff8b58e9cf22257f4d61ee9dd90911547d7be79ec",
     "atom_trend.json":
-        "6883dbe9883738b60cddb563270b7fa996ef20625861f708c4c17934b92ddb0e",
+        "ced326b8421f2ce16ca21e5e5b7689413018cce63dc8163894fd87ff8f5c100e",
 }
 
 # (kind, d, jobs, params, {file: sha256}, rng_streams)
 GOLDEN = {
     "sample-d1": ("sample", 1, 1, {"n": 256}, {
-        "graph.lrpg": "936c60603249bf09686eac3f8e483894"
-                      "5b891497dbee9606bd0f753d4786a8bb",
-        "edges.txt": "c8758c0fa7d45933ba20bf855050940c"
-                     "f17a90701979923790e1460da20618d0"}, 1),
+        "graph.lrpg": "45921b0a64eaf8b79c4b67f78090dd59"
+                      "98a9e78fb7c1c8bea5902df3f5981f21",
+        "edges.txt": "2d7bc38d1eebb25e2158e70fb8c30ac8"
+                     "95251c6ba0dd19e8dc92aea859d364f9"}, 1),
     "sample-d2": ("sample", 2, 1, {"n": 24}, {
-        "graph.lrpg": "3ba198881340b4bb0ba6ccc632eef4fb"
-                      "81703810758501ea33705a229c431801",
-        "edges.txt": "dabe553c1ffdd85d95caa3c54207d23f"
-                     "568e9760a87ed2ab919e8aaaac8fbd65"}, 1),
+        "graph.lrpg": "053a02439178364862c2f7ad18c9b20c"
+                      "7d8a8c41c781a0c782eb7c072fd0c88a",
+        "edges.txt": "f7f0c415f2426be365f7a041fdfa8030"
+                     "544061cf35b792d35007f2756cd23c68"}, 1),
     "sample-d3": ("sample", 3, 1, {"n": 10}, {
-        "graph.lrpg": "0a41449bff8004ab522d683854167468"
-                      "78e231708fa41190847a4e4be8222cc5",
-        "edges.txt": "c5af06c0a0d40a66a724318d903dac0e"
-                     "2f50a710c73fd1c9405e04c12c8e70dd"}, 1),
+        "graph.lrpg": "86860a2cc81e672f51dad5a88fe15342"
+                      "a521ae6af6951e59fcfa7b74e9904f28",
+        "edges.txt": "562c8b922474dbe89a6d0eca48d58824"
+                     "d33158d5ffe88ff9a0e6fa7a42755118"}, 1),
     "scaling-jobs1": ("scaling", 1, 1, _LADDER, _SCALING, 155),
     "scaling-jobs2": ("scaling", 1, 2, _LADDER, _SCALING, 155),
     "dim-d1-fit": ("dim", 1, 1, {"n": 64, "geodesics": 3,
                                  "scales": [2, 3, 4, 5],
                                  "theta_source": "fit", **_LADDER}, {
         **_FIT,
-        "dim.csv": "db458b3b839e3d7d1ef9303f275a7427"
-                   "9d6765ba4906d745d509362cc75594e1",
-        "dim.json": "14eb5d5a6c50b6ae0448ad9b2db20564"
-                    "c30af51bd86a8f042d670fa72b813946",
-        "uniqueness.csv": "a08cdaf3733fe99a9efa5c36cd829790"
-                          "6ab026fe2beccf0e6c21987e35191012"}, 161),
+        "dim.csv": "1eee4005500b4c749b0443b83fcba702"
+                   "9b46018ff04a04597d9ae8e2257526d7",
+        "dim.json": "48ad52af0b8cdfe303799d97c7084256"
+                    "84f8e76c4481385df278ce11f0c24817",
+        "uniqueness.csv": "e0cf6c2c70fc392e693db23c8770c8be"
+                          "4b2b1a67e99cb20c21060aaec9e0a68c"}, 161),
     "dim-d2-manual": ("dim", 2, 1, {"n": 8, "geodesics": 3,
                                     "scales": [0, 1, 2, 3],
                                     "theta_source": "manual",
                                     "theta": 0.5}, {
-        "dim.csv": "1434244e19643227147712359fd220a8"
-                   "09db7f805acad7b3e1c12a40dd1fe137",
-        "dim.json": "4fea58fa7f19457bdbb61d13e032448f"
-                    "871d14fbcd0b0212c293ae8ab63f6305",
-        "uniqueness.csv": "43050c217b1807ba3d9195d6d31823c9"
-                          "b8b8ab6b5610b66588724e84897da88a"}, 6),
+        "dim.csv": "fca78073ceda9d7563d03c746e73b40c"
+                   "8d015f45f6950031d53470e4730afd1d",
+        "dim.json": "2c7c28342c522c5085abb57140e2ef24"
+                    "44a69807d4fd0879e9fc7284fd850a7a",
+        "uniqueness.csv": "9bb6c5e574ca8e0a5a19ca86abcd24c6"
+                          "2db37074d915777c932a5c8a7ca6917b"}, 6),
     "goodcubes": ("goodcubes", 1, 1, {"s": 8, "alphas": [0.5, 0.25],
                                       "replicates": 100,
                                       "a_s_replicates": 30, "cs_n": 64,
                                       "cs_k": 3, "cs_replicates": 5}, {
-        "goodcubes.csv": "95eacad942e39c0f52b9ef8a770317ad"
-                         "e7a43c928377532480fafe2973e37e2e",
+        "goodcubes.csv": "667411b2130184dcea2e7a3d37f603b8"
+                         "1bdefd516f764956e31704daabe06a0a",
         "goodcubes.json": "e0a897fac772e6c985b3be1b1dea17de"
                           "2280436bb850fc04d5a400a5738a46cd",
-        "cs_counts.csv": "adca754329a79954ab666673329ea268"
-                         "1d322c6351e50454ea40dc768f057465"}, 135),
+        "cs_counts.csv": "c2f5b041902926062310eafca6d6f6d8"
+                         "31112232e86a0e01912175c14cd52690"}, 135),
+    "sperner": ("sperner", 1, 1, {"n_values": [4, 5, 6],
+                                  "families_per_n": 10}, {
+        "sperner.csv": "e778caecee2191bd4a0318cb426486eb"
+                       "15ebb82f92de3be0ce353cbfd4141dbf"}, 3),
+    "firework": ("firework", 1, 1, {"eps": 1e-6, "k_max": 8,
+                                    "runs": 2000}, {
+        "ladder.json": "332a4fd17c173c21d45d4d61aa1bda37"
+                       "e1028c77432fdf27371b72dbb939e070",
+        "crossing.csv": "5860a74eb45466bbe7c7288d44f3e807"
+                        "d101dc450007088161ff1ebcaa56d992",
+        "firework.csv": "48ecda7759ba4d0ee6a9437b6162eb1d"
+                        "a0ad5e9a5eae94af203d4b837fb107e0"}, 1),
+    "xi-coupling": ("xi-coupling", 1, 1, {"eps": 1e-6, "resolution": 8,
+                                          "runs": 500,
+                                          "max_subset_size": 2}, {
+        "xi_marginals.csv": "37285efc44c5239c7c150bbc6190652c"
+                            "710d0ac0245c994c0d2e2e99c53df4e1",
+        "coupling.csv": "5b5f8eb2a59341d06c92ed485dc45d99"
+                        "5700275f4c730e5e05d484301cebbac1"}, 2),
 }
 
 

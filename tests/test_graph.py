@@ -165,15 +165,23 @@ def test_one_generator_per_sample(monkeypatch):
     assert [b.stream_id for b in built] == [(3, 1), (3, 2), (3, 3)]
 
 
-# (N, c) pairs every replay test draws: one-edge classes, c = N <= 10000,
-# N >= 2^32, and both sides of numpy's Floyd / tail-shuffle boundary
+# (N, c) pairs the position tests draw: one-edge classes, c = N,
+# c > N // 50 on a large N, and N >= 2^32
 _EDGE_CASES = [(1, 1), (7, 1), (2, 2), (37, 37), (10000, 10000),
                (10001, 200), (10001, 201), (2 ** 32, 3), (2 ** 32 + 1, 1),
                (2 ** 33 + 7, 60), (2 ** 40, 500)]
 
 
+def _floyd_reference(draws, N, c):
+    """Floyd's algorithm, one step at a time, on given draws."""
+    chosen = {}                         # a set that keeps draw order
+    for j, v in zip(range(N - c, N), draws):
+        chosen[j if v in chosen else v] = None
+    return list(chosen)
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_positions_replay_numpy_choice(seed):
+def test_positions_distinct_in_range(seed):
     pick = np.random.default_rng(seed)
     rep, entries = [], []
     for r in range(3):
@@ -187,20 +195,66 @@ def test_positions_replay_numpy_choice(seed):
     N, c = (np.array(col, dtype=np.int64) for col in zip(*entries))
     ours = [RngStream(seed, r).generator() for r in range(3)]
     pos = graph._positions(ours, np.array(rep), N, c)
+    assert pos.size == c.sum()
+    # the same draws, one `integers` call per generator
+    bounds = [[], [], []]
+    for r, (n_, c_) in zip(rep, entries):
+        bounds[r] += range(n_ - c_, n_)
     theirs = [RngStream(seed, r).generator() for r in range(3)]
+    draws = [iter(rng.integers(0, b, endpoint=True))
+             for rng, b in zip(theirs, bounds)]
     start = 0
     for r, (n_, c_) in zip(rep, entries):
-        want = np.sort(theirs[r].choice(n_, c_, replace=False))
-        assert np.array_equal(np.sort(pos[start:start + c_]), want)
+        got = pos[start:start + c_]
+        assert np.unique(got).size == c_
+        assert got.min() >= 0 and got.max() < n_
+        want = _floyd_reference([next(draws[r]) for _ in range(c_)], n_, c_)
+        assert got.tolist() == want
         start += c_
-    assert start == pos.size
     for a, b in zip(ours, theirs):
         assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("N,c,seed", [(7, 3, 1), (6, 2, 2), (5, 4, 3)])
+def test_positions_uniform_over_subsets(N, c, seed):
+    # every c-subset of range(N) equally likely: a chi-square over all
+    # of them, 40 subsets per cell on average, at the 1% level
+    subsets = {s: i for i, s in
+               enumerate(itertools.combinations(range(N), c))}
+    reps, per = 20, 2 * len(subsets)
+    rngs = [RngStream(seed, (5, r)).generator() for r in range(reps)]
+    rep = np.repeat(np.arange(reps), per)
+    pos = graph._positions(rngs, rep, np.full(rep.size, N),
+                           np.full(rep.size, c)).reshape(-1, c)
+    observed = np.bincount([subsets[tuple(sorted(p))] for p in pos],
+                           minlength=len(subsets))
+    assert stats.chisquare(observed).pvalue >= 0.01
+
+
+def test_sample_draw_layout(monkeypatch):
+    # a sample draws its class counts, then one `integers` call bounded
+    # by N - c, ..., N - 1 for each class hit, in table order
+    cfg = ModelConfig(d=2, beta=1.0, n=12, seed=5)
+    built = []
+    real = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator",
+                        lambda self: built.append(real(self)) or built[-1])
+    g = sample_graph(cfg, stream_id=(4, 1))
+    g.long_edges
+    table = class_table(cfg.d, cfg.n)
+    fresh = real(RngStream(cfg.seed, (4, 1)))
+    N = table.members * table.pairs
+    counts = fresh.binomial(
+        N, DisplacementKernel.build(cfg.d, cfg.beta, cfg.n - 1).probabilities)
+    assert counts.sum() == g.long_edges.shape[0] and (counts > 1).any()
+    fresh.integers(0, [b for n_, c_ in zip(N, counts)
+                       for b in range(n_ - c_, n_)], endpoint=True)
+    assert built[0].bit_generator.state == fresh.bit_generator.state
+
+
 @pytest.mark.parametrize("d,n,count", [
     (1, 40, graph._BATCH_ROWS // 38 + 3),  # more keys than one batch
-    (1, 10050, 2),                         # tail-shuffle classes
+    (1, 10050, 2),                         # classes of 10^3+ edges
     (2, 9, 40), (3, 5, 20)])
 def test_sample_graphs_equal_one_at_a_time(monkeypatch, d, n, count):
     cfg = ModelConfig(d=d, beta=1.5, n=n, seed=4)
@@ -228,8 +282,10 @@ def test_argsort_rows_matches_lexsort():
     cols = (pick.integers(0, 3, 500), pick.integers(0, 40, 500),
             pick.integers(0, 40, 500))
     want = np.lexsort(cols[::-1])
-    assert np.array_equal(graph._argsort_rows(cols, (3, 40, 40), True),
-                          want)
+    # one key and an unstable argsort: equal rows may swap
+    rows = np.stack(cols, axis=1)
+    assert np.array_equal(rows[graph._argsort_rows(cols, (3, 40, 40))],
+                          rows[want])
     # sizes whose product overflows one int64 key take lexsort
     assert np.array_equal(graph._argsort_rows(cols, (3, 2 ** 40, 2 ** 40)),
                           want)
@@ -237,8 +293,8 @@ def test_argsort_rows_matches_lexsort():
 
 def test_substream_relabeling_invariance_ks():
     # the sampler draws every class from one stream per sample; the
-    # reference below draws each class from its own substream, in
-    # reversed order, so it is an independent implementation of the
+    # reference below draws each class from its own generator, keyed
+    # by the stream and the class in reversed order, so it is an independent implementation of the
     # law.  Two-sample KS on total edge counts, 1% level
     cfg = ModelConfig(d=1, beta=1.0, n=128, seed=21)
     reps = 1000
@@ -250,14 +306,15 @@ def test_substream_relabeling_invariance_ks():
 
 
 def _sample_relabeled(cfg, stream_id):
-    """Total edge count, one substream per class, assignment reversed."""
+    """Total edge count, one generator per class, assignment reversed."""
     n = cfg.n
     ks = np.arange(2, n)
     ps = -np.expm1(-cfg.beta * class_integrals(1, n - 1)[1])
     total = 0
     nclasses = len(ks)
     for idx, (k, p) in enumerate(zip(ks, ps)):
-        rng = RngStream(cfg.seed, stream_id, nclasses - 1 - idx).generator()
+        rng = np.random.default_rng(np.random.SeedSequence(
+            cfg.seed, spawn_key=stream_id + (nclasses - 1 - idx,)))
         total += int(rng.binomial(n - int(k), p))
     return total
 
