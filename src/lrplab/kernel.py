@@ -240,8 +240,11 @@ def class_table(d: int, n: int) -> ClassTable:
 def orbit_members(classes: np.ndarray) -> np.ndarray:
     """The displacements of each class whose first nonzero coordinate is
     positive, class after class, each class's in ascending order: its
-    signed coordinate permutations, deduplicated."""
+    signed coordinate permutations, deduplicated.  In d=1 each class is
+    its own one member."""
     d = classes.shape[1]
+    if d == 1:
+        return classes
     top = int(classes.max(initial=0))
     shape = (2 * top + 1,) * d
     # row-major ids of k + top: k's first nonzero is > 0 iff id > id(0)

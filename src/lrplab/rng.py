@@ -41,8 +41,8 @@ class Tag(IntEnum):
     FIREWORK = 77021                # experiments `firework`: reach tail
     XI_VECTOR = 77031               # experiments `xi-coupling`: xi draws
     XI_FIREWORK = 77032             # experiments `xi-coupling`: firework
-    MEDIAN_BOOTSTRAP = 90001        # scaling: median CI of ladder point
-    THETA_BOOTSTRAP = 90002         # scaling: theta CI
+    THETA_BOOTSTRAP = 90002         # scaling: the ladder's bootstrap,
+                                    # for theta's CI and each a_n's
     GOOD_CUBE_SAMPLE = 90021        # dimension: good-cube graph r
     CONNECTED_SET_SAMPLE = 90031    # dimension: connected-set graph r
     # the ladder index of the goodcubes a_s probe's `sample_distances`

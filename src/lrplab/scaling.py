@@ -3,7 +3,9 @@
 Estimates the distance exponent from medians a_n of d(0, n*1) over a
 geometric ladder of box sizes, builds the rescaled-distance ECDF, and
 probes the continuity of the limiting law through the trend of its
-largest empirical atom.
+largest empirical atom.  One bootstrap over the ladder's replicates
+gives both the CI of each a_n and the CI of the exponent, and
+`line_fit` is the one least-squares line fit.
 
 Distances are measured between x = n*1 and y = 2n*1 inside a box of
 side 3n, so both endpoints sit n away from every face; the residual
@@ -24,9 +26,6 @@ from .graph import sample_graph  # noqa: F401
 from .metric import distance
 from .rng import RngStream, Tag
 
-MEDIAN_BOOTS = 400       # bootstrap rounds of a ladder point's median CI
-MEDIAN_CI_LEVEL = 0.95   # and its coverage
-
 
 @dataclass(frozen=True)
 class Ladder:
@@ -45,7 +44,8 @@ class Ladder:
 
 @dataclass
 class ScalingFit:
-    """Medians a_n with bootstrap CIs, plus the fitted exponent."""
+    """Medians a_n, plus the fitted exponent and the bootstrap CIs of
+    both, which `fit_theta` fills in."""
 
     d: int
     beta: float
@@ -53,9 +53,9 @@ class ScalingFit:
     n_values: tuple[int, ...]
     replicates: int
     medians: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
     samples: dict[int, np.ndarray]
+    ci_lo: np.ndarray | None = None
+    ci_hi: np.ndarray | None = None
     boundary_check: dict | None = None
     theta_hat: float | None = None
     r_squared: float | None = None
@@ -127,17 +127,15 @@ def sample_distances(d: int, beta: float, n: int, replicates: int,
 def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
                      boundary_probe: bool = True,
                      jobs: int = 1) -> ScalingFit:
-    """Per-n empirical medians of d(0, n*1) with bootstrap 95% CIs."""
-    medians, lo, hi = [], [], []
+    """Per-n empirical medians of d(0, n*1) and their replicates; their
+    CIs come from `fit_theta`'s bootstrap."""
+    medians = []
     samples = {}
     for ni, n in enumerate(ladder.n_values):
         dist = sample_distances(d, beta, n, ladder.replicates, seed,
                                 ladder_index=ni, jobs=jobs)
         samples[n] = dist
         medians.append(float(np.median(dist)))
-        blo, bhi = _bootstrap_median_ci(dist, seed, ni)
-        lo.append(blo)
-        hi.append(bhi)
     boundary = None
     if boundary_probe:
         n0 = ladder.n_values[0]
@@ -149,41 +147,42 @@ def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
                       n_values=tuple(ladder.n_values),
                       replicates=ladder.replicates,
                       medians=np.asarray(medians),
-                      ci_lo=np.asarray(lo), ci_hi=np.asarray(hi),
                       samples=samples, boundary_check=boundary)
 
 
-def _bootstrap_median_ci(values: np.ndarray, seed: int,
-                         ladder_index: int) -> tuple[float, float]:
-    rng = RngStream(seed, (Tag.MEDIAN_BOOTSTRAP, ladder_index)).generator()
-    idx = rng.integers(0, len(values), size=(MEDIAN_BOOTS, len(values)))
-    meds = np.median(values[idx], axis=1)
-    alpha = (1 - MEDIAN_CI_LEVEL) / 2
-    return (float(np.quantile(meds, alpha)),
-            float(np.quantile(meds, 1 - alpha)))
-
-
-def line_fit(x, y) -> tuple[float, float, float]:
+def line_fit(x, y):
     """Least-squares line y = slope * x + intercept: (slope, intercept, R^2).
 
-    R^2 is nan when y is constant.
+    A 2-D y fits one line per row and gives three arrays.  The closed
+    form sums centred products row by row, with no BLAS call, so a row
+    has the same bits whether it is fitted alone or in a batch.  R^2 is
+    nan where y is constant.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = ((y - y.mean()) ** 2).sum()
-    r2 = 1.0 - (resid ** 2).sum() / ss_tot if ss_tot > 0 else float("nan")
-    return float(coef[0]), float(coef[1]), float(r2)
+    xc = x - x.mean()
+    y_mean = y.mean(axis=-1)
+    yc = y - y_mean[..., None]
+    slope = (yc * xc).sum(axis=-1) / (xc * xc).sum()
+    intercept = y_mean - slope * x.mean()
+    ss_tot = (yc * yc).sum(axis=-1)
+    ss_res = ((yc - slope[..., None] * xc) ** 2).sum(axis=-1)
+    r2 = 1.0 - ss_res / np.where(ss_tot > 0, ss_tot, np.nan)
+    if y.ndim == 1:
+        return float(slope), float(intercept), float(r2)
+    return slope, intercept, r2
 
 
 def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
-    """Least-squares slope of log a_n against log n, bootstrap CI.
+    """Least-squares slope of log a_n against log n, with bootstrap 95%
+    CIs of the slope and of each a_n.
 
-    The bootstrap resamples replicates within each ladder point and
-    refits the slope.  Rejects degenerate ladders (fewer than 4 points
-    or constant medians).
+    Each bootstrap round resamples the replicates within every ladder
+    point and takes their medians: the 2.5% and 97.5% quantiles of a
+    point's round medians are its CI, and one batched `line_fit` over
+    the rounds gives the slopes whose quantiles are the slope's CI.
+    Rejects degenerate ladders (fewer than 4 points or constant
+    medians).
     """
     if len(fit.n_values) < 4:
         raise ValueError("need at least 4 ladder points")
@@ -197,15 +196,12 @@ def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
     # draws what rng.choice(samples[l], R) would, round by round
     idx = rng.integers(0, R, size=(boots, L, R))
     meds = np.median(samples[np.arange(L)[:, None], idx], axis=2)
-    # line_fit's solve alone, one right-hand side a round: one solve
-    # with a column per round rounds some slopes apart in the last bit
-    # once the ladder has 8 or more points
-    A = np.vstack([x, np.ones_like(x)]).T
-    slopes = np.array([np.linalg.lstsq(A, y, rcond=None)[0][0]
-                       for y in np.log(meds)])
+    slopes = line_fit(x, np.log(meds))[0]
     ci = (float(np.quantile(slopes, 0.025)),
           float(np.quantile(slopes, 0.975)))
-    return replace(fit, theta_hat=slope, r_squared=r2, theta_ci=ci)
+    return replace(fit, theta_hat=slope, r_squared=r2, theta_ci=ci,
+                   ci_lo=np.quantile(meds, 0.025, axis=0),
+                   ci_hi=np.quantile(meds, 0.975, axis=0))
 
 
 def ecdf(fit: ScalingFit, n: int) -> Ecdf:

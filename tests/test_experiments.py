@@ -318,9 +318,29 @@ def test_rng_streams_count_pool_workers(tmp_path):
         "kind": "scaling", "seed": 3, "out": str(tmp_path / f"j{jobs}"),
         "jobs": jobs, "model": {"d": 1, "beta": 1.0},
         "params": _LADDER})).rng_streams for jobs in (1, 2)]
-    # 4 ladder points x (30 replicates + a bootstrap), 30 boundary-probe
-    # replicates and the theta bootstrap
-    assert streams == [155, 155]
+    # 4 ladder points x 30 replicates, 30 boundary-probe replicates and
+    # the one bootstrap of the ladder
+    assert streams == [151, 151]
+
+
+def test_d1_dim_fit_calls_no_linalg(tmp_path, monkeypatch):
+    # the ladder's fits are closed forms and the d=1 kernel needs no
+    # quadrature rule, so a d=1 `dim` run reaches no LAPACK routine
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg called")
+
+    for name in np.linalg.__all__:
+        if callable(getattr(np.linalg, name)) and name != "LinAlgError":
+            monkeypatch.setattr(np.linalg, name, refuse)
+    run(parse_config({
+        "kind": "dim", "seed": 3, "out": str(tmp_path / "d"),
+        "model": {"d": 1, "beta": 1.0},
+        "params": {"n": 32, "geodesics": 3, "scales": [2, 3, 4],
+                   "theta_source": "fit", **_LADDER}}))
+    assert json.loads((tmp_path / "d" / "theta.json").read_text())[
+        "theta_hat"] > 0
 
 
 # run in a fresh interpreter: the CLI imports no scipy, and once

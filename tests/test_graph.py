@@ -340,6 +340,16 @@ def test_class_table_covers_orbits(d, n):
         table.pairs[0] = 0
 
 
+def test_orbit_members_d1_are_the_classes():
+    # every d=1 class {k, -k} has the one member k > 0
+    for n in (2, 3, 10, 257):
+        classes = class_table(1, n).classes
+        members = orbit_members(classes)
+        assert members.dtype == classes.dtype
+        assert np.array_equal(members, classes)
+        assert np.array_equal(orbit_members(classes[::-3]), classes[::-3])
+
+
 def test_binary_round_trip(tmp_path):
     g = sample_graph(ModelConfig(d=2, beta=1.3, n=9, seed=11))
     p = tmp_path / "g.lrpg"

@@ -93,8 +93,7 @@ def test_fit_theta_bootstrap_matches_per_round_loop():
 def test_fit_theta_bootstrap_ci_equals_line_fit_loop():
     # the bootstrap's CI must equal, bit for bit, the CI of one line_fit
     # per round over the same medians: on the 4-point benchmark ladder,
-    # the 7-point default one, and an 8-point one, where one lstsq
-    # call with a column per round rounds some slopes differently
+    # the 7-point default one, and an 8-point one
     from lrplab.rng import RngStream
     from lrplab.scaling import ScalingFit, line_fit
     gen = np.random.default_rng(3)
@@ -118,6 +117,35 @@ def test_fit_theta_bootstrap_ci_equals_line_fit_loop():
             slopes = [line_fit(x, np.log(m))[0] for m in meds]
             assert out.theta_ci == (float(np.quantile(slopes, 0.025)),
                                     float(np.quantile(slopes, 0.975)))
+            # each a_n's CI: the quantiles of the same round medians
+            assert out.ci_lo.tolist() == [float(np.quantile(meds[:, i], 0.025))
+                                          for i in range(len(lad_n))]
+            assert out.ci_hi.tolist() == [float(np.quantile(meds[:, i], 0.975))
+                                          for i in range(len(lad_n))]
+
+
+def test_line_fit_matches_polyfit():
+    from lrplab.scaling import line_fit
+    rng = np.random.default_rng(5)
+    for L in (2, 4, 7, 8, 33):
+        x = np.log(16.0 * 2.0 ** np.arange(L))
+        ys = 0.7 * x + 1.3 + rng.normal(0.0, 0.1, size=(20, L))
+        ys[3] = 2.5                       # a constant row
+        slopes, intercepts, r2s = line_fit(x, ys)
+        assert slopes.shape == intercepts.shape == r2s.shape == (20,)
+        for y, slope, intercept, r2 in zip(ys, slopes, intercepts, r2s):
+            ref_slope, ref_intercept = np.polyfit(x, y, 1)
+            assert slope == pytest.approx(ref_slope, rel=1e-12, abs=1e-12)
+            assert intercept == pytest.approx(ref_intercept, rel=1e-12)
+            # one row alone has the bits it has in the batch
+            assert line_fit(x, y)[:2] == (slope, intercept)
+            if np.ptp(y) == 0:
+                assert np.isnan(r2) and np.isnan(line_fit(x, y)[2])
+            else:
+                resid = y - np.polyval([ref_slope, ref_intercept], x)
+                ref_r2 = 1 - (resid ** 2).sum() / ((y - y.mean()) ** 2).sum()
+                assert r2 == pytest.approx(ref_r2, rel=1e-12, abs=1e-12)
+                assert line_fit(x, y)[2] == r2
 
 
 def test_line_fit_constant_y_has_nan_r2():
@@ -254,8 +282,8 @@ def test_sample_distances_parallel_matches_serial():
 
 
 def test_bootstrap_draws_differ_across_seeds(monkeypatch):
-    # ladder point ni of a run at seed s must not reuse the bootstrap
-    # draws of point ni - 1 at seed s + 1
+    # a ladder's one bootstrap stream is keyed by the run's seed: runs at
+    # seeds 7 and 8 must not draw the same resamples
     from lrplab import scaling
     from lrplab.rng import RngStream
     used = []
@@ -270,13 +298,12 @@ def test_bootstrap_draws_differ_across_seeds(monkeypatch):
     draws = {}
     for seed in (7, 8):
         used.clear()
-        estimate_medians(1, 1.0, lad, seed=seed, boundary_probe=False)
-        draws[seed] = [RngStream.generator(s).integers(0, 30, 30).tolist()
-                       for s in list(used)]
-    assert len(draws[7]) == len(draws[8]) == 4
-    for ni in range(1, 4):
-        assert draws[7][ni] != draws[8][ni - 1]
-        assert draws[7][ni] != draws[7][ni - 1]
+        fit_theta(estimate_medians(1, 1.0, lad, seed=seed,
+                                   boundary_probe=False))
+        assert len(used) == 1
+        draws[seed] = RngStream.generator(used[0]).integers(
+            0, 30, size=(500, 4, 30))
+    assert not np.array_equal(draws[7], draws[8])
 
 
 def test_window_mass_trivial_and_monotone():
