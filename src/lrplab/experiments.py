@@ -89,17 +89,9 @@ class ExperimentConfig:
                 "params": dict(self.params)}
 
 
-def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Validate a raw config document; unknown keys are named errors."""
-    raw = dict(raw)
-    if overrides:
-        for key, val in overrides.items():
-            if val is None:
-                continue
-            if key in ("seed", "out", "jobs"):
-                raw[key] = val
-            else:
-                raise ConfigError(f"unknown override: {key}")
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Validate a raw config document: unknown keys, missing required
+    keys and values a run could not use are errors naming the key."""
     unknown = set(raw) - _SCHEMA["top"]
     if unknown:
         raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
@@ -116,16 +108,35 @@ def parse_config(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"unknown {kind} parameter: {sorted(unknown)[0]}")
     if "out" not in raw:
         raise ConfigError("missing required key: out")
+    jobs = int(raw.get("jobs", 1))
+    dim = params if kind == "dim" else {}
+    source = dim.get("theta_source", "fit")
+    # values a run would trip on only after writing its manifest, or
+    # that give a NaN dimension; the defaults pass every check
+    for bad, msg in (
+            (kind == "scaling" and "n_values" not in params,
+             "missing required scaling parameter: n_values"),
+            (jobs < 1, f"jobs must be >= 1, got {jobs}"),
+            (source not in ("fit", "manual"),
+             f"theta_source must be 'fit' or 'manual', got {source!r}"),
+            (source == "manual" and "theta" not in dim,
+             "theta_source 'manual' needs parameter: theta"),
+            ("geodesics" in dim and int(dim["geodesics"]) < 1,
+             "geodesics must be >= 1"),
+            ("scales" in dim and len(set(dim["scales"])) < 2,
+             "scales must hold at least 2 distinct values")):
+        if bad:
+            raise ConfigError(msg)
     return ExperimentConfig(kind=kind, seed=int(raw.get("seed", 0)),
                             out=str(raw["out"]),
                             d=int(model.get("d", 1)),
                             beta=float(model.get("beta", 1.0)),
-                            params=params, jobs=int(raw.get("jobs", 1)))
+                            params=params, jobs=jobs)
 
 
-def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
+def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
-        return parse_config(json.load(fh), overrides)
+        return parse_config(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +323,13 @@ def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
     n = int(p.get("n", 2048))
     n_geo = int(p.get("geodesics", 100))
     scales = [int(j) for j in p.get("scales", [2, 3, 4, 5, 6])]
-    theta_source = p.get("theta_source", "fit")
-    if theta_source == "manual":
+    if p.get("theta_source", "fit") == "manual":
         theta = float(p["theta"])
-    elif theta_source == "fit":
+    else:
         theta = _fit_ladder(config, out, Ladder(
             n_values=tuple(int(v) for v in p.get(
                 "n_values", [32, 64, 128, 256, 512, 1024, 2048])),
             replicates=int(p.get("replicates", 200)))).theta_hat
-    else:
-        raise ConfigError("theta_source must be 'fit' or 'manual'")
     paths, probe = [], []
     cfg = ModelConfig(d=config.d, beta=config.beta, n=3 * n,
                       seed=config.seed)

@@ -163,7 +163,7 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0) -> LrpGraph:
     One generator, keyed by (seed, stream_id), draws every class count
     and position, so distinct replicate streams never collide.  The
     counts are drawn here, the positions when the graph is first read.
-    The kernel is built at `kernel.DEFAULT_TOLERANCE`.
+    The kernel is built at `kernel.TOLERANCE`.
     """
     table = class_table(config.d, config.n)
     kernel = DisplacementKernel.build(config.d, config.beta, config.n - 1)

@@ -18,12 +18,12 @@ the difference variable t = v - u,
 by a tensor Gauss-Legendre rule with each axis split at the kink t_m = 0,
 batched over the classes in chunks of bounded memory.  The integrand is
 analytic at separation >= 1, so the rule is accurate to machine
-precision with 16 nodes per panel below |k| = 6 and 8 beyond (twice
-those below tolerance 1e-12).  Its nodes and weights come from the
-eigen-decomposition of the Legendre Jacobi matrix (Golub & Welsch 1969).
+precision with 16 nodes per panel below |k| = 6 and 8 beyond.  Its
+nodes and weights come from the eigen-decomposition of the Legendre
+Jacobi matrix (Golub & Welsch 1969).
 
-Beyond a tolerance-derived radius the closed tail form takes over: the
-cube-pair average of f = |x|^(-2d) to fourth order in t,
+Beyond a radius derived from `TOLERANCE` the closed tail form takes
+over: the cube-pair average of f = |x|^(-2d) to fourth order in t,
 f + Lf/12 + L^2 f/288 - sum_m d_m^4 f/1440 with L the Laplacian (the
 tent density has moments E t^2 = 1/6 and E t^4 = 1/15),
 
@@ -32,8 +32,7 @@ tent density has moments E t^2 = 1/6 and E t^4 = 1/15),
 with q = sum_m k_m^4 / |k|^4, A_d = d(d+1)((d+2)(d+4)/72 + (3d+8)/120) and
 B_d = d(d+1)(d+2)(d+3)/90 (A_2 = 27/10, B_2 = 4/3, A_3 = 113/15,
 B_3 = 4).  Its relative error is C6(d)/|k|^6, with C6 measured over
-every direction, so the switch radius is chosen per tolerance rather
-than fixed.
+every direction, so the switch radius follows from C6 and `TOLERANCE`.
 
 I(k) depends on k only through its canonical class, |k| sorted
 descending.  The class list is enumerated directly, with no box of
@@ -41,8 +40,8 @@ displacements; the integrals, the degree sum and `class_table`, whose
 per-class orbit, member and pair counts have closed forms, index it.
 
 I(k) does not depend on beta, so the per-class integrals are computed
-once per (d, max_norm, tolerance) and cached read-only; a table for a
-given beta only applies p = -expm1(-beta * I) to them.
+once per (d, max_norm) and cached read-only; a table for a given beta
+only applies p = -expm1(-beta * I) to them.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_TOLERANCE = 1e-6
+TOLERANCE = 1e-6    # relative error bound of every I(k)
 
 # Measured coefficients C6 of the |k|^-6 relative error of the closed
 # tail form, the largest value over every class of a shell (3.18 in d=2
@@ -76,18 +75,18 @@ def canonical_class(k) -> tuple[int, ...]:
     coordinate permutations and sign flips; the kernel integral is
     invariant under both.
     """
-    arr = tuple(sorted((abs(int(c)) for c in np.atleast_1d(k)), reverse=True))
-    return arr
+    return tuple(sorted((abs(int(c)) for c in np.atleast_1d(k)),
+                        reverse=True))
 
 
-def tail_radius(d: int, tolerance: float) -> float:
-    """Euclidean radius beyond which the closed tail form meets `tolerance`.
+def tail_radius(d: int) -> float:
+    """Euclidean radius beyond which the closed tail form meets `TOLERANCE`.
 
     Derived from the measured error law C6(d)/|k|^6, with a 5x safety
     factor folded in; a dimension with no measured C6 has no tail.
     """
     coef = _TAIL_ERR_COEF.get(d, math.inf)
-    return max(12.0, (5.0 * coef / tolerance) ** (1 / 6))
+    return max(12.0, (5.0 * coef / TOLERANCE) ** (1 / 6))
 
 
 def _tail_form(sq: list[np.ndarray], r2: np.ndarray) -> np.ndarray:
@@ -158,10 +157,8 @@ def _quadrature(k: np.ndarray, nodes: int) -> np.ndarray:
     return out
 
 
-def _integrals(classes: np.ndarray, tolerance: float) -> np.ndarray:
+def _integrals(classes: np.ndarray) -> np.ndarray:
     """I(k) for every row of an (m, d) array of displacements."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
     d = classes.shape[1]
     # squared coordinates summed column by column: exact integers, and
     # far cheaper than a reduction along each short row
@@ -172,10 +169,9 @@ def _integrals(classes: np.ndarray, tolerance: float) -> np.ndarray:
     if d == 1:
         return -np.log1p(-1.0 / r2)
     out = _tail_form(sq, r2)
-    near = np.flatnonzero(r2 < tail_radius(d, tolerance) ** 2)
+    near = np.flatnonzero(r2 < tail_radius(d) ** 2)
     close = r2[near] < 36.0
-    nodes = 8 if tolerance >= 1e-12 else 16
-    for rows, rule in ((near[close], 2 * nodes), (near[~close], nodes)):
+    for rows, rule in ((near[close], 16), (near[~close], 8)):
         out[rows] = _quadrature(classes[rows].astype(float), rule)
     return out
 
@@ -258,31 +254,28 @@ def orbit_members(classes: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def class_integrals(d: int, max_norm: int,
-                    tolerance: float = DEFAULT_TOLERANCE
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def class_integrals(d: int, max_norm: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (classes, I) arrays for every class with
     2 <= c1 <= max_norm, the `classes` of `class_table(d, max_norm + 1)`.
 
     Independent of beta and cached, so every table of the same
-    (d, max_norm, tolerance) shares one computation.
+    (d, max_norm) shares one computation.
     """
     classes = _classes(d, max_norm)
-    integrals = _integrals(classes, tolerance)
+    integrals = _integrals(classes)
     integrals.flags.writeable = False
     return classes, integrals
 
 
-def kernel_integral(k, d: int | None = None,
-                    tolerance: float = DEFAULT_TOLERANCE) -> float:
+def kernel_integral(k, d: int | None = None) -> float:
     """Kernel integral I(k) over the unit-cube pair at displacement k.
 
     Rejects nearest-neighbor and zero displacements (||k||_inf <= 1):
     those edges are wired by fiat and the model defines no integral for
-    them.  Relative error is bounded by `tolerance`: exact in d=1; in
+    them.  Relative error is bounded by `TOLERANCE`: exact in d=1; in
     d >= 2 the quadrature is exact to machine precision inside
     `tail_radius`, and the closed tail form's error C6(d)/|k|^6 is at
-    most tolerance / 5 beyond it.
+    most TOLERANCE / 5 beyond it.
     """
     kt = np.atleast_1d(np.asarray(k, dtype=int))
     if d is None:
@@ -293,11 +286,10 @@ def kernel_integral(k, d: int | None = None,
     if cls[0] <= 1:
         raise ValueError(
             f"||k||_inf must be >= 2, got displacement {tuple(kt)}")
-    return float(_integrals(np.array([cls]), tolerance)[0])
+    return float(_integrals(np.array([cls]))[0])
 
 
-def edge_probability(k, beta: float, d: int | None = None,
-                     tolerance: float = DEFAULT_TOLERANCE) -> float:
+def edge_probability(k, beta: float, d: int | None = None) -> float:
     """Presence probability of the edge at displacement k.
 
     1 for nearest neighbors, 1 - exp(-beta * I(k)) for long
@@ -311,7 +303,7 @@ def edge_probability(k, beta: float, d: int | None = None,
         raise ValueError("zero displacement has no edge")
     if ninf == 1:
         return 1.0
-    return -math.expm1(-beta * kernel_integral(kt, d, tolerance))
+    return -math.expm1(-beta * kernel_integral(kt, d))
 
 
 @dataclass
@@ -325,23 +317,23 @@ class DisplacementKernel:
 
     d: int
     beta: float
-    tolerance: float
     classes: np.ndarray
     integrals: np.ndarray
     probabilities: np.ndarray
+    tolerance = TOLERANCE       # the integrals' relative error bound
 
     @classmethod
-    def build(cls, d: int, beta: float, max_norm: int,
-              tolerance: float = DEFAULT_TOLERANCE) -> "DisplacementKernel":
+    def build(cls, d: int, beta: float,
+              max_norm: int) -> "DisplacementKernel":
         """Table for every class with 2 <= ||k||_inf <= max_norm, on the
         cached integrals of `class_integrals`."""
         if beta <= 0:
             raise ValueError("beta must be positive")
-        classes, integrals = class_integrals(d, max_norm, tolerance)
+        classes, integrals = class_integrals(d, max_norm)
         probabilities = -np.expm1(-beta * integrals)
         probabilities.flags.writeable = False
-        return cls(d=d, beta=beta, tolerance=tolerance, classes=classes,
-                   integrals=integrals, probabilities=probabilities)
+        return cls(d=d, beta=beta, classes=classes, integrals=integrals,
+                   probabilities=probabilities)
 
     @property
     def entries(self) -> dict[tuple[int, ...], tuple[float, float]]:
@@ -350,8 +342,7 @@ class DisplacementKernel:
                             self.probabilities.tolist())))
 
 
-def expected_degree(beta: float, d: int, cutoff: int,
-                    tolerance: float = DEFAULT_TOLERANCE) -> tuple[float, float]:
+def expected_degree(beta: float, d: int, cutoff: int) -> tuple[float, float]:
     """Mean degree of a site: sure neighbors plus long-edge probabilities.
 
     Returns (mu, tail_bound) where mu = (3^d - 1) + sum of p_k over
@@ -363,7 +354,7 @@ def expected_degree(beta: float, d: int, cutoff: int,
     """
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
-    classes, integrals = class_integrals(d, cutoff, tolerance)
+    classes, integrals = class_integrals(d, cutoff)
     total = 3 ** d - 1 + float(_orbit_sizes(classes)
                                @ -np.expm1(-beta * integrals))
     return total, _degree_tail_bound(beta, d, cutoff)

@@ -104,11 +104,15 @@ def _expand(front, steps, indptr, nbrs):
     return np.concatenate([near, far]), counts
 
 
-def _unique(cand, stamp):
-    """The distinct ids of `cand`, by a scatter stamp over `stamp`."""
-    ar = np.arange(cand.size, dtype=stamp.dtype)
-    stamp[cand] = ar
-    return cand[stamp[cand] == ar]
+def _unique(cand, labels, label):
+    """The distinct ids of `cand`, all labelled `label`: the positions
+    whose code (below `_BLOCKED`, so no label) stays after a scatter."""
+    codes = np.arange(_BLOCKED - 1, _BLOCKED - 1 - cand.size, -1,
+                      dtype=labels.dtype)
+    labels[cand] = codes
+    out = cand[labels[cand] == codes]
+    labels[out] = label
+    return out
 
 
 @dataclass
@@ -120,7 +124,6 @@ class _Search:
     front: np.ndarray      # ids labelled in the last iteration
     level: int             # iterations run
     dist: int | None       # d(x, y); None without a target or if cut off
-    stamp: np.ndarray      # stamp buffer for `_unique`
 
 
 def _search(graph, x: int, y: int | None, mask) -> _Search:
@@ -133,7 +136,6 @@ def _search(graph, x: int, y: int | None, mask) -> _Search:
     if mask is not None:
         inner[~mask.reshape((n,) * d)] = _BLOCKED
     labels = labels.reshape(-1)
-    stamp = np.empty_like(labels)
     steps = 2 * _padded_deltas(d, n)
     indptr, nbrs = graph.adjacency()
     sources = [x] if y is None else [x, y]
@@ -154,10 +156,9 @@ def _search(graph, x: int, y: int | None, mask) -> _Search:
                     break
         level += 1
         cand = _expand(front, steps, indptr, nbrs)[0]
-        front = _unique(cand[labels[cand] == UNREACHED], stamp)
-        labels[front] = level
+        front = _unique(cand[labels[cand] == UNREACHED], labels, level)
     return _Search(labels=labels, inner=inner, front=front, level=level,
-                   dist=dist, stamp=stamp)
+                   dist=dist)
 
 
 def distance_field(graph, source: int, region=None,
@@ -225,14 +226,14 @@ def geodesic_dag(graph, x: int, y: int, region=None,
     if search.dist is None:
         raise ValueError("target unreached within region")
     D, r = search.dist, search.level
-    labels, stamp = search.labels, search.stamp
+    labels = search.labels
     h = D - r
     steps = 2 * _padded_deltas(graph.config.d, graph.config.n)
     indptr, nbrs = graph.adjacency()
 
     def walk(front, level):
         cand = _expand(front, steps, indptr, nbrs)[0]
-        return _unique(cand[labels[cand] == level], stamp)
+        return _unique(cand[labels[cand] == level], labels, level)
 
     # the split layer in copy 0; its copy-1 twin starts the walk to y
     in_y = search.front[(search.front & 1) == 1]

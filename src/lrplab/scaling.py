@@ -3,14 +3,14 @@
 Estimates the distance exponent from medians a_n of d(0, n*1) over a
 geometric ladder of box sizes, builds the rescaled-distance ECDF, and
 probes the continuity of the limiting law through the trend of its
-largest empirical atom.  One bootstrap over the ladder's replicates
-gives both the CI of each a_n and the CI of the exponent, and
-`line_fit` is the one least-squares line fit.
+largest empirical atom.  One bootstrap of `BOOTS` rounds over the
+ladder's replicates gives both the CI of each a_n and the CI of the
+exponent, and `line_fit` is the one least-squares line fit.
 
 Distances are measured between x = n*1 and y = 2n*1 inside a box of
 side 3n, so both endpoints sit n away from every face; the residual
-boundary effect is reported by re-measuring the smallest ladder point
-in a 5n box.
+boundary effect is always reported, by re-measuring the smallest
+ladder point in a 5n box.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .graph import ModelConfig, sample_graphs
 from .graph import sample_graph  # noqa: F401
 from .metric import distance
 from .rng import RngStream, Tag
+
+BOOTS = 500     # bootstrap rounds of `fit_theta`
 
 
 @dataclass(frozen=True)
@@ -125,10 +127,10 @@ def sample_distances(d: int, beta: float, n: int, replicates: int,
 
 
 def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
-                     boundary_probe: bool = True,
                      jobs: int = 1) -> ScalingFit:
-    """Per-n empirical medians of d(0, n*1) and their replicates; their
-    CIs come from `fit_theta`'s bootstrap."""
+    """Per-n empirical medians of d(0, n*1) and their replicates, and
+    the boundary probe: the smallest n's median again in a 5n box.
+    The CIs come from `fit_theta`'s bootstrap."""
     medians = []
     samples = {}
     for ni, n in enumerate(ladder.n_values):
@@ -136,18 +138,15 @@ def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
                                 ladder_index=ni, jobs=jobs)
         samples[n] = dist
         medians.append(float(np.median(dist)))
-    boundary = None
-    if boundary_probe:
-        n0 = ladder.n_values[0]
-        wide = sample_distances(d, beta, n0, ladder.replicates, seed,
-                                box_factor=5, ladder_index=0, jobs=jobs)
-        boundary = {"n": n0, "median_3n": medians[0],
-                    "median_5n": float(np.median(wide))}
+    n0 = ladder.n_values[0]
+    wide = sample_distances(d, beta, n0, ladder.replicates, seed,
+                            box_factor=5, ladder_index=0, jobs=jobs)
     return ScalingFit(d=d, beta=beta, seed=seed,
                       n_values=tuple(ladder.n_values),
                       replicates=ladder.replicates,
-                      medians=np.asarray(medians),
-                      samples=samples, boundary_check=boundary)
+                      medians=np.asarray(medians), samples=samples,
+                      boundary_check={"n": n0, "median_3n": medians[0],
+                                      "median_5n": float(np.median(wide))})
 
 
 def line_fit(x, y):
@@ -173,16 +172,16 @@ def line_fit(x, y):
     return slope, intercept, r2
 
 
-def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
+def fit_theta(fit: ScalingFit) -> ScalingFit:
     """Least-squares slope of log a_n against log n, with bootstrap 95%
     CIs of the slope and of each a_n.
 
-    Each bootstrap round resamples the replicates within every ladder
-    point and takes their medians: the 2.5% and 97.5% quantiles of a
-    point's round medians are its CI, and one batched `line_fit` over
-    the rounds gives the slopes whose quantiles are the slope's CI.
-    Rejects degenerate ladders (fewer than 4 points or constant
-    medians).
+    Each of the `BOOTS` bootstrap rounds resamples the replicates within
+    every ladder point and takes their medians: the 2.5% and 97.5%
+    quantiles of a point's round medians are its CI, and one batched
+    `line_fit` over the rounds gives the slopes whose quantiles are the
+    slope's CI.  Rejects degenerate ladders (fewer than 4 points or
+    constant medians).
     """
     if len(fit.n_values) < 4:
         raise ValueError("need at least 4 ladder points")
@@ -194,7 +193,7 @@ def fit_theta(fit: ScalingFit, boots: int = 500) -> ScalingFit:
     L, R = samples.shape
     rng = RngStream(fit.seed, (Tag.THETA_BOOTSTRAP,)).generator()
     # draws what rng.choice(samples[l], R) would, round by round
-    idx = rng.integers(0, R, size=(boots, L, R))
+    idx = rng.integers(0, R, size=(BOOTS, L, R))
     meds = np.median(samples[np.arange(L)[:, None], idx], axis=2)
     slopes = line_fit(x, np.log(meds))[0]
     ci = (float(np.quantile(slopes, 0.025)),

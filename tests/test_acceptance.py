@@ -297,8 +297,7 @@ def test_criterion_07_coupling_inequality():
 def scaling_fit_200():
     ladder = Ladder(n_values=(32, 64, 128, 256, 512, 1024, 2048),
                     replicates=200)
-    return fit_theta(estimate_medians(1, 1.0, ladder, seed=88,
-                                      boundary_probe=False))
+    return fit_theta(estimate_medians(1, 1.0, ladder, seed=88))
 
 
 def test_criterion_08_theta_dimension_consistency(scaling_fit_200):
@@ -329,7 +328,7 @@ def test_criterion_09_continuity_trend():
     t0 = time.time()
     ladder = Ladder(n_values=(32, 64, 128, 256, 512, 1024, 2048),
                     replicates=500)
-    fit = estimate_medians(1, 1.0, ladder, seed=99, boundary_probe=False)
+    fit = estimate_medians(1, 1.0, ladder, seed=99)
     ecdfs = [ecdf(fit, n) for n in ladder.n_values]
     masses, rho, pval = atom_trend(ecdfs)
     decreasing = masses[-1] < masses[0]

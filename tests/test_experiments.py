@@ -61,6 +61,31 @@ def test_missing_out_rejected():
         parse_config({"kind": "sample"})
 
 
+_MANUAL_DIM = {"n": 16, "geodesics": 2, "scales": [1, 2],
+               "theta_source": "manual", "theta": 0.5}
+
+
+@pytest.mark.parametrize("key, kind, params, jobs", [
+    ("n_values", "scaling", {"replicates": 30}, 1),
+    ("theta", "dim", {k: v for k, v in _MANUAL_DIM.items() if k != "theta"},
+     1),
+    ("theta_source", "dim", {**_MANUAL_DIM, "theta_source": "fitted"}, 1),
+    ("geodesics", "dim", {**_MANUAL_DIM, "geodesics": 0}, 1),
+    ("scales", "dim", {**_MANUAL_DIM, "scales": [2, 2]}, 1),
+    ("jobs", "sample", {"n": 8}, 0),
+])
+def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
+                                            jobs):
+    # a config that would crash late or write a NaN is refused by name
+    # before the run makes its directory
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=key):
+        run(parse_config({"kind": kind, "seed": 1, "out": str(out),
+                          "jobs": jobs, "model": {"d": 1, "beta": 1.0},
+                          "params": params}))
+    assert not out.exists()
+
+
 def test_scaling_row_count_contract(tmp_path):
     cfg = parse_config({
         "kind": "scaling", "seed": 1, "out": str(tmp_path / "r"),
@@ -131,13 +156,12 @@ def test_report_schema_dim(tmp_path):
     assert len(lines) == 5
 
 
-def test_load_config_with_overrides(tmp_path):
+def test_load_config_round_trip(tmp_path):
     doc = {"kind": "sample", "out": str(tmp_path / "x"), "seed": 1,
-           "model": {"d": 1, "beta": 0.5}, "params": {"n": 32}}
+           "jobs": 1, "model": {"d": 1, "beta": 0.5}, "params": {"n": 32}}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
-    cfg = load_config(path, overrides={"seed": 99})
-    assert cfg.seed == 99 and cfg.params["n"] == 32
+    assert load_config(path).to_dict() == doc
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrplab import kernel
-from lrplab.kernel import (DEFAULT_TOLERANCE, DisplacementKernel,
+from lrplab.kernel import (TOLERANCE, DisplacementKernel,
                            canonical_class, class_integrals, class_table,
                            edge_probability, expected_degree,
                            kernel_integral, tail_radius)
@@ -106,10 +106,10 @@ def test_table_identity_machine_precision():
 def test_tail_radius_certified():
     # the closed tail form must meet the tolerance where it takes over
     for d in (1, 2):
-        r = int(math.ceil(tail_radius(d, 1e-6)))
+        r = int(math.ceil(tail_radius(d)))
         k = (r,) if d == 1 else (r, 0)
         assert kernel_integral(k, d) == pytest.approx(
-            kernel_quad_oracle(k, d), rel=1e-6)
+            kernel_quad_oracle(k, d), rel=TOLERANCE)
 
 
 def brute_orbits(d, max_norm):
@@ -155,8 +155,7 @@ def test_class_table_and_integrals_share_one_walk():
     for cached in (class_table, class_integrals):
         cached.cache_clear()
     graph.sample_graph(graph.ModelConfig(d=2, beta=1.0, n=9, seed=1))
-    assert class_integrals(2, 8, DEFAULT_TOLERANCE)[0] is \
-        class_table(2, 9).classes
+    assert class_integrals(2, 8)[0] is class_table(2, 9).classes
 
 
 def test_table_shares_cached_integrals_across_beta():
@@ -164,8 +163,7 @@ def test_table_shares_cached_integrals_across_beta():
     t1 = DisplacementKernel.build(2, beta=0.5, max_norm=7)
     t2 = DisplacementKernel.build(2, beta=2.0, max_norm=7)
     assert class_integrals.cache_info().hits >= before + 1
-    assert class_integrals(2, 7, t1.tolerance) is \
-        class_integrals(2, 7, t2.tolerance)
+    assert t1.integrals is t2.integrals
     for klass, (I1, p1) in t1.entries.items():
         I2, p2 = t2.entries[klass]
         assert I1 == I2
@@ -187,7 +185,7 @@ def test_d3_table_bounded_and_tail_consistent():
     # must agree with the closed tail form within the tolerance, on the
     # axis and near the body diagonal
     tol = table.tolerance
-    r = tail_radius(3, tol)
+    r = tail_radius(3)
     for k in ((math.floor(r), 0, 0), (12, 12, 11)):
         r2 = float(sum(c * c for c in k))
         assert r2 < r * r
@@ -208,18 +206,18 @@ def test_tail_certified_in_every_direction(d):
     # the tail form's error is largest on the body diagonal, not on the
     # axis; every class of the shell where it takes over must meet the
     # tolerance against the quadrature
-    r = tail_radius(d, 1e-6)
+    r = tail_radius(d)
     shell = _shell(d, r, r + 2)
     assert len(shell) > 10
-    tail = kernel._integrals(shell, 1e-6)
+    tail = kernel._integrals(shell)
     quad = kernel._quadrature(shell.astype(float), 16)
-    np.testing.assert_allclose(tail, quad, rtol=1e-6, atol=0)
+    np.testing.assert_allclose(tail, quad, rtol=TOLERANCE, atol=0)
     assert not np.array_equal(tail, quad)
 
 
 def test_tail_radius_bounds():
-    assert tail_radius(2, 1e-6) < 20
-    assert tail_radius(3, 1e-6) < 25
+    assert tail_radius(2) < 20
+    assert tail_radius(3) < 25
 
 
 _BUILD_D3 = """

@@ -375,6 +375,25 @@ def test_two_sided_search_against_dijkstra(d, n, beta):
     assert parities == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("d, n", [(2, 400), (1, 6000)])
+def test_search_holds_one_full_box_array(d, n):
+    # the distinct ids of a level are found in the labels themselves, so
+    # a search's traced peak stays under two label arrays
+    import tracemalloc
+    from lrplab.metric import _search
+    g = _graph(d, n, 1)
+    g.adjacency()
+    x, y = (g.index(tuple([n * k // 3] * d)) for k in (1, 2))
+    tracemalloc.start()
+    try:
+        search = _search(g, int(x), int(y), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert search.dist is not None
+    assert peak < 2 * search.labels.nbytes
+
+
 def test_two_sided_search_target_cut_off_by_mask():
     # no long edges in d=1: a gap in the mask separates 2 from 40
     g = _graph(1, 48, 3, beta=1e-13)

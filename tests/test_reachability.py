@@ -9,6 +9,10 @@ alias; any other attribute `obj.name` reaches every method of that name
 in any class.  Dunder methods come with their class.  A function, class
 or method that the walk never reaches is dead code: delete it or wire it
 into an entry point.
+
+A second test lists every parameter with a default of a public function
+or method; that list must equal `DEFAULTED`, so a new setting is a
+visible edit here.
 """
 
 from __future__ import annotations
@@ -36,6 +40,30 @@ KEEP = {"firework.jump_scaling_sweep", "firework.simulate_firework",
         "kernel.DisplacementKernel.entries", "kernel.expected_degree",
         "scaling.window_mass", "firework.concentration_check",
         "dimension.mass_distribution_check"}
+
+# every (public function or method, parameter with a default) pair in
+# src/lrplab: a new knob shows up in review as a line added here
+DEFAULTED = [
+    "cli.main(argv)",
+    "firework.FireworkModel.default(c2)",
+    "firework.coupling_checks(subsets)",
+    "firework.simulate_firework(runs)",
+    "firework.simulate_firework(store_generations)",
+    "firework.simulate_xi_vector(runs)",
+    "graph.sample_graph(stream_id)",
+    "kernel.edge_probability(d)",
+    "kernel.kernel_integral(d)",
+    "metric.distance(region)",
+    "metric.distance_field(region)",
+    "metric.distance_field(target)",
+    "metric.geodesic_dag(exact_counts)",
+    "metric.geodesic_dag(region)",
+    "scaling.estimate_medians(jobs)",
+    "scaling.sample_distances(box_factor)",
+    "scaling.sample_distances(jobs)",
+    "scaling.sample_distances(ladder_index)",
+    "sperner.generate_family(target_size)",
+]
 
 
 class _Module:
@@ -162,6 +190,27 @@ def unreachable() -> list[str]:
         stack += body_refs(mod, node) - seen
         stack += waiting.pop(qual, [])
     return sorted(q for q in defs if q not in seen)
+
+
+def _defaulted(mod: _Module):
+    """`mod.func(param)` for each defaulted parameter of a public
+    function or method of a public class."""
+    for qual, node, _ in _definitions(mod):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                or "._" in qual:
+            continue
+        args = node.args.posonlyargs + node.args.args
+        named = args[len(args) - len(node.args.defaults):] + [
+            arg for arg, default in zip(node.args.kwonlyargs,
+                                        node.args.kw_defaults)
+            if default is not None]
+        yield from (f"{qual}({arg.arg})" for arg in named)
+
+
+def test_defaulted_parameters_are_listed():
+    mods = [_load(p, p.stem) for p in PACKAGE.glob("*.py")]
+    assert sorted(pair for mod in mods for pair in _defaulted(mod)) == \
+        DEFAULTED
 
 
 def test_entry_points_and_keep_list_exist():

@@ -77,15 +77,15 @@ def test_fit_theta_scale_invariant():
 def test_fit_theta_bootstrap_matches_per_round_loop():
     # reference: one rng.choice and one median per round and ladder point
     from lrplab.rng import RngStream
-    from lrplab.scaling import line_fit
+    from lrplab.scaling import BOOTS, line_fit
     lad = Ladder(n_values=(8, 16, 32, 64), replicates=40)
-    fit = estimate_medians(1, 1.0, lad, seed=9, boundary_probe=False)
-    out = fit_theta(fit, boots=200)
+    fit = estimate_medians(1, 1.0, lad, seed=9)
+    out = fit_theta(fit)
     x = np.log(np.asarray(lad.n_values, dtype=float))
     rng = RngStream(fit.seed, (Tag.THETA_BOOTSTRAP,)).generator()
     slopes = [line_fit(x, np.log([np.median(rng.choice(
         fit.samples[n], size=40, replace=True)) for n in lad.n_values]))[0]
-        for _ in range(200)]
+        for _ in range(BOOTS)]
     assert out.theta_ci == (float(np.quantile(slopes, 0.025)),
                             float(np.quantile(slopes, 0.975)))
 
@@ -192,10 +192,8 @@ def test_atom_trend_requires_three():
 def test_atom_resampling_consistency():
     # same n, two independent batches: atom masses within binomial 3 sigma
     lad = Ladder(n_values=(8, 16, 32, 64), replicates=300)
-    a1 = max_atom(ecdf(estimate_medians(1, 1.0, lad, seed=1,
-                                        boundary_probe=False), 32))
-    a2 = max_atom(ecdf(estimate_medians(1, 1.0, lad, seed=2,
-                                        boundary_probe=False), 32))
+    a1 = max_atom(ecdf(estimate_medians(1, 1.0, lad, seed=1), 32))
+    a2 = max_atom(ecdf(estimate_medians(1, 1.0, lad, seed=2), 32))
     sigma = np.sqrt(a1 * (1 - a1) / 300 + a2 * (1 - a2) / 300)
     assert abs(a1 - a2) <= 3 * sigma
 
@@ -298,8 +296,7 @@ def test_bootstrap_draws_differ_across_seeds(monkeypatch):
     draws = {}
     for seed in (7, 8):
         used.clear()
-        fit_theta(estimate_medians(1, 1.0, lad, seed=seed,
-                                   boundary_probe=False))
+        fit_theta(estimate_medians(1, 1.0, lad, seed=seed))
         assert len(used) == 1
         draws[seed] = RngStream.generator(used[0]).integers(
             0, 30, size=(500, 4, 30))
