@@ -1,40 +1,23 @@
 #!/usr/bin/env python3
 """Geodesic box-counting dimension against the fitted distance exponent.
 
-Runs the median ladder, samples geodesics at the largest box, fits the
-box-counting slope over dyadic scales, and reports |dim_hat - theta_hat|.
+Runs `lrplab dim` with the study's presets: the median ladder, geodesics
+sampled at the largest box, the box-counting slope over dyadic scales
+and |dim_hat - theta_hat|; then `lrplab report` on the run directory.
+Every flag of `lrplab dim` is taken and follows the presets, so it wins:
+
+    python scripts/run_dim_study.py --n 64 --geodesics 5 --out runs/d
 """
 
-import argparse
+import sys
 
-from lrplab.experiments import parse_config, report, run
+from lrplab.cli import _build_parser, main
 
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="runs/dim")
-    ap.add_argument("--seed", type=int, default=88)
-    ap.add_argument("--d", type=int, default=1)
-    ap.add_argument("--beta", type=float, default=1.0)
-    ap.add_argument("--n", type=int, default=2048)
-    ap.add_argument("--geodesics", type=int, default=100)
-    ap.add_argument("--scales", type=int, nargs="+", default=[2, 3, 4, 5, 6])
-    ap.add_argument("--replicates", type=int, default=200,
-                    help="ladder replicates for the theta fit")
-    ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
-
-    config = parse_config({
-        "kind": "dim", "seed": args.seed, "out": args.out,
-        "jobs": args.jobs,
-        "model": {"d": args.d, "beta": args.beta},
-        "params": {"n": args.n, "geodesics": args.geodesics,
-                   "scales": args.scales, "theta_source": "fit",
-                   "replicates": args.replicates}})
-    run(config)
-    for path in report(args.out):
-        print(path)
-
+PRESETS = ["dim", "--out", "runs/dim", "--seed", "88", "--n", "2048",
+           "--geodesics", "100", "--scales", "2", "3", "4", "5", "6",
+           "--theta-source", "fit", "--replicates", "200"]
 
 if __name__ == "__main__":
-    main()
+    argv = PRESETS + sys.argv[1:]
+    sys.exit(main(argv) or main(["report",
+                                 _build_parser().parse_args(argv).out]))

@@ -1,37 +1,23 @@
 #!/usr/bin/env python3
 """Distance-exponent ladder study: medians, theta fit, atom trend.
 
-Writes medians.csv, ecdf_<n>.csv, theta.json, atoms.csv plus a manifest
-into --out, then renders the plot-ready TSVs.
+Runs `lrplab scaling` with the study's presets, writing medians.csv,
+ecdf_<n>.csv, theta.json, atoms.csv plus a manifest into the run
+directory, then `lrplab report` on it for the plot-ready TSVs.  Every
+flag of `lrplab scaling` is taken and follows the presets, so it wins:
+
+    python scripts/run_scaling_study.py --n-values 8 16 32 --out runs/s
 """
 
-import argparse
+import sys
 
-from lrplab.experiments import parse_config, report, run
+from lrplab.cli import _build_parser, main
 
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--out", default="runs/scaling")
-    ap.add_argument("--seed", type=int, default=88)
-    ap.add_argument("--d", type=int, default=1)
-    ap.add_argument("--beta", type=float, default=1.0)
-    ap.add_argument("--n-values", type=int, nargs="+",
-                    default=[32, 64, 128, 256, 512, 1024, 2048])
-    ap.add_argument("--replicates", type=int, default=200)
-    ap.add_argument("--jobs", type=int, default=1)
-    args = ap.parse_args()
-
-    config = parse_config({
-        "kind": "scaling", "seed": args.seed, "out": args.out,
-        "jobs": args.jobs,
-        "model": {"d": args.d, "beta": args.beta},
-        "params": {"n_values": args.n_values,
-                   "replicates": args.replicates}})
-    run(config)
-    for path in report(args.out):
-        print(path)
-
+PRESETS = ["scaling", "--out", "runs/scaling", "--seed", "88",
+           "--n-values", "32", "64", "128", "256", "512", "1024", "2048",
+           "--replicates", "200"]
 
 if __name__ == "__main__":
-    main()
+    argv = PRESETS + sys.argv[1:]
+    sys.exit(main(argv) or main(["report",
+                                 _build_parser().parse_args(argv).out]))

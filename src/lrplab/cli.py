@@ -1,17 +1,18 @@
 """Command-line entry point.
 
 Subcommands mirror the experiment kinds (sample, scaling, dim,
-goodcubes, sperner, firework, xi-coupling) plus `report`.  Common flags
---config/--seed/--out/--jobs/--d/--beta; a JSON config file supplies
-anything not given on the command line.  A subcommand's parameter flags
-are the keys of its kind in `experiments._SCHEMA` that have a flag, so
---replicates is offered only by the kinds that take `replicates`
-(scaling, dim, goodcubes).  Environment variables LRPLAB_SEED,
-LRPLAB_OUT, LRPLAB_JOBS fill defaults at the lowest precedence, and
-LRPLAB_REPLICATES does so for the kinds that take `replicates`: flags
-beat the config file, the config file beats the environment.  A
-malformed integer in the environment is a ConfigError naming the
-variable.
+goodcubes, sperner, firework, xi-coupling) plus `report`.  A kind's
+subcommand takes --config/--seed/--out/--jobs/--d/--beta and one flag
+per parameter in `experiments.parameters(kind)`, named after it with
+dashes for underscores (--alpha is kept as the older spelling of
+--alphas); --help shows each default.  A JSON config file supplies
+anything not given on the command line.  Environment variables
+LRPLAB_SEED, LRPLAB_OUT, LRPLAB_JOBS fill defaults at the lowest
+precedence, and LRPLAB_REPLICATES does so for the kinds that take
+`replicates`: flags beat the config file, the config file beats the
+environment.  argparse casts nothing: every value goes through
+`experiments.cast`, so a bad one, like an unreadable config or family
+file, is a ConfigError named before any output (exit status 2).
 """
 
 from __future__ import annotations
@@ -20,27 +21,40 @@ import argparse
 import json
 import os
 import sys
+import typing
 from fractions import Fraction
 
-from .experiments import (_SCHEMA, ConfigError, ExperimentConfig,
-                          IntegrityError, parse_config, report, run)
+from .experiments import (_CONFIG, _MODEL, EXPERIMENT_KINDS, REQUIRED,
+                          ConfigError, ExperimentConfig, IntegrityError,
+                          cast, parameters, parse_config, report, run)
 
 ENV_PREFIX = "LRPLAB_"
 _ENV_KEYS = {"seed": int, "out": str, "jobs": int, "replicates": int}
+_HELP = {"sample": "sample one configuration",
+         "scaling": "distance-exponent ladder study",
+         "dim": "geodesic box-counting dimension",
+         "goodcubes": "good-cube rate sweep",
+         "sperner": "family checks and sweeps",
+         "firework": "spreading-process tail study",
+         "xi-coupling": "shell-crossing coupling check"}
+_TOP_FLAGS = ("seed", "out", "jobs")
+_ALIASES = {"alphas": ("--alpha",)}
 
 
 def _env_defaults() -> dict:
     out = {}
-    for key, cast in _ENV_KEYS.items():
+    for key, tp in _ENV_KEYS.items():
         name = ENV_PREFIX + key.upper()
-        raw = os.environ.get(name)
-        if raw is not None:
-            try:
-                out[key] = cast(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{name} must be an integer, got {raw!r}") from None
+        if name in os.environ:
+            out[key] = cast(name, tp, os.environ[name])
     return out
+
+
+def _default(default) -> str:
+    if default is REQUIRED:
+        return "required"
+    return "default: " + " ".join(
+        map(str, default if isinstance(default, list) else [default]))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,61 +62,21 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="lrplab",
         description="critical long-range percolation metric lab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, kind):
+    common = {key: _CONFIG[key] for key in _TOP_FLAGS} | _MODEL
+    for kind in EXPERIMENT_KINDS:
+        p = sub.add_parser(kind, help=_HELP[kind])
+        if kind == "sperner":
+            p.add_argument("action", choices=("check", "bound", "sweep"))
+            p.add_argument("file", nargs="?",
+                           help="family file for check/bound")
+            p.add_argument("--p", default="1/2",
+                           help="rational Bernoulli parameter")
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--jobs", type=int)
-        if "replicates" in _SCHEMA[kind]:
-            p.add_argument("--replicates", type=int)
-        p.add_argument("--d", type=int, help="lattice dimension")
-        p.add_argument("--beta", type=float, help="coupling strength")
-
-    p = sub.add_parser("sample", help="sample one configuration")
-    common(p, "sample")
-    p.add_argument("--n", type=int, help="box side")
-
-    p = sub.add_parser("scaling", help="distance-exponent ladder study")
-    common(p, "scaling")
-    p.add_argument("--n-values", type=int, nargs="+")
-
-    p = sub.add_parser("dim", help="geodesic box-counting dimension")
-    common(p, "dim")
-    p.add_argument("--n", type=int)
-    p.add_argument("--scales", type=int, nargs="+",
-                   help="dyadic exponents j (delta = 2^-j)")
-    p.add_argument("--theta-source", choices=("fit", "manual"))
-    p.add_argument("--theta", type=float)
-
-    p = sub.add_parser("goodcubes", help="good-cube rate sweep")
-    common(p, "goodcubes")
-    p.add_argument("--s", type=int, help="cube scale")
-    p.add_argument("--alpha", type=float, nargs="+", dest="alphas")
-    p.add_argument("--b", type=float)
-    p.add_argument("--theta", type=float)
-
-    p = sub.add_parser("sperner", help="family checks and sweeps")
-    p.add_argument("action", choices=("check", "bound", "sweep"))
-    p.add_argument("file", nargs="?", help="family file for check/bound")
-    p.add_argument("--p", default="1/2", help="rational Bernoulli parameter")
-    common(p, "sperner")
-
-    p = sub.add_parser("firework", help="spreading-process tail study")
-    common(p, "firework")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--c-star1", type=float, dest="c_star1")
-    p.add_argument("--c2", type=float)
-
-    p = sub.add_parser("xi-coupling", help="shell-crossing coupling check")
-    common(p, "xi-coupling")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--c-star1", type=float, dest="c_star1")
-    p.add_argument("--resolution", type=int)
-    p.add_argument("--runs", type=int)
-
+        for name, (tp, default) in (common | parameters(kind)).items():
+            p.add_argument("--" + name.replace("_", "-"),
+                           *_ALIASES.get(name, ()), dest=name,
+                           nargs="+" if typing.get_origin(tp) is list
+                           else None, help=_default(default))
     p = sub.add_parser("report", help="summaries and plot data for a run")
     p.add_argument("run_dir")
     return parser
@@ -117,20 +91,24 @@ def _assemble(args, kind: str) -> ExperimentConfig:
     env = _env_defaults()
     replicates = env.pop("replicates", None)
     raw = {"kind": kind, "model": {}, "params": {}, **env}
-    if replicates is not None and "replicates" in _SCHEMA[kind]:
+    if replicates is not None and "replicates" in parameters(kind):
         raw["params"]["replicates"] = replicates
     if args.config:
-        with open(args.config) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                doc = cast("a config", dict, json.load(fh))
+        except (OSError, ValueError) as exc:
+            raise ConfigError(
+                f"cannot read config {args.config}: {exc}") from None
         if doc.setdefault("kind", kind) != kind:
             raise ConfigError(
                 f"config kind {doc['kind']!r} does not match {kind!r}")
-        raw["model"].update(doc.pop("model", {}))
-        raw["params"].update(doc.pop("params", {}))
+        raw["model"].update(cast("model", dict, doc.pop("model", {})))
+        raw["params"].update(cast("params", dict, doc.pop("params", {})))
         raw.update(doc)         # parse_config names unknown keys
-    raw.update(_given(args, ("seed", "out", "jobs")))
-    raw["model"].update(_given(args, _SCHEMA["model"]))
-    raw["params"].update(_given(args, _SCHEMA[kind]))
+    raw.update(_given(args, _TOP_FLAGS))
+    raw["model"].update(_given(args, _MODEL))
+    raw["params"].update(_given(args, parameters(kind)))
     return parse_config(raw)
 
 
@@ -139,10 +117,11 @@ def _sperner_file_action(args) -> int:
         sperner_bound_check
 
     if not args.file:
-        print("error: sperner check/bound needs a family file",
-              file=sys.stderr)
-        return 2
-    family = load_family(args.file)
+        raise ConfigError("sperner check/bound needs a family file")
+    try:
+        family = load_family(args.file)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read family {args.file}: {exc}") from None
     if args.action == "check":
         rep = is_sperner_family(family)
         print(f"n={family.n} members={len(family.members)} "
@@ -152,7 +131,7 @@ def _sperner_file_action(args) -> int:
                    "downward" if c.downward else "neither")
             print(f"  member={c.member:#x} class={tag}")
         return 0 if rep.is_sperner else 1
-    chain = sperner_bound_check(family, Fraction(args.p))
+    chain = sperner_bound_check(family, cast("--p", Fraction, args.p))
     print(f"n={chain.n} p={chain.p} P={chain.event_prob} "
           f"central={chain.central_term} lym={chain.lym}")
     print(f"P <= central*lym: {chain.link_event_le_central_times_lym}; "

@@ -10,21 +10,25 @@ the manifest.  Each file is written beside its target and renamed into
 place, so a failed write leaves the old file whole; a failed run
 removes its partial data files and leaves the manifest marked failed.
 
-Every kind has one runner, `_run_<kind>(config, out) -> None`, that
+Every kind has one runner, `_run_<kind>(config, out, **params)`, that
 writes each data file through `out` (`out.csv`, `out.json`, or
 `out.path` for a file written by other code); `run` checksums, or on
-failure removes, exactly the files on that list.  `rng_streams` is the
-growth of `RngStream.built` across the runner, so it counts generators
-where they are built; `scaling.sample_distances` adds its pool
-workers' counts.
+failure removes, exactly the files on that list.  Its keyword-only
+arguments are the kind's parameters, with their types and defaults.
+`rng_streams` is the growth of `RngStream.built` across the runner, so
+it counts generators where they are built; `scaling.sample_distances`
+adds its pool workers' counts.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import inspect
 import json
 import math
 import time
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -44,25 +48,13 @@ from .firework import (FireworkModel, build_ladder, compute_crossing_probs,
                        coupling_checks, reach_tail, simulate_xi_vector)
 from .sperner import generate_family, sperner_bound_check
 
-EXPERIMENT_KINDS = ("sample", "scaling", "dim", "goodcubes", "sperner",
-                    "firework", "xi-coupling")
-
-# allowed keys per config section; unknown keys are hard errors
-_SCHEMA = {
-    "top": {"kind", "seed", "out", "jobs", "model", "params"},
-    "model": {"d", "beta"},
-    "sample": {"n"},
-    "scaling": {"n_values", "replicates"},
-    "dim": {"n", "geodesics", "scales", "theta_source", "theta",
-            "n_values", "replicates"},
-    "goodcubes": {"s", "alphas", "b", "theta", "a_s", "replicates",
-                  "a_s_replicates", "cs_n", "cs_k", "cs_replicates"},
-    "sperner": {"n_values", "families_per_n", "p_values", "generator",
-                "target_size"},
-    "firework": {"eps", "theta", "c_star1", "c2", "k_min", "k_max", "runs"},
-    "xi-coupling": {"eps", "theta", "c_star1", "resolution", "runs",
-                    "max_subset_size"},
-}
+# the default of a parameter that a config must give
+REQUIRED = inspect.Parameter.empty
+# the top-level and model keys, {name: (type, default)}
+_CONFIG = {"kind": (str, REQUIRED), "out": (str, REQUIRED),
+           "seed": (int, 0), "jobs": (int, 1), "model": (dict, {}),
+           "params": (dict, {})}
+_MODEL = {"d": (int, 1), "beta": (float, 1.0)}
 
 
 class ConfigError(ValueError):
@@ -89,49 +81,84 @@ class ExperimentConfig:
                 "params": dict(self.params)}
 
 
+@functools.cache
+def parameters(kind: str) -> types.MappingProxyType:
+    """A kind's parameters, {name: (type, default)}: the keyword-only
+    arguments of its runner."""
+    sig = inspect.signature(_RUNNERS[kind], eval_str=True)
+    return types.MappingProxyType({
+        p.name: (p.annotation, p.default) for p in sig.parameters.values()
+        if p.kind is p.KEYWORD_ONLY})
+
+
+def cast(key: str, tp, value):
+    """`value` as type `tp`: int, float, str, Fraction, dict, list[T] or
+    T | None.  A value that does not convert is a ConfigError naming
+    `key`."""
+    args = getattr(tp, "__args__", ())
+    try:
+        if isinstance(tp, types.UnionType):
+            return None if value is None else cast(key, args[0], value)
+        if not args:
+            # from a string, so that 0.1 is 1/10
+            return tp(str(value) if tp is Fraction else value)
+        if isinstance(value, (list, tuple)):
+            return [cast(key, args[0], v) for v in value]
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    name = str(tp) if args else tp.__name__
+    raise ConfigError(f"{key} must be {name}, got {value!r}")
+
+
+def _read(raw: dict, schema: dict, what: str) -> dict:
+    """The keys of `raw` with their values cast by `schema`; an unknown
+    key or a missing required one is a ConfigError naming it."""
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)[0]}")
+    for name, (_, default) in schema.items():
+        if default is REQUIRED and name not in raw:
+            raise ConfigError(f"missing required {what}: {name}")
+    return {name: cast(name, schema[name][0], value)
+            for name, value in raw.items()}
+
+
+def _defaults(schema: dict) -> dict:
+    return {name: default for name, (_, default) in schema.items()}
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config document: unknown keys, missing required
-    keys and values a run could not use are errors naming the key."""
-    unknown = set(raw) - _SCHEMA["top"]
-    if unknown:
-        raise ConfigError(f"unknown config key: {sorted(unknown)[0]}")
-    kind = raw.get("kind")
+    keys, values that do not convert and values a run could not use are
+    errors naming the key.  `params` holds the given values, cast."""
+    top = _defaults(_CONFIG) | _read(cast("a config", dict, raw), _CONFIG,
+                                     "config key")
+    kind = top["kind"]
     if kind not in EXPERIMENT_KINDS:
         raise ConfigError(f"unknown experiment kind: {kind!r}")
-    model = raw.get("model", {})
-    unknown = set(model) - _SCHEMA["model"]
-    if unknown:
-        raise ConfigError(f"unknown model key: {sorted(unknown)[0]}")
-    params = raw.get("params", {})
-    unknown = set(params) - _SCHEMA[kind]
-    if unknown:
-        raise ConfigError(f"unknown {kind} parameter: {sorted(unknown)[0]}")
-    if "out" not in raw:
-        raise ConfigError("missing required key: out")
-    jobs = int(raw.get("jobs", 1))
-    dim = params if kind == "dim" else {}
-    source = dim.get("theta_source", "fit")
+    model = _defaults(_MODEL) | _read(top["model"], _MODEL, "model key")
+    params = _read(top["params"], parameters(kind), f"{kind} parameter")
+    try:
+        # the model's own checks of d, beta and seed; any box side passes
+        ModelConfig(n=2, seed=top["seed"], **model)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # values a run would trip on only after writing its manifest, or
     # that give a NaN dimension; the defaults pass every check
+    source = params.get("theta_source", "fit")
     for bad, msg in (
-            (kind == "scaling" and "n_values" not in params,
-             "missing required scaling parameter: n_values"),
-            (jobs < 1, f"jobs must be >= 1, got {jobs}"),
+            (top["jobs"] < 1, f"jobs must be >= 1, got {top['jobs']}"),
             (source not in ("fit", "manual"),
              f"theta_source must be 'fit' or 'manual', got {source!r}"),
-            (source == "manual" and "theta" not in dim,
+            (source == "manual" and params.get("theta") is None,
              "theta_source 'manual' needs parameter: theta"),
-            ("geodesics" in dim and int(dim["geodesics"]) < 1,
-             "geodesics must be >= 1"),
-            ("scales" in dim and len(set(dim["scales"])) < 2,
+            (params.get("geodesics", 1) < 1, "geodesics must be >= 1"),
+            (len(set(params.get("scales", (0, 1)))) < 2,
              "scales must hold at least 2 distinct values")):
         if bad:
             raise ConfigError(msg)
-    return ExperimentConfig(kind=kind, seed=int(raw.get("seed", 0)),
-                            out=str(raw["out"]),
-                            d=int(model.get("d", 1)),
-                            beta=float(model.get("beta", 1.0)),
-                            params=params, jobs=jobs)
+    return ExperimentConfig(kind=kind, seed=top["seed"], out=top["out"],
+                            params=params, jobs=top["jobs"], **model)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -235,7 +262,7 @@ def run(config: ExperimentConfig) -> RunManifest:
     out = _Outputs(out_dir)
     built = RngStream.built
     try:
-        _RUNNERS[config.kind](config, out)
+        _RUNNERS[config.kind](config, out, **config.params)
         manifest.outputs = {f.name: sha256_file(f) for f in out.paths}
         manifest.rng_streams = RngStream.built - built
         manifest.status = "complete"
@@ -260,8 +287,8 @@ def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
 # experiment implementations
 
 
-def _run_sample(config: ExperimentConfig, out: _Outputs) -> None:
-    n = int(config.params.get("n", 256))
+def _run_sample(config: ExperimentConfig, out: _Outputs, *,
+                n: int = 256) -> None:
     cfg = ModelConfig(d=config.d, beta=config.beta, n=n, seed=config.seed)
     g = sample_graph(cfg)
     save_binary(g, out.path("graph.lrpg"))
@@ -286,11 +313,10 @@ def _fit_ladder(config: ExperimentConfig, out: _Outputs,
     return fit
 
 
-def _run_scaling(config: ExperimentConfig, out: _Outputs) -> None:
-    p = config.params
-    fit = _fit_ladder(config, out, Ladder(
-        n_values=tuple(int(n) for n in p["n_values"]),
-        replicates=int(p.get("replicates", 50))))
+def _run_scaling(config: ExperimentConfig, out: _Outputs, *,
+                 n_values: list[int], replicates: int = 50) -> None:
+    fit = _fit_ladder(config, out, Ladder(n_values=tuple(n_values),
+                                          replicates=replicates))
     masses, rho, pval = atom_trend([ecdf(fit, n) for n in fit.n_values])
     out.csv("atoms.csv", ["n", "max_atom_mass"],
             list(zip(fit.n_values, masses)))
@@ -318,22 +344,19 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     return math.sqrt(max(gaps.min(axis=0).max(), gaps.min(axis=1).max()))
 
 
-def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
-    p = config.params
-    n = int(p.get("n", 2048))
-    n_geo = int(p.get("geodesics", 100))
-    scales = [int(j) for j in p.get("scales", [2, 3, 4, 5, 6])]
-    if p.get("theta_source", "fit") == "manual":
-        theta = float(p["theta"])
-    else:
+def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
+             geodesics: int = 100, scales: list[int] = [2, 3, 4, 5, 6],
+             theta_source: str = "fit", theta: float | None = None,
+             n_values: list[int] = [32, 64, 128, 256, 512, 1024, 2048],
+             replicates: int = 200) -> None:
+    if theta_source == "fit":
         theta = _fit_ladder(config, out, Ladder(
-            n_values=tuple(int(v) for v in p.get(
-                "n_values", [32, 64, 128, 256, 512, 1024, 2048])),
-            replicates=int(p.get("replicates", 200)))).theta_hat
+            n_values=tuple(n_values), replicates=replicates)).theta_hat
     paths, probe = [], []
     cfg = ModelConfig(d=config.d, beta=config.beta, n=3 * n,
                       seed=config.seed)
-    graphs = sample_graphs(cfg, [(Tag.DIM_SAMPLE, r) for r in range(n_geo)])
+    graphs = sample_graphs(cfg, [(Tag.DIM_SAMPLE, r)
+                                 for r in range(geodesics)])
     for r, g in enumerate(graphs):
         x = int(g.index(tuple([n] * config.d)))
         y = int(g.index(tuple([2 * n] * config.d)))
@@ -350,25 +373,22 @@ def _run_dim(config: ExperimentConfig, out: _Outputs) -> None:
              for i in range(len(deltas))])
     out.json("dim.json", {"dim_hat": fitd.dim_hat,
                           "r_squared": fitd.r_squared,
-                          "theta": theta, "n": n, "geodesics": n_geo,
+                          "theta": theta, "n": n, "geodesics": geodesics,
                           "abs_difference": abs(fitd.dim_hat - theta)})
     out.csv("uniqueness.csv", ["r", "geodesics", "shared_edge_fraction",
                                "hausdorff_over_n"], probe)
 
 
-def _run_goodcubes(config: ExperimentConfig, out: _Outputs) -> None:
-    p = config.params
-    s = int(p.get("s", 32))
-    alphas = [float(a) for a in p.get("alphas", [0.5, 0.25, 0.1])]
-    b = float(p.get("b", 0.25))
-    theta = float(p.get("theta", 0.45))
-    replicates = int(p.get("replicates", 400))
-    if "a_s" in p:
-        a_s = float(p["a_s"])
-    else:
+def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
+                   s: int = 32, alphas: list[float] = [0.5, 0.25, 0.1],
+                   b: float = 0.25, theta: float = 0.45,
+                   a_s: float | None = None, replicates: int = 400,
+                   a_s_replicates: int = 200, cs_n: int | None = None,
+                   cs_k: int = 5, cs_replicates: int = 100) -> None:
+    if a_s is None:
         a_s = float(np.median(sample_distances(
-            config.d, config.beta, s, int(p.get("a_s_replicates", 200)),
-            config.seed, ladder_index=Tag.A_S_PROBE)))
+            config.d, config.beta, s, a_s_replicates, config.seed,
+            ladder_index=Tag.A_S_PROBE)))
     grid = [GoodCubeParams(alpha=alpha, b=b, theta=theta)
             for alpha in sorted(alphas, reverse=True)]
     rates = good_cube_rate(config.d, config.beta, s, grid, a_s, replicates,
@@ -378,46 +398,42 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs) -> None:
     out.json("goodcubes.json", {"s": s, "a_s": a_s, "theta": theta,
                                 "replicates": replicates})
     growth = connected_set_growth(
-        config.d, config.beta, n=int(p.get("cs_n", 16 * s)), s=s,
-        k=int(p.get("cs_k", 5)), replicates=int(p.get("cs_replicates", 100)),
-        seed=config.seed)
+        config.d, config.beta, n=16 * s if cs_n is None else cs_n, s=s,
+        k=cs_k, replicates=cs_replicates, seed=config.seed)
     out.csv("cs_counts.csv", ["k", "mean", "bound"],
             [(k + 1, growth.cs_means[k], growth.cs_bound[k])
              for k in range(len(growth.cs_means))])
 
 
-def _run_sperner(config: ExperimentConfig, out: _Outputs) -> None:
-    p = config.params
-    n_values = [int(n) for n in p.get("n_values", list(range(4, 21)))]
-    per_n = int(p.get("families_per_n", 100))
-    p_values = [Fraction(str(x)) for x in p.get("p_values",
-                                                ["1/4", "1/2", "3/4"])]
-    kind = p.get("generator", "antichain-low")
+def _run_sperner(config: ExperimentConfig, out: _Outputs, *,
+                 n_values: list[int] = list(range(4, 21)),
+                 families_per_n: int = 100,
+                 p_values: list[Fraction] = [Fraction(1, 4), Fraction(1, 2),
+                                             Fraction(3, 4)],
+                 generator: str = "antichain-low",
+                 target_size: int | None = None) -> None:
     rows = []
     for n in n_values:
         rng = RngStream(config.seed, (Tag.SPERNER_FAMILIES, n)).generator()
         worst_lym = Fraction(0)
         chains_hold = True
-        for _ in range(per_n):
-            fam = generate_family(kind, n, rng,
-                                  target_size=p.get("target_size"))
+        for _ in range(families_per_n):
+            fam = generate_family(generator, n, rng,
+                                  target_size=target_size)
             for pv in p_values:
                 chain = sperner_bound_check(fam, pv)
                 chains_hold &= chain.holds
                 worst_lym = max(worst_lym, chain.lym)
-        rows.append((n, per_n, float(worst_lym), int(chains_hold)))
+        rows.append((n, families_per_n, float(worst_lym),
+                     int(chains_hold)))
     out.csv("sperner.csv", ["n", "families", "max_lym", "all_chains_hold"],
             rows)
 
 
-def _run_firework(config: ExperimentConfig, out: _Outputs) -> None:
-    p = config.params
-    eps = float(p.get("eps", 1e-9))
-    theta = float(p.get("theta", 0.5))
-    c_star1 = float(p.get("c_star1", 0.5))
-    c2 = float(p.get("c2", 1.0))
-    runs = int(p.get("runs", 10 ** 5))
-    k_min, k_max = int(p.get("k_min", 2)), int(p.get("k_max", 12))
+def _run_firework(config: ExperimentConfig, out: _Outputs, *,
+                  eps: float = 1e-9, theta: float = 0.5,
+                  c_star1: float = 0.5, c2: float = 1.0, k_min: int = 2,
+                  k_max: int = 12, runs: int = 10 ** 5) -> None:
     ladder = build_ladder(eps, theta, c_star1)
     out.json("ladder.json", {
         "eps": eps, "theta": theta, "c_star1": c_star1, "K": ladder.K,
@@ -435,14 +451,11 @@ def _run_firework(config: ExperimentConfig, out: _Outputs) -> None:
              for i, k in enumerate(rt.ks)])
 
 
-def _run_xi_coupling(config: ExperimentConfig, out: _Outputs) -> None:
-    p = config.params
-    eps = float(p.get("eps", 1e-12))
-    theta = float(p.get("theta", 0.5))
-    c_star1 = float(p.get("c_star1", 0.5))
-    resolution = int(p.get("resolution", 8))
-    runs = int(p.get("runs", 10 ** 4))
-    max_size = p.get("max_subset_size")
+def _run_xi_coupling(config: ExperimentConfig, out: _Outputs, *,
+                     eps: float = 1e-12, theta: float = 0.5,
+                     c_star1: float = 0.5, resolution: int = 8,
+                     runs: int = 10 ** 4,
+                     max_subset_size: int | None = None) -> None:
     ladder = build_ladder(eps, theta, c_star1)
     xi = simulate_xi_vector(ladder, config.beta, resolution,
                             RngStream(config.seed,
@@ -454,10 +467,10 @@ def _run_xi_coupling(config: ExperimentConfig, out: _Outputs) -> None:
             ["i", "empirical_cross_rate", "exact_cross_prob"],
             [(i + 1, emp[i], cp.p_shell[i]) for i in range(ladder.K)])
     subsets = None
-    if max_size is not None:
+    if max_subset_size is not None:
         subsets = [tuple(i + 1 for i in range(ladder.K) if m >> i & 1)
                    for m in range(1, 1 << ladder.K)]
-        subsets = [S for S in subsets if len(S) <= int(max_size)]
+        subsets = [S for S in subsets if len(S) <= max_subset_size]
     checks = coupling_checks(ladder, config.beta, xi, runs_fw=runs,
                              rng=RngStream(config.seed,
                                            (Tag.XI_FIREWORK,)).generator(),
@@ -477,6 +490,7 @@ _RUNNERS = {
     "firework": _run_firework,
     "xi-coupling": _run_xi_coupling,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------

@@ -308,14 +308,20 @@ def save_family(family: SetFamily, path) -> None:
 
 
 def load_family(path) -> SetFamily:
+    """Read a family file; a malformed line is a ValueError naming it."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith("n="):
-            raise ValueError("first line must be n=<int>")
-        n = int(header[2:])
-        sets = []
-        for line in fh:
-            line = line.strip()
-            sets.append(tuple(int(x) for x in line.split(",")) if line
-                        else ())
-    return SetFamily.from_sets(n, sets)
+        lines = [line.strip() for line in fh] or [""]
+    masks = []
+    for number, line in enumerate(lines, start=1):
+        try:
+            if number == 1:
+                if not line.startswith("n="):
+                    raise ValueError("must be n=<int>")
+                n = SetFamily(n=int(line[2:]), members=()).n
+            else:
+                masks += SetFamily.from_sets(n, [
+                    [int(x) for x in line.split(",")] if line else []
+                ]).members
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}") from None
+    return SetFamily(n=n, members=tuple(dict.fromkeys(masks)))

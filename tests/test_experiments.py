@@ -2,15 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lrplab
-from lrplab.cli import main
-from lrplab.experiments import (ConfigError, IntegrityError, load_config,
-                                parse_config, report, run, verify_run,
-                                write_json)
+from lrplab.cli import _assemble, _build_parser, main
+from lrplab.experiments import (REQUIRED, ConfigError, IntegrityError,
+                                load_config, parameters, parse_config,
+                                report, run, verify_run, write_json)
 from lrplab.rng import RngStream, Tag
 
 
@@ -73,6 +74,8 @@ _MANUAL_DIM = {"n": 16, "geodesics": 2, "scales": [1, 2],
     ("geodesics", "dim", {**_MANUAL_DIM, "geodesics": 0}, 1),
     ("scales", "dim", {**_MANUAL_DIM, "scales": [2, 2]}, 1),
     ("jobs", "sample", {"n": 8}, 0),
+    ("n", "dim", {**_MANUAL_DIM, "n": "eight"}, 1),
+    ("jobs", "sample", {"n": 8}, "two"),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
                                             jobs):
@@ -83,6 +86,20 @@ def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
         run(parse_config({"kind": kind, "seed": 1, "out": str(out),
                           "jobs": jobs, "model": {"d": 1, "beta": 1.0},
                           "params": params}))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, model, seed", [
+    ("d", {"d": 4}, 1), ("d", {"d": 0}, 1), ("beta", {"beta": -1}, 1),
+    ("beta", {"beta": 0.0}, 1), ("seed", {}, -1), ("seed", {}, 2 ** 64),
+    ("d", {"d": "two"}, 1), ("beta", {"beta": "high"}, 1),
+])
+def test_bad_model_value_fails_before_any_output(tmp_path, key, model,
+                                                 seed):
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=key):
+        run(parse_config({"kind": "sample", "seed": seed, "out": str(out),
+                          "model": model, "params": {"n": 8}}))
     assert not out.exists()
 
 
@@ -409,3 +426,155 @@ def test_runs_import_nothing_past_the_package(tmp_path):
     assert added == []
     # the kernel builds its Gauss-Legendre rule without numpy.polynomial
     assert polynomial == []
+
+
+# each kind's parameters, {name: (type, default)}: a new parameter or a
+# changed default is a visible edit here
+PARAMETERS = {
+    "sample": {"n": (int, 256)},
+    "scaling": {"n_values": (list[int], REQUIRED), "replicates": (int, 50)},
+    "dim": {"n": (int, 2048), "geodesics": (int, 100),
+            "scales": (list[int], [2, 3, 4, 5, 6]),
+            "theta_source": (str, "fit"), "theta": (float | None, None),
+            "n_values": (list[int], [32, 64, 128, 256, 512, 1024, 2048]),
+            "replicates": (int, 200)},
+    "goodcubes": {"s": (int, 32), "alphas": (list[float], [0.5, 0.25, 0.1]),
+                  "b": (float, 0.25), "theta": (float, 0.45),
+                  "a_s": (float | None, None), "replicates": (int, 400),
+                  "a_s_replicates": (int, 200), "cs_n": (int | None, None),
+                  "cs_k": (int, 5), "cs_replicates": (int, 100)},
+    "sperner": {"n_values": (list[int], list(range(4, 21))),
+                "families_per_n": (int, 100),
+                "p_values": (list[Fraction], [Fraction(1, 4), Fraction(1, 2),
+                                              Fraction(3, 4)]),
+                "generator": (str, "antichain-low"),
+                "target_size": (int | None, None)},
+    "firework": {"eps": (float, 1e-9), "theta": (float, 0.5),
+                 "c_star1": (float, 0.5), "c2": (float, 1.0),
+                 "k_min": (int, 2), "k_max": (int, 12),
+                 "runs": (int, 10 ** 5)},
+    "xi-coupling": {"eps": (float, 1e-12), "theta": (float, 0.5),
+                    "c_star1": (float, 0.5), "resolution": (int, 8),
+                    "runs": (int, 10 ** 4),
+                    "max_subset_size": (int | None, None)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETERS))
+def test_parameters_pinned(kind):
+    assert dict(parameters(kind)) == PARAMETERS[kind]
+    assert parameters(kind) is parameters(kind)      # read once
+
+
+def test_given_params_cast_and_round_trip(tmp_path):
+    doc = {"kind": "sperner", "out": str(tmp_path / "sp"), "seed": "2",
+           "jobs": 1.0, "model": {"d": "1", "beta": "0.5"},
+           "params": {"n_values": ["4", 5], "p_values": [0.1, "1/3"],
+                      "target_size": None}}
+    config = parse_config(doc)
+    assert config.to_dict() == {
+        "kind": "sperner", "out": str(tmp_path / "sp"), "seed": 2,
+        "jobs": 1, "model": {"d": 1, "beta": 0.5},
+        "params": {"n_values": [4, 5],
+                   "p_values": [Fraction(1, 10), Fraction(1, 3)],
+                   "target_size": None}}
+    run(config)
+    manifest = json.loads((tmp_path / "sp" / "manifest.json").read_text())
+    assert manifest["config"]["params"]["p_values"] == ["1/10", "1/3"]
+    assert parse_config(manifest["config"]) == config
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["sample", "--n", "32", "--seed", "5", "--jobs", "2", "--d", "2",
+      "--beta", "1.5"],
+     {"kind": "sample", "seed": 5, "jobs": 2, "model": {"d": 2, "beta": 1.5},
+      "params": {"n": 32}}),
+    (["scaling", "--n-values", "8", "16", "--replicates", "40"],
+     {"kind": "scaling", "params": {"n_values": [8, 16], "replicates": 40}}),
+    (["dim", "--n", "16", "--scales", "1", "2", "--theta-source", "manual",
+      "--theta", "0.5", "--replicates", "7"],
+     {"kind": "dim", "params": {"n": 16, "replicates": 7, "scales": [1, 2],
+                                "theta": 0.5, "theta_source": "manual"}}),
+    (["goodcubes", "--s", "8", "--alpha", "0.5", "0.25", "--b", "0.3",
+      "--theta", "0.4", "--replicates", "9"],
+     {"kind": "goodcubes", "params": {"alphas": [0.5, 0.25], "b": 0.3,
+                                      "replicates": 9, "s": 8,
+                                      "theta": 0.4}}),
+    (["firework", "--eps", "1e-6", "--theta", "0.6", "--c-star1", "0.4",
+      "--c2", "2"],
+     {"kind": "firework", "params": {"c2": 2.0, "c_star1": 0.4, "eps": 1e-6,
+                                     "theta": 0.6}}),
+    (["xi-coupling", "--eps", "1e-9", "--theta", "0.5", "--c-star1", "0.3",
+      "--resolution", "4", "--runs", "100"],
+     {"kind": "xi-coupling", "params": {"c_star1": 0.3, "eps": 1e-9,
+                                        "resolution": 4, "runs": 100,
+                                        "theta": 0.5}}),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_cli_flags_give_the_same_config(monkeypatch, argv, expected):
+    # the configs the hand-written flags of earlier versions gave
+    for var in ("SEED", "OUT", "JOBS", "REPLICATES"):
+        monkeypatch.delenv("LRPLAB_" + var, raising=False)
+    argv = argv[:1] + ["--out", "o"] + argv[1:]
+    config = _assemble(_build_parser().parse_args(argv), argv[0])
+    assert config.to_dict() == {"seed": 0, "out": "o", "jobs": 1,
+                                "model": {"d": 1, "beta": 1.0}, **expected}
+
+
+@pytest.mark.parametrize("kind", sorted(PARAMETERS))
+def test_cli_has_a_flag_per_parameter(capsys, kind):
+    with pytest.raises(SystemExit):
+        main([kind, "--help"])
+    text = capsys.readouterr().out
+    for name, (_, default) in PARAMETERS[kind].items():
+        assert "--" + name.replace("_", "-") in text
+    assert "default: 0" in text and "required" in text     # --seed, --out
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--d", "4"], "d"), (["--beta", "-1"], "beta"),
+    (["--n", "eight"], "n"), (["--seed", "-3"], "seed"),
+    (["--jobs", "two"], "jobs"),
+])
+def test_cli_bad_value_exit_2_before_output(tmp_path, capsys, flags, key):
+    out = tmp_path / "s"
+    assert main(["sample", "--out", str(out), "--n", "8", *flags]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+    assert not out.exists()
+
+
+def test_cli_config_value_that_does_not_convert(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "sample", "out": str(tmp_path / "s"),
+                               "jobs": "two", "params": {"n": 8}}))
+    assert main(["sample", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: jobs")
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    (None, "No such file"), ("{\"kind\": ", "cannot read config"),
+    ("[1, 2]", "must be dict"), ('{"params": [1]}', "params"),
+], ids=["missing", "not-json", "not-object", "params-not-object"])
+def test_cli_bad_config_file(tmp_path, capsys, text, named):
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["sample", "--out", str(tmp_path / "s"), "--config",
+                 str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("text, named", [
+    ("n=x\n1\n", "line 1"), ("n=3\n1,2\n9\n", "line 3: element 9"),
+    ("1,2\n", "line 1"), ("n=3\n1,a\n", "line 2"), (None, "No such file"),
+], ids=["bad-n", "element-outside", "no-header", "bad-element", "missing"])
+@pytest.mark.parametrize("action", ["check", "bound"])
+def test_cli_bad_family_file(tmp_path, capsys, text, named, action):
+    fam = tmp_path / "fam.txt"
+    if text is not None:
+        fam.write_text(text)
+    assert main(["sperner", action, str(fam)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
