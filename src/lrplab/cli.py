@@ -131,7 +131,10 @@ def _sperner_file_action(args) -> int:
                    "downward" if c.downward else "neither")
             print(f"  member={c.member:#x} class={tag}")
         return 0 if rep.is_sperner else 1
-    chain = sperner_bound_check(family, cast("--p", Fraction, args.p))
+    try:
+        chain = sperner_bound_check(family, cast("--p", Fraction, args.p))
+    except ValueError as exc:   # p outside (0, 1), or not a Sperner family
+        raise ConfigError(f"sperner bound: {exc}") from None
     print(f"n={chain.n} p={chain.p} P={chain.event_prob} "
           f"central={chain.central_term} lym={chain.lym}")
     print(f"P <= central*lym: {chain.link_event_le_central_times_lym}; "

@@ -256,6 +256,7 @@ def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
 
 GOOD_CUBE_BOX_FACTOR = 9   # box side over cube side in `good_cube_rate`
 WILSON_Z = 1.96            # normal quantile of its 95% Wilson interval
+GOOD_CUBE_MIN_REPLICATES = 100  # the fewest replicates it takes
 
 
 @dataclass
@@ -274,8 +275,9 @@ def good_cube_rate(d: int, beta: float, s: int,
     """Monte Carlo P[cube is good] with a Wilson 95% interval, one rate
     per entry of `grid`; each replicate's configuration is sampled once
     and classified under every entry."""
-    if replicates < 100:
-        raise ValueError("need at least 100 replicates")
+    if replicates < GOOD_CUBE_MIN_REPLICATES:
+        raise ValueError(
+            f"need at least {GOOD_CUBE_MIN_REPLICATES} replicates")
     n = GOOD_CUBE_BOX_FACTOR * s
     z = tuple([n // 2] * d)
     hits = np.zeros(len(grid), dtype=np.int64)

@@ -40,13 +40,14 @@ from .graph import (ModelConfig, _atomic_open, export_text, sample_graph,
                     sample_graphs, save_binary)
 from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
-from .scaling import (Ladder, ScalingFit, atom_trend, ecdf,
-                      estimate_medians, fit_theta, sample_distances)
-from .dimension import (GoodCubeParams, connected_set_growth,
+from .scaling import (MIN_LADDER_POINTS, Ladder, ScalingFit, atom_trend,
+                      ecdf, estimate_medians, fit_theta, sample_distances)
+from .dimension import (GOOD_CUBE_BOX_FACTOR, GOOD_CUBE_MIN_REPLICATES,
+                        GoodCubeParams, connected_set_growth,
                         good_cube_rate, mean_dimension_fit)
 from .firework import (FireworkModel, build_ladder, compute_crossing_probs,
                        coupling_checks, reach_tail, simulate_xi_vector)
-from .sperner import generate_family, sperner_bound_check
+from .sperner import GENERATORS, generate_family, sperner_bound_check
 
 # the default of a parameter that a config must give
 REQUIRED = inspect.Parameter.empty
@@ -138,23 +139,45 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment kind: {kind!r}")
     model = _defaults(_MODEL) | _read(top["model"], _MODEL, "model key")
     params = _read(top["params"], parameters(kind), f"{kind} parameter")
-    try:
-        # the model's own checks of d, beta and seed; any box side passes
-        ModelConfig(n=2, seed=top["seed"], **model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    # values a run would trip on only after writing its manifest, or
-    # that give a NaN dimension; the defaults pass every check
-    source = params.get("theta_source", "fit")
+    p = _defaults(parameters(kind)) | params
+    source = p.get("theta_source", "fit")
+    fits = kind == "scaling" or (kind == "dim" and source == "fit")
+    # values a run would trip on only after writing its manifest, or that
+    # give a NaN dimension (the defaults pass): a layer's bound is met by
+    # building its object (the model at side 2, then at each box side the
+    # run samples; the ladder it fits) or by reading the layer's constant
+    box = functools.partial(ModelConfig, seed=top["seed"], **model)
+    layers = [("", box, {"n": 2})]      # d, beta and seed
+    if kind in ("sample", "dim"):
+        layers += [("n: ", box, {"n": (3 if kind == "dim" else 1) * p["n"]})]
+    if kind == "goodcubes":
+        cs_n = 16 * p["s"] if p["cs_n"] is None else p["cs_n"]
+        layers += [("s: ", box, {"n": GOOD_CUBE_BOX_FACTOR * p["s"]}),
+                   ("cs_n: ", box, {"n": cs_n})]
+    if fits:
+        layers += [("", Ladder, {"n_values": tuple(p["n_values"]),
+                                 "replicates": p["replicates"]})]
+    for named, layer, kwargs in layers:
+        try:
+            layer(**kwargs)
+        except ValueError as exc:
+            raise ConfigError(named + str(exc)) from None
     for bad, msg in (
             (top["jobs"] < 1, f"jobs must be >= 1, got {top['jobs']}"),
             (source not in ("fit", "manual"),
              f"theta_source must be 'fit' or 'manual', got {source!r}"),
-            (source == "manual" and params.get("theta") is None,
+            (source == "manual" and p.get("theta") is None,
              "theta_source 'manual' needs parameter: theta"),
-            (params.get("geodesics", 1) < 1, "geodesics must be >= 1"),
-            (len(set(params.get("scales", (0, 1)))) < 2,
-             "scales must hold at least 2 distinct values")):
+            (p.get("geodesics", 1) < 1, "geodesics must be >= 1"),
+            (len(set(p.get("scales", (0, 1)))) < 2,
+             "scales must hold at least 2 distinct values"),
+            (fits and len(p["n_values"]) < MIN_LADDER_POINTS,
+             f"n_values must hold at least {MIN_LADDER_POINTS} points"),
+            (kind == "goodcubes"
+             and p["replicates"] < GOOD_CUBE_MIN_REPLICATES,
+             f"replicates must be >= {GOOD_CUBE_MIN_REPLICATES}"),
+            (kind == "sperner" and p["generator"] not in GENERATORS,
+             f"generator must be one of {', '.join(GENERATORS)}")):
         if bad:
             raise ConfigError(msg)
     return ExperimentConfig(kind=kind, seed=top["seed"], out=top["out"],
@@ -466,15 +489,10 @@ def _run_xi_coupling(config: ExperimentConfig, out: _Outputs, *,
     out.csv("xi_marginals.csv",
             ["i", "empirical_cross_rate", "exact_cross_prob"],
             [(i + 1, emp[i], cp.p_shell[i]) for i in range(ladder.K)])
-    subsets = None
-    if max_subset_size is not None:
-        subsets = [tuple(i + 1 for i in range(ladder.K) if m >> i & 1)
-                   for m in range(1, 1 << ladder.K)]
-        subsets = [S for S in subsets if len(S) <= max_subset_size]
     checks = coupling_checks(ladder, config.beta, xi, runs_fw=runs,
                              rng=RngStream(config.seed,
                                            (Tag.XI_FIREWORK,)).generator(),
-                             subsets=subsets)
+                             max_size=max_subset_size)
     out.csv("coupling.csv", ["subset", "k", "w_empirical", "firework_tail",
                              "sigma", "holds"],
             [("|".join(map(str, c.subset)), len(c.subset), c.w_empirical,

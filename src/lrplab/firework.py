@@ -103,31 +103,24 @@ def compute_crossing_probs(ladder: AnnulusLadder,
         a = float(ladder.r[i - 1])
         if a > 0:
             p_gap[i] = cg.crossing_probability(
-                cg.ball(a, 1), cg.ball_complement(
-                    ladder.annulus_inner_radius(i), 1), beta)
+                1, (0.0, a), (ladder.annulus_inner_radius(i), cg.INF), beta)
         p_shell[i] = cg.crossing_probability(
-            cg.ball(ladder.shell_inner_radius(i), 1),
-            cg.ball_complement(float(ladder.r[i]), 1), beta)
+            1, (0.0, ladder.shell_inner_radius(i)),
+            (float(ladder.r[i]), cg.INF), beta)
     return CrossingProbs(p_gap=p_gap[1:], p_shell=p_shell[1:])
 
 
-def ball_jump_probability(ratio: float, beta: float, d: int) -> float:
-    """P[long edge from B_1(0) past radius `ratio`].
-
-    The scaling variable of the gap-crossing bound: jumping an annulus
-    whose outer/inner radius ratio is N has probability of order
-    N^(-d).
-    """
-    if ratio <= 1:
-        raise ValueError("ratio must exceed 1")
-    return cg.crossing_probability(cg.ball(1.0, d),
-                                   cg.ball_complement(ratio, d), beta)
-
-
 def jump_scaling_sweep(ratios, beta: float, d: int):
-    """(log ratio, log P) points and fitted slope for the annulus jump."""
+    """(log ratio, log P) points and fitted slope of the annulus jump.
+
+    P is the probability of a long edge from B_1(0) past radius
+    `ratio` (> 1), the scaling variable of the gap-crossing bound:
+    jumping an annulus whose outer/inner radius ratio is N has
+    probability of order N^(-d).
+    """
     x = np.log(np.asarray(ratios, dtype=float))
-    y = np.log([ball_jump_probability(float(r), beta, d) for r in ratios])
+    y = np.log([cg.crossing_probability(d, (0.0, 1.0), (float(r), cg.INF),
+                                        beta) for r in ratios])
     slope, _, r2 = line_fit(x, y)
     return x, y, slope, r2
 
@@ -339,7 +332,8 @@ def simulate_xi_vector(ladder: AnnulusLadder, beta: float, resolution: int,
                         for i in range(1, K + 1)]
             if not any(relevant):
                 continue
-            lam.append(beta * _sym_cell_pair_integral(cells[ai], cells[bi]))
+            lam.append(beta * cg.radial_pair_integral(1, cells[ai],
+                                                      cells[bi]))
             pair_masks.append(relevant)
     lam = np.asarray(lam)
     pair_masks = np.asarray(pair_masks, dtype=bool)   # (npairs, K)
@@ -356,26 +350,6 @@ def simulate_xi_vector(ladder: AnnulusLadder, beta: float, resolution: int,
     xi = (crossed == 0)
     return XiSample(xi=xi, lambda_exact=lam_exact, runs=runs,
                     resolution=resolution)
-
-
-def _sym_cell_pair_integral(cell_a, cell_b) -> float:
-    """Kernel integral between symmetric radial cells on the line.
-
-    A radial cell (lo, hi) is [-hi, -lo] u [lo, hi] (a single interval
-    when lo = 0).  Cells from different shells are separated, so every
-    interval pair is disjoint.
-    """
-    def pieces(cell):
-        lo, hi = cell
-        if lo == 0.0:
-            return [(-hi, hi)]
-        return [(-hi, -lo), (lo, hi)]
-
-    total = 0.0
-    for (a1, b1) in pieces(cell_a):
-        for (a2, b2) in pieces(cell_b):
-            total += cg.interval_pair_integral(a1, b1, a2, b2)
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -408,20 +382,14 @@ def matched_step_cdfs(ladder: AnnulusLadder, beta: float,
     k = len(S)
     cdfs = []
     for l in range(k):
-        if l == 0:
-            inner = cg.ball(ladder.shell_inner_radius(S[0]), 1)
-        else:
-            inner = cg.annulus(ladder.shell_inner_radius(S[l]),
-                               ladder.shell_inner_radius(S[l - 1]), 1)
+        inner = (ladder.shell_inner_radius(S[l - 1]) if l else 0.0,
+                 ladder.shell_inner_radius(S[l]))
         cap = k - l
         tail = np.zeros(cap + 2)
         for s in range(1, cap + 1):
-            outer = cg.ball_complement(float(ladder.r[S[l + s - 1]]), 1)
-            tail[s] = -math.expm1(
-                -beta * cg.region_pair_integral(inner, outer))
-        cdf = 1.0 - tail[1:]
-        cdf = np.concatenate([cdf, [1.0]])
-        cdfs.append(np.maximum.accumulate(cdf))
+            tail[s] = cg.crossing_probability(
+                1, inner, (float(ladder.r[S[l + s - 1]]), cg.INF), beta)
+        cdfs.append(np.maximum.accumulate(np.append(1.0 - tail[1:], 1.0)))
     return cdfs
 
 
@@ -439,17 +407,19 @@ def firework_cover_tail(ladder: AnnulusLadder, beta: float, subset,
 
 def coupling_checks(ladder: AnnulusLadder, beta: float, xi: XiSample,
                     runs_fw: int, rng: np.random.Generator,
-                    subsets=None) -> list[CouplingCheck]:
+                    max_size: int | None = None) -> list[CouplingCheck]:
     """w_S = P[xi zero on S] against the matched firework cover tail.
 
-    Checks w_S <= tail + SIGMA_FACTOR * sigma for every requested
-    subset (default: all nonempty subsets), sigma combining both
-    binomial errors.
+    Checks w_S <= tail + SIGMA_FACTOR * sigma for every nonempty subset
+    S of the shells, in the order of its bit mask, with at most
+    `max_size` members when that is given; sigma combines both binomial
+    errors.
     """
     K = ladder.K
-    if subsets is None:
-        subsets = [tuple(i + 1 for i in range(K) if mask >> i & 1)
-                   for mask in range(1, 1 << K)]
+    subsets = [tuple(i + 1 for i in range(K) if mask >> i & 1)
+               for mask in range(1, 1 << K)]
+    if max_size is not None:
+        subsets = [S for S in subsets if len(S) <= max_size]
     out = []
     for S in subsets:
         cols = [i - 1 for i in S]

@@ -27,6 +27,7 @@ from .metric import distance
 from .rng import RngStream, Tag
 
 BOOTS = 500     # bootstrap rounds of `fit_theta`
+MIN_LADDER_POINTS = 4   # the fewest ladder points `fit_theta` fits
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,8 @@ def fit_theta(fit: ScalingFit) -> ScalingFit:
     slope's CI.  Rejects degenerate ladders (fewer than 4 points or
     constant medians).
     """
-    if len(fit.n_values) < 4:
-        raise ValueError("need at least 4 ladder points")
+    if len(fit.n_values) < MIN_LADDER_POINTS:
+        raise ValueError(f"need at least {MIN_LADDER_POINTS} ladder points")
     if np.allclose(fit.medians, fit.medians[0]):
         raise ValueError("degenerate ladder: constant medians")
     x = np.log(np.asarray(fit.n_values, dtype=float))

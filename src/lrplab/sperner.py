@@ -26,6 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 N_CAP = 24
+# the kinds `generate_family` draws
+GENERATORS = ("antichain-low", "greedy-maximal", "random-levels")
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,8 @@ def generate_family(kind: str, n: int, rng: np.random.Generator,
     while the family still passes the Sperner test.  random-levels:
     candidates from two adjacent levels, greedily filtered the same way.
     """
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator kind: {kind}")
     if n > N_CAP:
         raise ValueError(f"n must be <= {N_CAP}")
     if target_size is None:
@@ -251,10 +255,8 @@ def generate_family(kind: str, n: int, rng: np.random.Generator,
         return _antichain_low(n, rng, target_size)
     if kind == "greedy-maximal":
         return _greedy(n, rng, target_size, levels=None)
-    if kind == "random-levels":
-        base = int(rng.integers(0, n))
-        return _greedy(n, rng, target_size, levels=(base, min(base + 1, n)))
-    raise ValueError(f"unknown generator kind: {kind}")
+    base = int(rng.integers(0, n))      # random-levels
+    return _greedy(n, rng, target_size, levels=(base, min(base + 1, n)))
 
 
 def _random_mask_of_size(n: int, size: int, rng) -> int:

@@ -76,6 +76,16 @@ _MANUAL_DIM = {"n": 16, "geodesics": 2, "scales": [1, 2],
     ("jobs", "sample", {"n": 8}, 0),
     ("n", "dim", {**_MANUAL_DIM, "n": "eight"}, 1),
     ("jobs", "sample", {"n": 8}, "two"),
+    # the layers' own bounds: fit_theta's ladder points, the ladder's
+    # replicates, the model's box side at n and at 3n, the generator
+    # names, good_cube_rate's replicates (met only after the a_s probe)
+    ("n_values", "scaling", {"n_values": [8, 16, 32], "replicates": 30}, 1),
+    ("replicates", "scaling", {"n_values": [8, 16, 32, 64],
+                               "replicates": 20}, 1),
+    ("n", "sample", {"n": 1}, 1),
+    ("n", "dim", {**_MANUAL_DIM, "n": 10 ** 9}, 1),
+    ("generator", "sperner", {"generator": "nope"}, 1),
+    ("replicates", "goodcubes", {"replicates": 10}, 1),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
                                             jobs):
@@ -113,11 +123,16 @@ def test_scaling_row_count_contract(tmp_path):
     assert len(lines) == 6  # header + 5 ladder rows
 
 
-def test_failed_run_removes_outputs(tmp_path):
+def test_failed_run_removes_outputs(tmp_path, monkeypatch):
+    # the atom trend fails after the ladder's data files are written
+    def fail(ecdfs):
+        raise ValueError("atom trend failed")
+
+    monkeypatch.setattr("lrplab.experiments.atom_trend", fail)
     cfg = parse_config({
         "kind": "scaling", "seed": 1, "out": str(tmp_path / "bad"),
-        "params": {"n_values": [16, 8], "replicates": 40}})
-    with pytest.raises(ValueError):
+        "params": {"n_values": [8, 16, 32, 64], "replicates": 30}})
+    with pytest.raises(ValueError, match="atom trend"):
         run(cfg)
     files = {p.name for p in (tmp_path / "bad").iterdir()}
     assert files == {"manifest.json"}
@@ -227,6 +242,19 @@ def test_cli_sperner_check_and_bound(tmp_path, capsys):
     assert main(["sperner", "bound", str(fam), "--p", "1/2"]) == 0
     out = capsys.readouterr().out
     assert "lym <= 4: True" in out
+
+
+@pytest.mark.parametrize("text, p, named", [
+    ("n=4\n1,2\n1,3\n2,3\n", "2", "p must be strictly between"),
+    ("n=4\n1,2\n1,3\n2,3\n", "0", "p must be strictly between"),
+    ("n=2\n\n1\n2\n1,2\n", "1/2", "not Sperner"),
+], ids=["p-above-1", "p-zero", "not-sperner"])
+def test_cli_sperner_bound_refusals(tmp_path, capsys, text, p, named):
+    fam = tmp_path / "fam.txt"
+    fam.write_text(text)
+    assert main(["sperner", "bound", str(fam), "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
 
 
 def test_cli_sperner_check_rejects_power_set(tmp_path):
@@ -489,16 +517,17 @@ def test_given_params_cast_and_round_trip(tmp_path):
       "--beta", "1.5"],
      {"kind": "sample", "seed": 5, "jobs": 2, "model": {"d": 2, "beta": 1.5},
       "params": {"n": 32}}),
-    (["scaling", "--n-values", "8", "16", "--replicates", "40"],
-     {"kind": "scaling", "params": {"n_values": [8, 16], "replicates": 40}}),
+    (["scaling", "--n-values", "8", "16", "32", "64", "--replicates", "40"],
+     {"kind": "scaling", "params": {"n_values": [8, 16, 32, 64],
+                                   "replicates": 40}}),
     (["dim", "--n", "16", "--scales", "1", "2", "--theta-source", "manual",
       "--theta", "0.5", "--replicates", "7"],
      {"kind": "dim", "params": {"n": 16, "replicates": 7, "scales": [1, 2],
                                 "theta": 0.5, "theta_source": "manual"}}),
     (["goodcubes", "--s", "8", "--alpha", "0.5", "0.25", "--b", "0.3",
-      "--theta", "0.4", "--replicates", "9"],
+      "--theta", "0.4", "--replicates", "100"],
      {"kind": "goodcubes", "params": {"alphas": [0.5, 0.25], "b": 0.3,
-                                      "replicates": 9, "s": 8,
+                                      "replicates": 100, "s": 8,
                                       "theta": 0.4}}),
     (["firework", "--eps", "1e-6", "--theta", "0.6", "--c-star1", "0.4",
       "--c2", "2"],

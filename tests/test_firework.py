@@ -47,37 +47,70 @@ def test_ladder_m1_value():
 
 
 def test_interval_crossing_quarter():
-    p = crossing_probability(cg.ContRegion(d=1, pieces=((-0.5, 0.5),)),
-                             cg.ContRegion(d=1, pieces=((1.5, 2.5),)),
-                             beta=1.0)
+    p = -math.expm1(-cg.interval_pair_integral(-0.5, 0.5, 1.5, 2.5))
     assert p == pytest.approx(0.25, abs=1e-12)
 
 
 def test_crossing_linear_in_small_beta():
-    inner, outer = cg.ball(1.0, 1), cg.ball_complement(3.0, 1)
-    I = cg.region_pair_integral(inner, outer)
-    p = crossing_probability(inner, outer, beta=1e-9)
+    inner, outer = (0.0, 1.0), (3.0, cg.INF)
+    I = cg.radial_pair_integral(1, inner, outer)
+    p = crossing_probability(1, inner, outer, beta=1e-9)
     assert p / 1e-9 == pytest.approx(I, rel=1e-6)
 
 
 def test_crossing_monotone_in_beta_and_region():
-    a = crossing_probability(cg.ball(1.0, 2), cg.ball_complement(2.0, 2), 0.5)
-    b = crossing_probability(cg.ball(1.0, 2), cg.ball_complement(2.0, 2), 1.0)
-    c = crossing_probability(cg.ball(1.5, 2), cg.ball_complement(2.0, 2), 0.5)
+    a = crossing_probability(2, (0.0, 1.0), (2.0, cg.INF), 0.5)
+    b = crossing_probability(2, (0.0, 1.0), (2.0, cg.INF), 1.0)
+    c = crossing_probability(2, (0.0, 1.5), (2.0, cg.INF), 0.5)
     assert a < b and a < c
 
 
 def test_crossing_rejects_overlap():
     with pytest.raises(ValueError):
-        crossing_probability(cg.ball(2.0, 1), cg.ball_complement(1.5, 1), 1.0)
+        crossing_probability(1, (0.0, 2.0), (1.5, cg.INF), 1.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("inner, outer, named", [
+    ((0.0, 1.0), (1.0, cg.INF), "end below"),       # touching
+    ((0.5, 2.0), (1.5, 3.0), "end below"),          # overlapping
+    ((1.0, 1.0), (2.0, 3.0), "lo < hi"),            # empty inner
+    ((0.0, 1.0), (3.0, 2.0), "lo < hi"),            # inverted outer
+    ((-1.0, 1.0), (2.0, 3.0), "0 <= lo"),           # negative radius
+    ((2.0, 3.0), (0.0, 1.0), "end below"),          # outer below inner
+], ids=["touching", "overlapping", "empty", "inverted", "negative",
+        "outer-below-inner"])
+def test_radial_pair_integral_refusals(d, inner, outer, named):
+    with pytest.raises(ValueError, match=named):
+        cg.radial_pair_integral(d, inner, outer)
+
+
+def test_radial_pair_integral_d1_sums_interval_pairs():
+    # the xi sampler's cell pairs, summed inner interval by outer
+    # interval in this order: its golden bytes depend on it
+    lad = build_ladder(1e-12, theta=0.5, c_star1=0.5)
+    shell = [lad.shell_inner_radius(i) for i in (1, 2, 3)]
+    r = [float(x) for x in lad.r]
+    for inner, outer in [((0.0, shell[0]), (r[1], shell[1])),
+                         ((0.0, shell[0]), (r[3], cg.INF)),
+                         ((shell[0], r[1]), (shell[1], r[2])),
+                         ((r[1], shell[1]), (shell[2], cg.INF)),
+                         ((0.125, 0.25), (0.5, 0.625))]:
+        pieces = [[(-hi, hi)] if lo == 0 else [(-hi, -lo), (lo, hi)]
+                  for lo, hi in (inner, outer)]
+        total = 0.0
+        for a in pieces[0]:
+            for b in pieces[1]:
+                total += cg.interval_pair_integral(*a, *b)
+        assert cg.radial_pair_integral(1, inner, outer) == total
 
 
 def test_region_integrals_match_quadrature():
     # d=1 ball x complement
-    I = cg.region_pair_integral(cg.ball(1.0, 1), cg.ball_complement(2.5, 1))
+    I = cg.radial_pair_integral(1, (0.0, 1.0), (2.5, cg.INF))
     assert I == pytest.approx(2 * math.log(3.5 / 1.5), rel=1e-12)
     # d=2 ball x complement against the radial reduction by scipy
-    I2 = cg.region_pair_integral(cg.ball(1.0, 2), cg.ball_complement(2.0, 2))
+    I2 = cg.radial_pair_integral(2, (0.0, 1.0), (2.0, cg.INF))
 
     def inner(rho):
         f = lambda r: r * (rho ** 2 + r ** 2) / (r ** 2 - rho ** 2) ** 3
@@ -86,8 +119,7 @@ def test_region_integrals_match_quadrature():
     v, _ = integrate.quad(inner, 0, 1.0, epsabs=1e-14, epsrel=1e-12)
     assert I2 == pytest.approx(4 * math.pi ** 2 * v, rel=1e-9)
     # d=2 annulus x complement
-    I3 = cg.region_pair_integral(cg.annulus(0.9, 0.5, 2),
-                                 cg.ball_complement(1.0, 2))
+    I3 = cg.radial_pair_integral(2, (0.5, 0.9), (1.0, cg.INF))
 
     def inner1(rho):
         f = lambda r: r * (rho ** 2 + r ** 2) / (r ** 2 - rho ** 2) ** 3

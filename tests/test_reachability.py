@@ -46,7 +46,7 @@ KEEP = {"firework.jump_scaling_sweep", "firework.simulate_firework",
 DEFAULTED = [
     "cli.main(argv)",
     "firework.FireworkModel.default(c2)",
-    "firework.coupling_checks(subsets)",
+    "firework.coupling_checks(max_size)",
     "firework.simulate_firework(runs)",
     "firework.simulate_firework(store_generations)",
     "firework.simulate_xi_vector(runs)",
