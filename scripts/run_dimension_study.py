@@ -6,7 +6,7 @@ sampled at the largest box, the box-counting slope over dyadic scales
 and |dim_hat - theta_hat|; then `lrplab report` on the run directory.
 Every flag of `lrplab dim` is taken and follows the presets, so it wins:
 
-    python scripts/run_dim_study.py --n 64 --geodesics 5 --out runs/d
+    python scripts/run_dimension_study.py --n 64 --geodesics 5 --out runs/d
 """
 
 import sys

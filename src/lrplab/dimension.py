@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .graph import ModelConfig, sample_graphs
+from .graph import ModelConfig, map_replicates
 # also bound here, unused: the benchmark's probe self-test wraps this
 # name in every lrplab module that holds it (perfbench/test_checks.py)
 from .graph import sample_graph  # noqa: F401
@@ -271,20 +272,20 @@ class GoodRate:
 
 def good_cube_rate(d: int, beta: float, s: int,
                    grid: list[GoodCubeParams], a_s: float, replicates: int,
-                   seed: int) -> list[GoodRate]:
+                   seed: int, *, jobs: int) -> list[GoodRate]:
     """Monte Carlo P[cube is good] with a Wilson 95% interval, one rate
     per entry of `grid`; each replicate's configuration is sampled once
-    and classified under every entry."""
+    and classified under every entry.  The replicates are split over
+    `jobs` processes (`map_replicates`)."""
     if replicates < GOOD_CUBE_MIN_REPLICATES:
         raise ValueError(
             f"need at least {GOOD_CUBE_MIN_REPLICATES} replicates")
     n = GOOD_CUBE_BOX_FACTOR * s
-    z = tuple([n // 2] * d)
-    hits = np.zeros(len(grid), dtype=np.int64)
     cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-    for g in sample_graphs(cfg, [(Tag.GOOD_CUBE_SAMPLE, r)
-                                 for r in range(replicates)]):
-        hits += [c.good for c in classify_good_cube(g, z, s, grid, a_s)]
+    good = map_replicates(
+        cfg, [(Tag.GOOD_CUBE_SAMPLE, r) for r in range(replicates)],
+        partial(_good_flags, (n // 2,) * d, s, grid, a_s), jobs=jobs)
+    hits = np.sum(good, axis=0, dtype=np.int64)
     out = []
     for params, h in zip(grid, hits.tolist()):
         lo, hi = _wilson(h, replicates)
@@ -292,6 +293,11 @@ def good_cube_rate(d: int, beta: float, s: int,
                             rate=h / replicates, ci_lo=lo, ci_hi=hi,
                             replicates=replicates))
     return out
+
+
+def _good_flags(z, s: int, grid, a_s: float, key, graph) -> list[bool]:
+    """Whether the cube V_3s(z) of `graph` is good, per grid entry."""
+    return [c.good for c in classify_good_cube(graph, z, s, grid, a_s)]
 
 
 def _wilson(k: int, n: int) -> tuple[float, float]:
@@ -407,21 +413,25 @@ class RenormStats:
 
 
 def connected_set_growth(d: int, beta: float, n: int, s: int, k: int,
-                         replicates: int, seed: int) -> RenormStats:
-    """Empirical mean |CS_j| at the center cube against (4 mu_hat)^j."""
-    totals = np.zeros(k, dtype=float)
-    degs = []
-    root = None
+                         replicates: int, seed: int, *,
+                         jobs: int) -> RenormStats:
+    """Empirical mean |CS_j| at the center cube against (4 mu_hat)^j.
+    The replicates are split over `jobs` processes (`map_replicates`)."""
     cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
-    for g in sample_graphs(cfg, [(Tag.CONNECTED_SET_SAMPLE, r)
-                                 for r in range(replicates)]):
-        rg = renormalize(g, s)
-        if root is None:
-            root = tuple(c // 2 for c in rg.shape)
-        totals += enumerate_connected_sets(rg, root, k)
-        degs.append(mean_renormalized_degree(rg))
+    counts, degs = zip(*map_replicates(
+        cfg, [(Tag.CONNECTED_SET_SAMPLE, r) for r in range(replicates)],
+        partial(_center_sets, s, k), jobs=jobs))
     mu = float(np.mean(degs))
-    means = totals / replicates
+    means = np.mean(counts, axis=0)
     bound = (4.0 * mu) ** np.arange(1, k + 1)
     return RenormStats(mu_hat=mu, cs_means=means, cs_bound=bound,
                        replicates=replicates)
+
+
+def _center_sets(s: int, k: int, key, graph) -> tuple[np.ndarray, float]:
+    """Connected-set counts at the center cube of `graph` renormalized
+    at side s, and the mean degree of its interior cubes."""
+    rg = renormalize(graph, s)
+    root = tuple(c // 2 for c in rg.shape)
+    return (enumerate_connected_sets(rg, root, k),
+            mean_renormalized_degree(rg))

@@ -16,8 +16,9 @@ writes each data file through `out` (`out.csv`, `out.json`, or
 failure removes, exactly the files on that list.  Its keyword-only
 arguments are the kind's parameters, with their types and defaults.
 `rng_streams` is the growth of `RngStream.built` across the runner, so
-it counts generators where they are built; `scaling.sample_distances`
-adds its pool workers' counts.
+it counts generators where they are built; `graph.map_replicates`, the
+one replicate loop, runs every loop of `scaling`, `dim` and `goodcubes`
+on `config.jobs` processes and adds its pool workers' counts.
 """
 
 from __future__ import annotations
@@ -36,18 +37,21 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .graph import (ModelConfig, _atomic_open, export_text, sample_graph,
-                    sample_graphs, save_binary)
+from .graph import (ModelConfig, _atomic_open, export_text, map_replicates,
+                    sample_graph, save_binary)
 from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
 from .scaling import (MIN_LADDER_POINTS, Ladder, ScalingFit, atom_trend,
                       ecdf, estimate_medians, fit_theta, sample_distances)
-from .dimension import (GOOD_CUBE_BOX_FACTOR, GOOD_CUBE_MIN_REPLICATES,
-                        GoodCubeParams, connected_set_growth,
-                        good_cube_rate, mean_dimension_fit)
-from .firework import (FireworkModel, build_ladder, compute_crossing_probs,
-                       coupling_checks, reach_tail, simulate_xi_vector)
-from .sperner import GENERATORS, generate_family, sperner_bound_check
+from .dimension import (CS_SIZE_CAP, GOOD_CUBE_BOX_FACTOR,
+                        GOOD_CUBE_MIN_REPLICATES, GoodCubeParams,
+                        connected_set_growth, good_cube_rate,
+                        mean_dimension_fit)
+from .firework import (MIN_RESOLUTION, FireworkModel, build_ladder,
+                       compute_crossing_probs, coupling_checks, reach_tail,
+                       simulate_xi_vector)
+from .sperner import (GENERATORS, SetFamily, generate_family,
+                      sperner_bound_check)
 
 # the default of a parameter that a config must give
 REQUIRED = inspect.Parameter.empty
@@ -143,9 +147,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     source = p.get("theta_source", "fit")
     fits = kind == "scaling" or (kind == "dim" and source == "fit")
     # values a run would trip on only after writing its manifest, or that
-    # give a NaN dimension (the defaults pass): a layer's bound is met by
-    # building its object (the model at side 2, then at each box side the
-    # run samples; the ladder it fits) or by reading the layer's constant
+    # give a NaN (the defaults pass): a layer's bound is met by building
+    # its object (the model at side 2, then at each box side the run
+    # samples; the ladder it fits; the good-cube parameters, the annulus
+    # ladder, the ground sets) or by reading the layer's constant
     box = functools.partial(ModelConfig, seed=top["seed"], **model)
     layers = [("", box, {"n": 2})]      # d, beta and seed
     if kind in ("sample", "dim"):
@@ -154,9 +159,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
         cs_n = 16 * p["s"] if p["cs_n"] is None else p["cs_n"]
         layers += [("s: ", box, {"n": GOOD_CUBE_BOX_FACTOR * p["s"]}),
                    ("cs_n: ", box, {"n": cs_n})]
-    if fits:
-        layers += [("", Ladder, {"n_values": tuple(p["n_values"]),
-                                 "replicates": p["replicates"]})]
+        layers += [("", GoodCubeParams, {"alpha": alpha, "b": p["b"],
+                                         "theta": p["theta"]})
+                   for alpha in p["alphas"]]
+    if fits and p["n_values"]:
+        ns = tuple(p["n_values"])
+        # the ladder's largest 3n box and the boundary probe's 5n box
+        layers += [("", Ladder, {"n_values": ns,
+                                 "replicates": p["replicates"]}),
+                   ("n_values: ", box, {"n": 3 * max(ns)}),
+                   ("n_values: ", box, {"n": 5 * min(ns)})]
+    if kind in ("firework", "xi-coupling"):
+        layers += [("", build_ladder, {key: p[key] for key in
+                                       ("eps", "theta", "c_star1")})]
+    if kind == "sperner":
+        layers += [("n_values: ", SetFamily, {"n": n, "members": ()})
+                   for n in p["n_values"]]
     for named, layer, kwargs in layers:
         try:
             layer(**kwargs)
@@ -176,6 +194,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
             (kind == "goodcubes"
              and p["replicates"] < GOOD_CUBE_MIN_REPLICATES,
              f"replicates must be >= {GOOD_CUBE_MIN_REPLICATES}"),
+            (kind == "goodcubes" and cs_n % p["s"],
+             "cs_n: cube side must divide the box side"),
+            (kind == "goodcubes" and cs_n // p["s"] < 3,
+             "cs_n: the cube grid needs an interior cube (cs_n >= 3s)"),
+            (kind == "goodcubes" and not 1 <= p["cs_k"] <= CS_SIZE_CAP,
+             f"cs_k must lie in [1, {CS_SIZE_CAP}]"),
+            (kind == "goodcubes" and p["cs_replicates"] < 1,
+             "cs_replicates must be >= 1"),
+            (kind == "goodcubes" and p["a_s"] is None
+             and p["a_s_replicates"] < 1, "a_s_replicates must be >= 1"),
+            (kind == "xi-coupling" and p["resolution"] < MIN_RESOLUTION,
+             f"resolution must be >= {MIN_RESOLUTION}"),
             (kind == "sperner" and p["generator"] not in GENERATORS,
              f"generator must be one of {', '.join(GENERATORS)}")):
         if bad:
@@ -346,6 +376,15 @@ def _run_scaling(config: ExperimentConfig, out: _Outputs, *,
     out.json("atom_trend.json", {"spearman_rho": rho, "p_value": pval})
 
 
+def _geodesic_replicate(n: int, key, graph):
+    """`_geodesic_pair` from x = n*1 to y = 2n*1 in the `dim` replicate
+    `key` = (DIM_SAMPLE, r), drawn by the generator (DIM_GEODESIC, r)."""
+    x = int(graph.index((n,) * graph.config.d))
+    y = int(graph.index((2 * n,) * graph.config.d))
+    rng = RngStream(graph.config.seed, (Tag.DIM_GEODESIC, key[1])).generator()
+    return _geodesic_pair(graph, geodesic_dag(graph, x, y), rng, n)
+
+
 def _geodesic_pair(graph, dag, rng, n: int):
     """A uniform geodesic's coordinates, and how a second one drawn after
     it from the same generator compares with it: (geodesic count,
@@ -375,18 +414,11 @@ def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
     if theta_source == "fit":
         theta = _fit_ladder(config, out, Ladder(
             n_values=tuple(n_values), replicates=replicates)).theta_hat
-    paths, probe = [], []
     cfg = ModelConfig(d=config.d, beta=config.beta, n=3 * n,
                       seed=config.seed)
-    graphs = sample_graphs(cfg, [(Tag.DIM_SAMPLE, r)
-                                 for r in range(geodesics)])
-    for r, g in enumerate(graphs):
-        x = int(g.index(tuple([n] * config.d)))
-        y = int(g.index(tuple([2 * n] * config.d)))
-        rng = RngStream(config.seed, (Tag.DIM_GEODESIC, r)).generator()
-        path, pair = _geodesic_pair(g, geodesic_dag(g, x, y), rng, n)
-        paths.append(path)
-        probe.append((r, *pair))
+    paths, pairs = zip(*map_replicates(
+        cfg, [(Tag.DIM_SAMPLE, r) for r in range(geodesics)],
+        functools.partial(_geodesic_replicate, n), jobs=config.jobs))
     deltas = [2.0 ** -j for j in scales]
     fitd = mean_dimension_fit(paths, deltas, float(n))
     out.csv("dim.csv", ["delta", "mean_N", "log_inv_delta", "log_N",
@@ -399,7 +431,8 @@ def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
                           "theta": theta, "n": n, "geodesics": geodesics,
                           "abs_difference": abs(fitd.dim_hat - theta)})
     out.csv("uniqueness.csv", ["r", "geodesics", "shared_edge_fraction",
-                               "hausdorff_over_n"], probe)
+                               "hausdorff_over_n"],
+            [(r, *pair) for r, pair in enumerate(pairs)])
 
 
 def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
@@ -411,18 +444,19 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
     if a_s is None:
         a_s = float(np.median(sample_distances(
             config.d, config.beta, s, a_s_replicates, config.seed,
-            ladder_index=Tag.A_S_PROBE)))
+            ladder_index=Tag.A_S_PROBE, jobs=config.jobs)))
     grid = [GoodCubeParams(alpha=alpha, b=b, theta=theta)
             for alpha in sorted(alphas, reverse=True)]
     rates = good_cube_rate(config.d, config.beta, s, grid, a_s, replicates,
-                           config.seed)
+                           config.seed, jobs=config.jobs)
     out.csv("goodcubes.csv", ["alpha", "b", "rate", "ci_lo", "ci_hi"],
             [(r.alpha, b, r.rate, r.ci_lo, r.ci_hi) for r in rates])
     out.json("goodcubes.json", {"s": s, "a_s": a_s, "theta": theta,
                                 "replicates": replicates})
     growth = connected_set_growth(
         config.d, config.beta, n=16 * s if cs_n is None else cs_n, s=s,
-        k=cs_k, replicates=cs_replicates, seed=config.seed)
+        k=cs_k, replicates=cs_replicates, seed=config.seed,
+        jobs=config.jobs)
     out.csv("cs_counts.csv", ["k", "mean", "bound"],
             [(k + 1, growth.cs_means[k], growth.cs_bound[k])
              for k in range(len(growth.cs_means))])

@@ -287,6 +287,9 @@ class XiSample:
         return 1.0 - self.xi.mean(axis=0)
 
 
+MIN_RESOLUTION = 8      # the fewest cells per shell `simulate_xi_vector` takes
+
+
 def simulate_xi_vector(ladder: AnnulusLadder, beta: float, resolution: int,
                        rng: np.random.Generator, runs: int = 1) -> XiSample:
     """Sample the d=1 continuum edge process on the shells of the ladder.
@@ -298,8 +301,9 @@ def simulate_xi_vector(ladder: AnnulusLadder, beta: float, resolution: int,
     shell-crossing indicators, including the dependence induced by
     edges crossing several shells at once.
     """
-    if resolution < 8:
-        raise ValueError("resolution too coarse: each shell needs >= 8 cells")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution too coarse: each shell needs >= "
+                         f"{MIN_RESOLUTION} cells")
     if runs < 1:
         raise ValueError("runs must be >= 1")
     K = ladder.K

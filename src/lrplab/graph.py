@@ -22,9 +22,10 @@ c draws bounded by N - c, ..., N - 1, bounds that depend on (N, c)
 alone.  `sample_graph` draws a sample's class counts; its positions are
 drawn when it is first read, by one `integers` call over all its bounds
 in the order above.  Floyd's collision fix-up, the decode to edges, the
-sort and the padded-box CSR then follow.  `sample_graphs` draws the
-replicates of a batch of keys, each from its own generator, and runs
-these steps once for the whole batch.
+sort and the padded-box CSR then follow.  `map_replicates` applies a
+function to the replicates of a list of keys: it draws each from its
+own generator, runs these steps once per batch of keys, and at jobs > 1
+splits the keys over a process pool.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -98,8 +98,8 @@ class LrpGraph:
     i < j per row, sorted lexicographically.  Immutable once built.  A
     graph from `sample_graph` holds its generator and class counts
     until its edges or adjacency are first read, and then draws its
-    positions and decodes them (`_decode`); `sample_graphs` decodes the
-    graphs of a batch together.
+    positions and decodes them (`_decode`); `map_replicates` decodes
+    the graphs of a batch together.
     """
 
     def __init__(self, config: ModelConfig, long_edges: np.ndarray | None):
@@ -174,19 +174,51 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0) -> LrpGraph:
     return graph
 
 
-def sample_graphs(config: ModelConfig, stream_ids) -> Iterator[LrpGraph]:
-    """`sample_graph(config, key)` for each stream key, in key order,
-    decoded in batches of at most `_BATCH_ROWS` classes in all; a
-    graph's arrays are views into its batch's."""
-    keys = list(stream_ids)
+def map_replicates(config: ModelConfig, keys, fn, *, jobs: int) -> list:
+    """`fn(key, sample_graph(config, key))` for each stream key, in key
+    order.
+
+    At jobs 1 the graphs are decoded in batches of at most `_BATCH_ROWS`
+    classes in all, a graph's arrays being views into its batch's, and
+    each is dropped once `fn` returns.  With jobs > 1 each worker of a
+    spawned process pool takes one chunk of consecutive keys, so `fn`
+    must pickle (a module-level function, or a `functools.partial` of
+    one) and a script that calls this keeps its entry code under a
+    `__main__` check; the workers' generator counts are added to this
+    process's.  Each key keeps its own generator, so the results do not
+    depend on `jobs`.
+    """
+    keys = list(keys)
+    if jobs > 1 and len(keys) > 1:
+        # imported here: a process that never starts a pool pays nothing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        step = -(-len(keys) // jobs)
+        chunks = [(config, keys[lo:lo + step], fn)
+                  for lo in range(0, len(keys), step)]
+        with ProcessPoolExecutor(
+                max_workers=len(chunks),
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            parts = list(pool.map(_map_chunk, chunks))
+        RngStream.built += sum(built for _, built in parts)
+        return [out for outs, _ in parts for out in outs]
     rows = class_table(config.d, config.n).pairs.size
     step = max(1, _BATCH_ROWS // max(1, rows))
+    out = []
     for lo in range(0, len(keys), step):
-        graphs = [sample_graph(config, key) for key in keys[lo:lo + step]]
+        batch = keys[lo:lo + step]
+        graphs = [sample_graph(config, key) for key in batch]
         _decode(graphs)
         graphs.reverse()
-        while graphs:       # so a graph is dropped once its caller drops it
-            yield graphs.pop()
+        out += [fn(key, graphs.pop()) for key in batch]
+    return out
+
+
+def _map_chunk(args) -> tuple[list, int]:
+    """A pool worker's results for one chunk of keys, and the generators
+    it built, which the parent's `RngStream.built` does not see."""
+    before = RngStream.built
+    return map_replicates(*args, jobs=1), RngStream.built - before
 
 
 def _decode(graphs: list[LrpGraph]) -> None:

@@ -1,10 +1,10 @@
 """Deterministic stream random generators.
 
 Every random quantity in the package is drawn from a generator keyed by
-(master_seed, stream_id).  Streams identify replicates: `sample_graphs`
-builds exactly one generator per replicate, keyed by its stream, in key
-order (one `sample_graph` call builds one), and draws every
-displacement class of that replicate from it.  Distinct keys give
+(master_seed, stream_id).  Streams identify replicates:
+`graph.map_replicates` builds exactly one generator per replicate,
+keyed by its stream (one `sample_graph` call builds one), and draws
+every displacement class of that replicate from it.  Distinct keys give
 statistically independent PCG64 streams; identical keys reproduce
 identical output byte for byte.  The spawn key is the stream key
 followed by 0, the former substream slot, kept so that every stream
@@ -17,7 +17,8 @@ or 5, so no two call sites share a key.
 
 `RngStream.built` counts the generators this process has built; a run
 records the difference across its runner as `manifest.rng_streams`.
-Work done in another process must add its own count to it.
+Work done in another process must add its own count to it, as
+`graph.map_replicates` does for its pool workers.
 """
 
 from __future__ import annotations

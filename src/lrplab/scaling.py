@@ -10,16 +10,18 @@ exponent, and `line_fit` is the one least-squares line fit.
 Distances are measured between x = n*1 and y = 2n*1 inside a box of
 side 3n, so both endpoints sit n away from every face; the residual
 boundary effect is always reported, by re-measuring the smallest
-ladder point in a 5n box.
+ladder point in a 5n box.  Each point's replicates run through
+`graph.map_replicates`, which splits them over `jobs` processes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from .graph import ModelConfig, sample_graphs
+from .graph import ModelConfig, map_replicates
 # also bound here, unused: the benchmark's probe self-test wraps this
 # name in every lrplab module that holds it (perfbench/test_checks.py)
 from .graph import sample_graph  # noqa: F401
@@ -75,56 +77,29 @@ class Ecdf:
     replicates: int
 
 
-def _distances(d: int, beta: float, n: int, seed: int, box_factor: int,
-               ladder_index: int, reps: range) -> list[int]:
-    """d(x, x + n*1) in a centered box of side box_factor * n, for the
-    replicates `reps`."""
-    m = box_factor * n
-    cfg = ModelConfig(d=d, beta=beta, n=m, seed=seed)
-    out = []
-    for g in sample_graphs(cfg, [(box_factor, ladder_index, r)
-                                 for r in reps]):
-        x = int(g.index(tuple([n] * d)))
-        y = int(g.index(tuple([2 * n] * d)))
-        dist = distance(g, x, y)
-        if dist is None:
-            # lattice edges always connect the box, so this is a defect
-            raise RuntimeError(f"no path from {x} to {y} in a "
-                               f"{d}-dimensional box of side {m}")
-        out.append(dist)
-    return out
-
-
-def _distance_job(args) -> tuple[list[int], int]:
-    """A pool worker's distances and the generators it built, which the
-    parent process's `RngStream.built` does not see."""
-    before = RngStream.built
-    return _distances(*args), RngStream.built - before
+def _distance(n: int, key, graph) -> int:
+    """d(x, x + n*1) with x = n*1, in `graph`'s box."""
+    x = int(graph.index((n,) * graph.config.d))
+    y = int(graph.index((2 * n,) * graph.config.d))
+    dist = distance(graph, x, y)
+    if dist is None:
+        # lattice edges always connect the box, so this is a defect
+        raise RuntimeError(f"no path from {x} to {y} in a "
+                           f"{graph.config.d}-dimensional box of side "
+                           f"{graph.config.n}")
+    return dist
 
 
 def sample_distances(d: int, beta: float, n: int, replicates: int,
                      seed: int, box_factor: int = 3,
                      ladder_index: int = 0, jobs: int = 1) -> np.ndarray:
-    """Replicate distances, keyed by (box_factor, ladder_index, r).
-
-    With jobs > 1 each worker of a process pool takes one chunk of
-    consecutive replicates; results are merged in replicate order, so
-    outputs are identical to a serial run, and the workers' generator
-    counts are added to this process's.
-    """
-    args = (d, beta, n, seed, box_factor, ladder_index)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        step = max(1, -(-replicates // jobs))
-        chunks = [args + (range(lo, min(lo + step, replicates)),)
-                  for lo in range(0, replicates, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            jobs_out = list(pool.map(_distance_job, chunks))
-        vals = [dist for dists, _ in jobs_out for dist in dists]
-        RngStream.built += sum(built for _, built in jobs_out)
-    else:
-        vals = _distances(*args, range(replicates))
-    return np.asarray(vals, dtype=np.int64)
+    """Replicate distances d(x, x + n*1) in a centered box of side
+    box_factor * n, keyed by (box_factor, ladder_index, r); the
+    replicates are split over `jobs` processes (`map_replicates`)."""
+    cfg = ModelConfig(d=d, beta=beta, n=box_factor * n, seed=seed)
+    keys = [(box_factor, ladder_index, r) for r in range(replicates)]
+    return np.asarray(map_replicates(cfg, keys, partial(_distance, n),
+                                     jobs=jobs), dtype=np.int64)
 
 
 def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,

@@ -280,6 +280,13 @@ def _antichain_low(n: int, rng, target: int) -> SetFamily:
 
 
 def _greedy(n: int, rng, target: int, levels) -> SetFamily:
+    """Admit each candidate whose family still passes the Sperner test.
+
+    The family admitted so far is Sperner, and a member's class depends
+    only on the members comparable with it, so adding a candidate can
+    change only its own class and those of the members comparable with
+    it: only these are classified.
+    """
     members: list[int] = []
     for _ in range(8 * target):
         if levels is None:
@@ -290,7 +297,8 @@ def _greedy(n: int, rng, target: int, levels) -> SetFamily:
         if cand in members:
             continue
         trial = SetFamily(n=n, members=tuple(members + [cand]))
-        if is_sperner_family(trial).is_sperner:
+        if all(classify_member(trial, A).unstable for A in trial.members
+               if A & cand in (A, cand)):
             members.append(cand)
         if len(members) >= target:
             break

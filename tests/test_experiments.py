@@ -99,6 +99,64 @@ def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, kind, d, params", [
+    # the layers' own bounds, reached through their objects or constants:
+    # the ladder's largest 3n box and its boundary probe's 5n box (also
+    # in a fitted `dim`), the ground-set cap, the xi sampler's
+    # resolution, the annulus ladder, the good-cube parameters, the cube
+    # grid and the connected-set size cap; and the counts that would
+    # give a NaN
+    ("n_values", "scaling", 2, {"n_values": [20000, 20001, 20002, 20003],
+                                "replicates": 30}),
+    ("n_values", "scaling", 2, {"n_values": [10000, 11000, 12000, 13000],
+                                "replicates": 30}),
+    ("n_values", "dim", 2, {"n": 8, "n_values": [10000, 11000, 12000,
+                                                 13000]}),
+    ("n_values", "sperner", 1, {"n_values": [4, 30]}),
+    ("n_values", "sperner", 1, {"n_values": [0]}),
+    ("resolution", "xi-coupling", 1, {"resolution": 4}),
+    ("eps", "firework", 1, {"eps": 0.9}),
+    ("eps", "xi-coupling", 1, {"eps": 0.9}),
+    ("theta", "firework", 1, {"theta": 1.5}),
+    ("cs_n", "goodcubes", 1, {"s": 8, "cs_n": 100}),
+    ("cs_n", "goodcubes", 1, {"s": 8, "cs_n": 16}),
+    ("cs_k", "goodcubes", 1, {"cs_k": 9}),
+    ("cs_k", "goodcubes", 1, {"cs_k": 0}),
+    ("alpha", "goodcubes", 1, {"alphas": [0.5, 1.5]}),
+    ("theta", "goodcubes", 1, {"theta": 1.2}),
+    ("b must", "goodcubes", 1, {"b": 0}),
+    ("b must", "goodcubes", 1, {"b": -0.25}),
+    ("cs_replicates", "goodcubes", 1, {"cs_replicates": 0}),
+    ("a_s_replicates", "goodcubes", 1, {"a_s_replicates": 0}),
+])
+def test_layer_bounds_refused_by_parse_config(key, kind, d, params):
+    # the config alone, since a run that missed one of these could sample
+    # a box of 10^9 sites before it failed
+    with pytest.raises(ConfigError, match=key):
+        parse_config({"kind": kind, "seed": 1, "out": "unused",
+                      "model": {"d": d, "beta": 1.0}, "params": params})
+
+
+@pytest.mark.parametrize("argv", [
+    ["sperner", "sweep", "--n-values", "30"],
+    ["xi-coupling", "--resolution", "4"],
+    ["firework", "--eps", "0.9"],
+    ["xi-coupling", "--eps", "0.9"],
+    ["scaling", "--d", "2", "--n-values", "20000", "20001", "20002",
+     "20003", "--replicates", "30"],
+    ["goodcubes", "--s", "8", "--cs-n", "100"],
+    ["goodcubes", "--cs-k", "9"],
+    ["goodcubes", "--alphas", "1.5"],
+    ["goodcubes", "--theta", "1.2"],
+    ["goodcubes", "--b", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_refuses_layer_bounds_before_any_output(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, model, seed", [
     ("d", {"d": 4}, 1), ("d", {"d": 0}, 1), ("beta", {"beta": -1}, 1),
     ("beta", {"beta": 0.0}, 1), ("seed", {}, -1), ("seed", {}, 2 ** 64),
@@ -392,6 +450,38 @@ def test_rng_streams_count_pool_workers(tmp_path):
     assert streams == [151, 151]
 
 
+@pytest.mark.parametrize("kind, params, loops", [
+    ("scaling", _LADDER, [(3, 0), (3, 1), (3, 2), (3, 3), (5, 0)]),
+    ("dim", {"n": 16, "geodesics": 2, "scales": [1, 2],
+             "theta_source": "fit", **_LADDER},
+     [(3, 0), (3, 1), (3, 2), (3, 3), (5, 0), (Tag.DIM_SAMPLE,)]),
+    ("dim", {"n": 16, "geodesics": 2, "scales": [1, 2],
+             "theta_source": "manual", "theta": 0.5}, [(Tag.DIM_SAMPLE,)]),
+    ("goodcubes", {"s": 8, "alphas": [0.5], "replicates": 100,
+                   "a_s_replicates": 30, "cs_n": 32, "cs_k": 2,
+                   "cs_replicates": 3},
+     [(3, Tag.A_S_PROBE), (Tag.GOOD_CUBE_SAMPLE,),
+      (Tag.CONNECTED_SET_SAMPLE,)]),
+], ids=["scaling", "dim-fit", "dim-manual", "goodcubes"])
+def test_every_replicate_loop_takes_jobs(tmp_path, monkeypatch, kind,
+                                         params, loops):
+    # each loop over replicates goes through `map_replicates` with the
+    # run's jobs; the spy runs it serially
+    from lrplab import dimension, experiments, graph, scaling
+    calls = []
+
+    def spy(config, keys, fn, *, jobs):
+        calls.append((keys[0][:-1], jobs))
+        return graph.map_replicates(config, keys, fn, jobs=1)
+
+    for module in (scaling, dimension, experiments):
+        monkeypatch.setattr(module, "map_replicates", spy)
+    run(parse_config({
+        "kind": kind, "seed": 3, "out": str(tmp_path / "r"), "jobs": 3,
+        "model": {"d": 1, "beta": 1.0}, "params": params}))
+    assert calls == [(loop, 3) for loop in loops]
+
+
 def test_d1_dim_fit_calls_no_linalg(tmp_path, monkeypatch):
     # the ladder's fits are closed forms and the d=1 kernel needs no
     # quadrature rule, so a d=1 `dim` run reaches no LAPACK routine
@@ -534,9 +624,9 @@ def test_given_params_cast_and_round_trip(tmp_path):
      {"kind": "firework", "params": {"c2": 2.0, "c_star1": 0.4, "eps": 1e-6,
                                      "theta": 0.6}}),
     (["xi-coupling", "--eps", "1e-9", "--theta", "0.5", "--c-star1", "0.3",
-      "--resolution", "4", "--runs", "100"],
+      "--resolution", "12", "--runs", "100"],
      {"kind": "xi-coupling", "params": {"c_star1": 0.3, "eps": 1e-9,
-                                        "resolution": 4, "runs": 100,
+                                        "resolution": 12, "runs": 100,
                                         "theta": 0.5}}),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_cli_flags_give_the_same_config(monkeypatch, argv, expected):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -12,8 +13,8 @@ from scipy import stats
 from lrplab import graph
 from lrplab.graph import (LrpGraph, ModelConfig, class_table,
                           expected_long_edge_total, export_text,
-                          import_text, load_binary, sample_graph,
-                          sample_graphs, save_binary)
+                          import_text, load_binary, map_replicates,
+                          sample_graph, save_binary)
 from lrplab.kernel import (DisplacementKernel, canonical_class,
                            class_integrals, orbit_members)
 from lrplab.rng import RngStream
@@ -132,12 +133,15 @@ def test_sampler_law_per_displacement(d, n, reps):
     # than 5 edges pooled, each standardised by its binomial variance
     cfg = ModelConfig(d=d, beta=1.0, n=n, seed=12)
     shape = (2 * n - 1,) * d
-    observed = np.zeros(math.prod(shape))
-    for g in sample_graphs(cfg, range(reps)):
+
+    def displacements(key, g):
         ends = g.long_edges
         k = g.coords(ends[:, 1]) - g.coords(ends[:, 0]) + (n - 1)
-        observed += np.bincount(np.ravel_multi_index(k.T, shape),
-                                minlength=observed.size)
+        return np.bincount(np.ravel_multi_index(k.T, shape),
+                           minlength=math.prod(shape))
+
+    observed = np.sum(map_replicates(cfg, range(reps), displacements,
+                                     jobs=1), axis=0)
     ks = [k for k in itertools.product(range(-(n - 1), n), repeat=d)
           if k > (0,) * d and max(map(abs, k)) >= 2]
     entries = DisplacementKernel.build(d, cfg.beta, n - 1).entries
@@ -256,14 +260,14 @@ def test_sample_draw_layout(monkeypatch):
     (1, 40, graph._BATCH_ROWS // 38 + 3),  # more keys than one batch
     (1, 10050, 2),                         # classes of 10^3+ edges
     (2, 9, 40), (3, 5, 20)])
-def test_sample_graphs_equal_one_at_a_time(monkeypatch, d, n, count):
+def test_map_replicates_equal_one_at_a_time(monkeypatch, d, n, count):
     cfg = ModelConfig(d=d, beta=1.5, n=n, seed=4)
     keys = [(7, r) for r in range(count)]
     built = []
     real = RngStream.generator
     monkeypatch.setattr(RngStream, "generator",
                         lambda self: built.append(self) or real(self))
-    batch = list(sample_graphs(cfg, keys))
+    batch = map_replicates(cfg, keys, lambda key, g: g, jobs=1)
     assert [b.stream_id for b in built] == keys
     assert len(batch) == count
     for key, g in zip(keys, batch):
@@ -275,6 +279,22 @@ def test_sample_graphs_equal_one_at_a_time(monkeypatch, d, n, count):
                            fresh.adjacency()):
             assert a.dtype == b.dtype == c.dtype == np.int64
             assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def _pid(key, g):
+    return os.getpid(), key, len(g.long_edges)
+
+
+def test_map_replicates_pool_runs_fn_in_other_processes():
+    cfg = ModelConfig(d=1, beta=1.0, n=64, seed=2)
+    before = RngStream.built
+    out = map_replicates(cfg, range(5), _pid, jobs=2)
+    # the workers' generators are counted here
+    assert RngStream.built - before == 5
+    assert os.getpid() not in {pid for pid, _, _ in out}
+    assert [key for _, key, _ in out] == list(range(5))
+    assert [m for _, _, m in out] == [len(sample_graph(cfg, key).long_edges)
+                                      for key in range(5)]
 
 
 def test_argsort_rows_matches_lexsort():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lrplab import sperner
 from lrplab.sperner import (SetFamily, central_binomial_term, classify_member,
                             event_probability, generate_family,
                             is_sperner_family,
@@ -214,3 +215,32 @@ def _all_submasks(mask):
         if mask >> b & 1:
             out += [m | (1 << b) for m in out]
     return out
+
+
+def _greedy_full_recheck(n, rng, target, levels):
+    # `_greedy` with the whole trial family classified for every candidate
+    members = []
+    for _ in range(8 * target):
+        size = (int(rng.integers(0, n + 1)) if levels is None
+                else int(rng.choice(levels)))
+        cand = sperner._random_mask_of_size(n, size, rng)
+        if cand in members:
+            continue
+        if is_sperner_family(SetFamily(n=n, members=tuple(
+                members + [cand]))).is_sperner:
+            members.append(cand)
+        if len(members) >= target:
+            break
+    return SetFamily(n=n, members=tuple(members))
+
+
+@pytest.mark.parametrize("levels", [None, (2, 3), (5, 6)])
+def test_greedy_classifies_only_comparable_members(levels):
+    # the incremental test admits the same families from the same draws
+    for seed in range(15):
+        for n in (6, 9, 12):
+            a = sperner._greedy(n, np.random.default_rng(seed), 2 * n,
+                                levels)
+            b = _greedy_full_recheck(n, np.random.default_rng(seed),
+                                     2 * n, levels)
+            assert a == b
