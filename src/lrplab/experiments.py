@@ -172,6 +172,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind in ("firework", "xi-coupling"):
         layers += [("", build_ladder, {key: p[key] for key in
                                        ("eps", "theta", "c_star1")})]
+    if kind == "firework":
+        layers += [("k_max, c2: ", FireworkModel.default,
+                    {"k": p["k_max"], "c2": p["c2"]})]
     if kind == "sperner":
         layers += [("n_values: ", SetFamily, {"n": n, "members": ()})
                    for n in p["n_values"]]
@@ -189,6 +192,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
             (p.get("geodesics", 1) < 1, "geodesics must be >= 1"),
             (len(set(p.get("scales", (0, 1)))) < 2,
              "scales must hold at least 2 distinct values"),
+            # n * 2^-j >= 1, the finest box one lattice unit or more
+            (kind == "dim"
+             and max(p["scales"], default=0) >= p["n"].bit_length(),
+             "scales: n * 2^-max(scales) must be at least 1"),
+            (kind in ("firework", "xi-coupling") and p["runs"] < 1,
+             "runs must be >= 1"),
+            (kind == "firework" and p["k_min"] > p["k_max"],
+             "k_min must be <= k_max"),
             (fits and len(p["n_values"]) < MIN_LADDER_POINTS,
              f"n_values must hold at least {MIN_LADDER_POINTS} points"),
             (kind == "goodcubes"

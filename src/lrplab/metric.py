@@ -16,12 +16,23 @@ region, start out labelled as visited.
 
 A search toward a target is one lockstep BFS over two copies of the
 padded box, interleaved as ids 2p + c: x grows in copy 0 and y in
-copy 1, and each iteration expands both frontiers in the same numpy
-calls.  At the first iteration r whose new vertices include one that
+copy 1, and each iteration expands both frontiers in one level step.
+At the first iteration r whose new vertices include one that
 carries both labels, d(x, y) = D is the least dx + dy among them:
 before that iteration no vertex was labelled twice, so D > 2(r - 1),
 and the geodesic vertex with dx = r and dy = D - r <= r was labelled
 in it.  A search thus takes ~D/2 iterations instead of D.
+
+A level step, of the search or of the DAG walk below, takes one of two
+forms, chosen from the level's expected candidate count: its front
+size times (3^d - 1 + the graph's mean long degree).  Up to
+`_PY_CANDIDATES` the level expands in Python over memoryviews of the
+labels and the CSR, and its front is a list; above, it expands in
+numpy and its front is an array.  A numpy level makes ~30 calls, at
+~30-45 us whatever its size, while a Python level costs ~0.3 us a
+candidate, and at d = 1 most fronts hold a few ids.  Both forms label
+the same ids; only the order of a front's ids may differ, and the DAG
+sorts its vertices.
 
 The geodesic DAG starts from that search.  With h = D - r, the split
 layer {dx = h, dy = r} meets every geodesic once.  From it one walk
@@ -43,6 +54,12 @@ import numpy as np
 
 UNREACHED = -1
 _BLOCKED = -2     # label of ghosts and of vertices outside the region
+_SEEN = _BLOCKED - 1    # label of an id the DAG walk's level has taken
+# the most expected candidates a level expands in Python (see the
+# module docstring): timed per level on 2 vCPUs (Python 3.11, numpy
+# 2.4), the two forms tie at 128-144 at d = 1, where most levels are,
+# and Python still leads at 192 at d = 2 and 3
+_PY_CANDIDATES = 128
 
 
 def resolve_mask(graph, region) -> np.ndarray | None:
@@ -115,6 +132,73 @@ def _unique(cand, labels, label):
     return out
 
 
+class _Levels:
+    """The level step over interleaved ids that the search and the DAG
+    walk share, in the form its front's size picks (see the module
+    docstring)."""
+
+    def __init__(self, graph, labels):
+        self.labels = labels
+        self.steps = 2 * _padded_deltas(graph.config.d, graph.config.n)
+        self.indptr, self.nbrs = graph.adjacency()
+        self.width = self.steps.size + self.nbrs.size / graph.n_vertices
+        self.views = (memoryview(labels), memoryview(self.indptr),
+                      memoryview(self.nbrs), self.steps.tolist())
+
+    def form(self, front):
+        """`front` as a list if its level is small, else as an array."""
+        if len(front) * self.width <= _PY_CANDIDATES:
+            return front if isinstance(front, list) else front.tolist()
+        return np.asarray(front, dtype=np.int64)
+
+    def meet(self, front) -> int | None:
+        """The least label of a twin (id ^ 1) of `front`, None if no
+        twin is labelled."""
+        if not isinstance(front, list):
+            other = self.labels[front ^ 1]
+            other = other[other >= 0]
+            return int(other.min()) if other.size else None
+        lab, least = self.views[0], None
+        for v in front:
+            t = lab[v ^ 1]
+            if t >= 0 and (least is None or t < least):
+                least = t
+        return least
+
+    def step(self, front, match: int, label: int):
+        """The distinct neighbours of `front` whose label is `match`,
+        relabelled `label`."""
+        front = self.form(front)
+        if not isinstance(front, list):
+            cand = _expand(front, self.steps, self.indptr, self.nbrs)[0]
+            return _unique(cand[self.labels[cand] == match], self.labels,
+                           label)
+        # an id is marked when taken, so it is taken once; the walk
+        # keeps labels (match == label), so it marks with _SEEN first
+        lab, indptr, nbrs, steps = self.views
+        mark = _SEEN if match == label else label
+        out = []
+        take = out.append
+        for v in front:
+            for u in steps:
+                u += v
+                if lab[u] == match:
+                    lab[u] = mark
+                    take(u)
+            c, p = v & 1, v >> 1
+            k, end = indptr[p], indptr[p + 1]
+            while k < end:
+                u = 2 * nbrs[k] + c
+                k += 1
+                if lab[u] == match:
+                    lab[u] = mark
+                    take(u)
+        if mark != label:
+            for u in out:
+                lab[u] = label
+        return out
+
+
 @dataclass
 class _Search:
     """State of a finished lockstep search (see the module docstring)."""
@@ -136,28 +220,28 @@ def _search(graph, x: int, y: int | None, mask) -> _Search:
     if mask is not None:
         inner[~mask.reshape((n,) * d)] = _BLOCKED
     labels = labels.reshape(-1)
-    steps = 2 * _padded_deltas(d, n)
-    indptr, nbrs = graph.adjacency()
+    bfs = _Levels(graph, labels)
     sources = [x] if y is None else [x, y]
     front = 2 * graph.pad(sources) + np.arange(len(sources))
     front = front[labels[front] == UNREACHED]
     labels[front] = 0
     level, dist = 0, None
-    while front.size:
+    while len(front):
+        front = bfs.form(front)
         if y is not None:
-            other = labels[front ^ 1]
-            if other.max() >= 0:
-                dist = level + int(other[other >= 0].min())
+            meet = bfs.meet(front)
+            if meet is not None:
+                dist = level + meet
                 break
             # the box is connected, so only a region can cut a side off
             if mask is not None:
-                in_y = np.count_nonzero(front & 1)
-                if in_y == 0 or in_y == front.size:
+                in_y = np.count_nonzero(np.bitwise_and(front, 1))
+                if in_y == 0 or in_y == len(front):
                     break
         level += 1
-        cand = _expand(front, steps, indptr, nbrs)[0]
-        front = _unique(cand[labels[cand] == UNREACHED], labels, level)
-    return _Search(labels=labels, inner=inner, front=front, level=level,
+        front = bfs.step(front, UNREACHED, level)
+    return _Search(labels=labels, inner=inner,
+                   front=np.asarray(front, dtype=np.int64), level=level,
                    dist=dist)
 
 
@@ -228,26 +312,20 @@ def geodesic_dag(graph, x: int, y: int, region=None,
     D, r = search.dist, search.level
     labels = search.labels
     h = D - r
-    steps = 2 * _padded_deltas(graph.config.d, graph.config.n)
-    indptr, nbrs = graph.adjacency()
-
-    def walk(front, level):
-        cand = _expand(front, steps, indptr, nbrs)[0]
-        return _unique(cand[labels[cand] == level], labels, level)
-
+    bfs = _Levels(graph, labels)
     # the split layer in copy 0; its copy-1 twin starts the walk to y
     in_y = search.front[(search.front & 1) == 1]
     split = in_y[labels[in_y ^ 1] == h] ^ 1
     layers = [split]
     to_y = split ^ 1
     if r > h:       # odd D: one step toward y brings dy down to h
-        to_y = walk(to_y, h)
+        to_y = bfs.step(to_y, h, h)
         layers.append(to_y)
     front = np.concatenate([split, to_y])
     for level in range(h - 1, -1, -1):
-        front = walk(front, level)
+        front = bfs.step(front, level, level)
         layers.append(front)
-    ids = np.concatenate(layers)
+    ids = np.concatenate([np.asarray(f, dtype=np.int64) for f in layers])
     lvl = np.where(ids & 1, D - labels[ids], labels[ids])
     verts = ids >> 1
     order = np.lexsort((verts, lvl))       # by level, then by vertex
@@ -256,9 +334,9 @@ def geodesic_dag(graph, x: int, y: int, region=None,
     # x sits at level 0
     level_of = np.full(labels.size // 2, UNREACHED, dtype=np.int32)
     level_of[verts] = lvl
-    cand, n_long = _expand(2 * verts[1:], steps, indptr, nbrs)
+    cand, n_long = _expand(2 * verts[1:], bfs.steps, bfs.indptr, bfs.nbrs)
     rows = np.arange(verts.size - 1)
-    pos = np.concatenate([np.repeat(rows, steps.size),
+    pos = np.concatenate([np.repeat(rows, bfs.steps.size),
                           np.repeat(rows, n_long)])
     cand = cand >> 1
     keep = level_of[cand] == lvl[1:][pos] - 1

@@ -104,8 +104,10 @@ def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
     # the ladder's largest 3n box and its boundary probe's 5n box (also
     # in a fitted `dim`), the ground-set cap, the xi sampler's
     # resolution, the annulus ladder, the good-cube parameters, the cube
-    # grid and the connected-set size cap; and the counts that would
-    # give a NaN
+    # grid and the connected-set size cap; the counts that would give a
+    # NaN or divide by zero, an empty firework k range, a firework model
+    # it cannot build, and dim scales whose finest box is below one
+    # lattice unit
     ("n_values", "scaling", 2, {"n_values": [20000, 20001, 20002, 20003],
                                 "replicates": 30}),
     ("n_values", "scaling", 2, {"n_values": [10000, 11000, 12000, 13000],
@@ -128,6 +130,13 @@ def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
     ("b must", "goodcubes", 1, {"b": -0.25}),
     ("cs_replicates", "goodcubes", 1, {"cs_replicates": 0}),
     ("a_s_replicates", "goodcubes", 1, {"a_s_replicates": 0}),
+    ("runs", "firework", 1, {"runs": 0}),
+    ("runs", "xi-coupling", 1, {"runs": 0}),
+    ("k_min", "firework", 1, {"k_min": 2, "k_max": 1}),
+    ("k_max", "firework", 1, {"k_min": 0, "k_max": 0}),
+    ("c2", "firework", 1, {"c2": -1}),
+    ("scales", "dim", 1, {"n": 16, "scales": [9, 10]}),
+    ("scales", "dim", 1, {"n": 16, "scales": [4, 5]}),
 ])
 def test_layer_bounds_refused_by_parse_config(key, kind, d, params):
     # the config alone, since a run that missed one of these could sample
@@ -135,6 +144,13 @@ def test_layer_bounds_refused_by_parse_config(key, kind, d, params):
     with pytest.raises(ConfigError, match=key):
         parse_config({"kind": kind, "seed": 1, "out": "unused",
                       "model": {"d": d, "beta": 1.0}, "params": params})
+
+
+def test_dim_scales_down_to_one_lattice_unit_accepted():
+    # n = 16 at scale 4 is a box of side 16 * 2^-4 = 1
+    cfg = parse_config({"kind": "dim", "seed": 1, "out": "unused",
+                        "params": {"n": 16, "scales": [3, 4]}})
+    assert cfg.params["scales"] == [3, 4]
 
 
 @pytest.mark.parametrize("argv", [
@@ -149,6 +165,10 @@ def test_layer_bounds_refused_by_parse_config(key, kind, d, params):
     ["goodcubes", "--alphas", "1.5"],
     ["goodcubes", "--theta", "1.2"],
     ["goodcubes", "--b", "0"],
+    ["firework", "--runs", "0"],
+    ["xi-coupling", "--runs", "0"],
+    ["firework", "--k-min", "2", "--k-max", "1"],
+    ["dim", "--n", "16", "--scales", "9", "10"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_refuses_layer_bounds_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "run"

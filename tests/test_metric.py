@@ -394,6 +394,42 @@ def test_search_holds_one_full_box_array(d, n):
     assert peak < 2 * search.labels.nbytes
 
 
+@pytest.mark.parametrize("d, n", [(1, 200), (2, 24), (3, 8)])
+def test_python_and_numpy_levels_agree(monkeypatch, d, n):
+    # every level in numpy (crossover 0), then every level in Python
+    # (crossover above every front): the same labels, levels and DAG;
+    # only the order of a front's ids may differ
+    import lrplab.metric as metric
+    g = _graph(d, n, 5)
+    x, y = (int(g.index(tuple([k] * d))) for k in (1, n - 2))
+    # y walled in: its side runs out after one level
+    walled = np.ones(g.n_vertices, bool)
+    walled[metric._lattice_neighbours(g, np.array([y]))[1]] = False
+    ends = g.long_edges
+    walled[ends[(ends == y).any(axis=1)].ravel()] = False
+    walled[[x, y]] = True
+    # the box less its outer layer, which holds x, y and a lattice path
+    inside = ((g.coords(np.arange(g.n_vertices)) % (n - 1)) > 0).all(axis=1)
+    holes = np.random.default_rng(d).random(g.n_vertices) > 0.2
+    holes[x] = True
+    cases = [(y, None), (y, walled), (y, inside), (None, None), (None, holes)]
+    runs = []
+    for crossover in (0, float("inf")):
+        monkeypatch.setattr(metric, "_PY_CANDIDATES", crossover)
+        searches = [metric._search(g, x, target, mask)
+                    for target, mask in cases]
+        dags = [geodesic_dag(g, x, y, mask) for mask in (None, inside)]
+        runs.append((searches, dags))
+    (numpy_searches, numpy_dags), (python_searches, python_dags) = runs
+    assert numpy_searches[1].dist is None
+    for a, b in zip(numpy_searches, python_searches):
+        assert np.array_equal(a.labels, b.labels)
+        assert (a.dist, a.level) == (b.dist, b.level)
+        assert sorted(a.front.tolist()) == sorted(b.front.tolist())
+    for a, b in zip(numpy_dags, python_dags):
+        assert (a.levels, a.preds, a.counts) == (b.levels, b.preds, b.counts)
+
+
 def test_two_sided_search_target_cut_off_by_mask():
     # no long edges in d=1: a gap in the mask separates 2 from 40
     g = _graph(1, 48, 3, beta=1e-13)
