@@ -50,8 +50,8 @@ from .dimension import (CS_SIZE_CAP, GOOD_CUBE_BOX_FACTOR,
 from .firework import (MIN_RESOLUTION, FireworkModel, build_ladder,
                        compute_crossing_probs, coupling_checks, reach_tail,
                        simulate_xi_vector)
-from .sperner import (GENERATORS, SetFamily, generate_family,
-                      sperner_bound_check)
+from .sperner import (GENERATORS, SetFamily, event_probability,
+                      generate_family, sperner_bound_check)
 
 # the default of a parameter that a config must give
 REQUIRED = inspect.Parameter.empty
@@ -178,6 +178,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind == "sperner":
         layers += [("n_values: ", SetFamily, {"n": n, "members": ()})
                    for n in p["n_values"]]
+        layers += [("p_values: ", event_probability,
+                    {"family": SetFamily(n=1, members=()), "p": pv})
+                   for pv in p["p_values"]]
     for named, layer, kwargs in layers:
         try:
             layer(**kwargs)
@@ -200,6 +203,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "runs must be >= 1"),
             (kind == "firework" and p["k_min"] > p["k_max"],
              "k_min must be <= k_max"),
+            # counts that would report a vacuous "holds" or a k = 0 row
+            (kind == "firework" and p["k_min"] < 1, "k_min must be >= 1"),
+            (kind == "sperner" and p["families_per_n"] < 1,
+             "families_per_n must be >= 1"),
+            (kind == "sperner" and p["target_size"] is not None
+             and p["target_size"] < 1, "target_size must be >= 1"),
+            (kind == "xi-coupling" and p["max_subset_size"] is not None
+             and p["max_subset_size"] < 1, "max_subset_size must be >= 1"),
             (fits and len(p["n_values"]) < MIN_LADDER_POINTS,
              f"n_values must hold at least {MIN_LADDER_POINTS} points"),
             (kind == "goodcubes"

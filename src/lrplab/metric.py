@@ -23,26 +23,29 @@ before that iteration no vertex was labelled twice, so D > 2(r - 1),
 and the geodesic vertex with dx = r and dy = D - r <= r was labelled
 in it.  A search thus takes ~D/2 iterations instead of D.
 
-A level step, of the search or of the DAG walk below, takes one of two
-forms, chosen from the level's expected candidate count: its front
-size times (3^d - 1 + the graph's mean long degree).  Up to
-`_PY_CANDIDATES` the level expands in Python over memoryviews of the
-labels and the CSR, and its front is a list; above, it expands in
-numpy and its front is an array.  A numpy level makes ~30 calls, at
-~30-45 us whatever its size, while a Python level costs ~0.3 us a
-candidate, and at d = 1 most fronts hold a few ids.  Both forms label
-the same ids; only the order of a front's ids may differ, and the DAG
-sorts its vertices.
+A level step of the search takes one of two forms, chosen from the
+level's expected candidate count: its front size times (3^d - 1 + the
+graph's mean long degree).  Up to `_PY_CANDIDATES` the level expands
+in Python over memoryviews of the labels and the CSR, and its front is
+a list; above, it expands in numpy and its front is an array.  A numpy
+level makes ~30 calls, at ~30-45 us whatever its size, while a Python
+level costs ~0.3 us a candidate, and at d = 1 most fronts hold a few
+ids.  Both forms label the same ids; only the order of a front's ids
+may differ.
 
-The geodesic DAG starts from that search.  With h = D - r, the split
-layer {dx = h, dy = r} meets every geodesic once.  From it one walk
-goes back toward x on x-levels and one goes forward toward y, taking
-the neighbours of S_{L-1} with dy = D - L as S_L; both run in lockstep.
-One expansion of every vertex found then gives each its predecessors,
-its neighbours one level lower, in neighbour order: lattice offsets
-first, then CSR order.  It holds, for every vertex on some geodesic,
-its level, its predecessor list and the number of geodesics from x to
-it, counted exactly with Python ints.
+The geodesic DAG reads that search's labels on two short Python walks,
+one vertex at a time: the DAG is thin, as the geodesic is a.s. unique.
+With r the search's last level, copy 0 holds dx <= r and copy 1 dy <=
+r, and D >= 2r - 1 puts every geodesic vertex past level r at dy < r.
+The walk toward y starts from x's last front where dy = D - r, takes
+as level L the neighbours of level L - 1 with dy = D - L, and gives
+each L as its copy-0 label.  The walk back from y then reads the
+predecessors of each vertex at level L: its neighbours with copy-0
+label L - 1, in neighbour order (lattice offsets, then CSR order).
+Such a neighbour u of a geodesic vertex v has dy(u) <= dy(v) + 1, so
+it lies on a geodesic too.  The DAG holds, for every vertex on some
+geodesic, its level, its predecessor list and the number of geodesics
+from x to it, counted exactly with Python ints.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ import numpy as np
 
 UNREACHED = -1
 _BLOCKED = -2     # label of ghosts and of vertices outside the region
-_SEEN = _BLOCKED - 1    # label of an id the DAG walk's level has taken
 # the most expected candidates a level expands in Python (see the
 # module docstring): timed per level on 2 vCPUs (Python 3.11, numpy
 # 2.4), the two forms tie at 128-144 at d = 1, where most levels are,
@@ -104,10 +106,9 @@ def _lattice_neighbours(graph, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _expand(front, steps, indptr, nbrs):
-    """Neighbours of interleaved ids 2p + c, keeping each one's copy c,
-    and the long-edge count of each frontier vertex.  The lattice
-    neighbours come first, vertex by vertex in `steps` order, then the
-    long ones, vertex by vertex in CSR order."""
+    """Neighbours of interleaved ids 2p + c, keeping each one's copy c:
+    the lattice ones, vertex by vertex in `steps` order, then the long
+    ones, vertex by vertex in CSR order."""
     near = (front[:, None] + steps).ravel()
     base = front >> 1
     starts = indptr[base]
@@ -115,10 +116,10 @@ def _expand(front, steps, indptr, nbrs):
     ends = counts.cumsum()
     total = int(ends[-1]) if ends.size else 0
     if not total:
-        return near, counts
+        return near
     idx = np.repeat(starts - ends + counts, counts) + np.arange(total)
     far = (nbrs[idx] << 1) | np.repeat(front & 1, counts)
-    return np.concatenate([near, far]), counts
+    return np.concatenate([near, far])
 
 
 def _unique(cand, labels, label):
@@ -133,9 +134,8 @@ def _unique(cand, labels, label):
 
 
 class _Levels:
-    """The level step over interleaved ids that the search and the DAG
-    walk share, in the form its front's size picks (see the module
-    docstring)."""
+    """The search's level step over interleaved ids, in the form its
+    front's size picks (see the module docstring)."""
 
     def __init__(self, graph, labels):
         self.labels = labels
@@ -170,20 +170,18 @@ class _Levels:
         relabelled `label`."""
         front = self.form(front)
         if not isinstance(front, list):
-            cand = _expand(front, self.steps, self.indptr, self.nbrs)[0]
+            cand = _expand(front, self.steps, self.indptr, self.nbrs)
             return _unique(cand[self.labels[cand] == match], self.labels,
                            label)
-        # an id is marked when taken, so it is taken once; the walk
-        # keeps labels (match == label), so it marks with _SEEN first
+        # an id is relabelled when taken, so it is taken once
         lab, indptr, nbrs, steps = self.views
-        mark = _SEEN if match == label else label
         out = []
         take = out.append
         for v in front:
             for u in steps:
                 u += v
                 if lab[u] == match:
-                    lab[u] = mark
+                    lab[u] = label
                     take(u)
             c, p = v & 1, v >> 1
             k, end = indptr[p], indptr[p + 1]
@@ -191,11 +189,8 @@ class _Levels:
                 u = 2 * nbrs[k] + c
                 k += 1
                 if lab[u] == match:
-                    lab[u] = mark
+                    lab[u] = label
                     take(u)
-        if mark != label:
-            for u in out:
-                lab[u] = label
         return out
 
 
@@ -297,61 +292,64 @@ def geodesic_dag(graph, x: int, y: int, region=None,
                  exact_counts: bool = True) -> GeodesicDag:
     """Build the predecessor DAG of all x->y geodesics inside the region.
 
-    One two-sided search, then walks from its split layer back toward x
-    and on toward y (see the module docstring), then one expansion of
-    the vertices found: the preds of v at level L are its neighbours at
-    level L - 1 in neighbour order.  So preds holds exactly the edges
-    (u, v) with dist(x,u) + 1 = dist(x,v) and dist(v,y) = dist(x,y) -
-    dist(x,v), and counts[v] = sum of counts over preds[v], summed
-    forward and exact.  `exact_counts` is ignored; it is accepted for
-    callers written when counts could saturate.
+    One two-sided search, then two walks over its labels (see the module
+    docstring): the preds of v at level L are its neighbours at x-level
+    L - 1 in neighbour order.  So preds holds exactly the edges (u, v) with
+    dist(x,u) + 1 = dist(x,v) and dist(v,y) = dist(x,y) - dist(x,v),
+    and counts[v] = sum of counts over preds[v], summed forward and
+    exact.  The dicts list the vertices by level, then by id.
+    `exact_counts` is ignored; it is accepted for callers written when
+    counts could saturate.
     """
     search = _search(graph, x, y, resolve_mask(graph, region))
     if search.dist is None:
         raise ValueError("target unreached within region")
     D, r = search.dist, search.level
-    labels = search.labels
-    h = D - r
-    bfs = _Levels(graph, labels)
-    # the split layer in copy 0; its copy-1 twin starts the walk to y
-    in_y = search.front[(search.front & 1) == 1]
-    split = in_y[labels[in_y ^ 1] == h] ^ 1
-    layers = [split]
-    to_y = split ^ 1
-    if r > h:       # odd D: one step toward y brings dy down to h
-        to_y = bfs.step(to_y, h, h)
-        layers.append(to_y)
-    front = np.concatenate([split, to_y])
-    for level in range(h - 1, -1, -1):
-        front = bfs.step(front, level, level)
-        layers.append(front)
-    ids = np.concatenate([np.asarray(f, dtype=np.int64) for f in layers])
-    lvl = np.where(ids & 1, D - labels[ids], labels[ids])
-    verts = ids >> 1
-    order = np.lexsort((verts, lvl))       # by level, then by vertex
-    verts, lvl = verts[order], lvl[order]
-    # preds: every neighbour one level lower, in neighbour order; only
-    # x sits at level 0
-    level_of = np.full(labels.size // 2, UNREACHED, dtype=np.int32)
-    level_of[verts] = lvl
-    cand, n_long = _expand(2 * verts[1:], bfs.steps, bfs.indptr, bfs.nbrs)
-    rows = np.arange(verts.size - 1)
-    pos = np.concatenate([np.repeat(rows, bfs.steps.size),
-                          np.repeat(rows, n_long)])
-    cand = cand >> 1
-    keep = level_of[cand] == lvl[1:][pos] - 1
-    pos, cand = pos[keep], cand[keep]
-    order = np.argsort(pos, kind="stable")
-    cuts = np.searchsorted(pos[order], np.arange(verts.size)).tolist()
-    ps = graph.unpad(cand[order]).tolist()
-    vs = graph.unpad(verts).tolist()
-    levels = dict(zip(vs, lvl.tolist()))
-    preds, counts = {}, {vs[0]: 1}
-    for v, a, b in zip(vs[1:], cuts, cuts[1:]):
-        preds[v] = vp = ps[a:b]
-        counts[v] = sum(counts[u] for u in vp)
+    # each copy's labels over padded ids
+    dx, dy = (memoryview(search.labels[c::2]) for c in (0, 1))
+    indptr, nbrs = map(memoryview, graph.adjacency())
+    steps = _padded_deltas(graph.config.d, graph.config.n).tolist()
+
+    def nearby(p, lab, label):
+        """The padded ids next to padded id p whose label in `lab` is
+        `label`, in neighbour order."""
+        out = [p + s for s in steps if lab[p + s] == label]
+        for u in nbrs[indptr[p]:indptr[p + 1]]:
+            if lab[u] == label:
+                out.append(u)
+        return out
+
+    # x's last front, at x-level r, and in it the geodesic's level r
+    ends = search.front[(search.front & 1) == 0] >> 1
+    front = ends[search.labels[2 * ends + 1] == D - r].tolist()
+    for level in range(r + 1, D + 1):
+        found = []
+        for p in front:
+            for u in nearby(p, dy, D - level):
+                if dx[u] == UNREACHED:
+                    dx[u] = level
+                    found.append(u)
+        front = found
+    layers = [front]        # level D, which holds y alone
+    preds = {}
+    for level in range(D - 1, -1, -1):
+        below = set()
+        for v in layers[-1]:
+            preds[v] = vp = nearby(v, dx, level)
+            below.update(vp)
+        layers.append(sorted(below))
+    layers.reverse()
+    ids = [v for layer in layers for v in layer]
+    plain = dict(zip(ids, graph.unpad(np.array(ids)).tolist()))
+    levels, dag_preds, counts = {int(x): 0}, {}, {int(x): 1}
+    for level, layer in enumerate(layers[1:], 1):
+        for v in layer:
+            w = plain[v]
+            levels[w] = level
+            dag_preds[w] = vp = [plain[u] for u in preds[v]]
+            counts[w] = sum(counts[u] for u in vp)
     return GeodesicDag(source=int(x), target=int(y), dist=D, levels=levels,
-                       preds=preds, counts=counts)
+                       preds=dag_preds, counts=counts)
 
 
 def sample_geodesic(dag: GeodesicDag, rng) -> list[int]:

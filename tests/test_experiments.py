@@ -137,6 +137,15 @@ def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
     ("c2", "firework", 1, {"c2": -1}),
     ("scales", "dim", 1, {"n": 16, "scales": [9, 10]}),
     ("scales", "dim", 1, {"n": 16, "scales": [4, 5]}),
+    # a p outside (0, 1), and counts that leave a vacuous "holds" or a
+    # k = 0 row in the firework fit
+    ("p_values", "sperner", 1, {"p_values": [1]}),
+    ("p_values", "sperner", 1, {"p_values": ["1/2", 0]}),
+    ("p_values", "sperner", 1, {"p_values": ["3/2"]}),
+    ("families_per_n", "sperner", 1, {"families_per_n": 0}),
+    ("target_size", "sperner", 1, {"target_size": 0}),
+    ("max_subset_size", "xi-coupling", 1, {"max_subset_size": 0}),
+    ("k_min", "firework", 1, {"k_min": 0}),
 ])
 def test_layer_bounds_refused_by_parse_config(key, kind, d, params):
     # the config alone, since a run that missed one of these could sample
@@ -169,6 +178,14 @@ def test_dim_scales_down_to_one_lattice_unit_accepted():
     ["xi-coupling", "--runs", "0"],
     ["firework", "--k-min", "2", "--k-max", "1"],
     ["dim", "--n", "16", "--scales", "9", "10"],
+    ["sperner", "sweep", "--n-values", "6", "--families-per-n", "2",
+     "--p-values", "1"],
+    ["sperner", "sweep", "--p-values", "0"],
+    ["sperner", "sweep", "--p-values", "3/2"],
+    ["sperner", "sweep", "--families-per-n", "0"],
+    ["sperner", "sweep", "--target-size", "0"],
+    ["xi-coupling", "--max-subset-size", "0"],
+    ["firework", "--k-min", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_refuses_layer_bounds_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "run"

@@ -246,7 +246,9 @@ def test_dag_preds_exactly_characterized():
                     heapq.heappush(pq, (dd + 1, u))
         return dist
 
-    boxes = ((1, 40), (2, 6), (3, 4))
+    # the larger boxes run the walk toward y several levels past the
+    # search's radius
+    boxes = ((1, 40), (1, 200), (2, 6), (2, 12), (3, 4))
     for (d, n), restricted, seed in itertools.product(boxes, (False, True),
                                                       range(3)):
         g = _graph(d, n, seed)
