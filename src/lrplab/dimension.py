@@ -8,18 +8,18 @@ estimate is the slope of the log mean count over many paths against
 log(1/delta).  The mass distribution check weighs a path by its unit
 steps and compares each cube's mass with C (diam / L)^Delta.
 
-The coarse-graining side covers: special crossing-edge pairs of a cube,
-the (3s, alpha, b)-good cube test with its per-realization
-monotonicity, empirical good rates, and exact enumeration of connected
-cube sets through a root.  A good-cube region is a flat boolean box
-mask cut from integer slices (`_cube`).
+The coarse-graining side covers: a cube's special pairs, one boolean
+mask over its entering x exiting crossing edges; the (3s, alpha, b)-good
+test, classified on the pairs' distinct endpoints, monotone per
+realization; empirical good rates; and exact enumeration of connected
+cube sets through a root.  A cube is a flat boolean box mask (`_cube`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -173,28 +173,30 @@ def find_special_pairs(graph, z, s: float):
     and floor(1.5 s) about the integer site z (see `_cube`).  An
     entering edge has u1 outside V_s(z) and v1 inside; an exiting edge
     has u2 inside V_3s(z) and v2 outside.  Lattice edges count.
-    Returns tuples (u1, v1, u2, v2) of linear indices; the two edges
-    are distinct as undirected edges.
+    Returns tuples (u1, v1, u2, v2) of linear indices, entering edge
+    first; the two edges are distinct as undirected edges.
     """
+    (u1, v1), (u2, v2), special = _special_edges(graph, z, s)
+    i, j = np.nonzero(special)
+    return list(map(tuple, np.c_[u1[i], v1[i], u2[j], v2[j]].tolist()))
+
+
+def _special_edges(graph, z, s: float):
+    """Entering edges (u1, v1) of V_s(z), exiting edges (u2, v2) of
+    V_3s(z) (lattice edges make both nonempty) and the special-pair mask."""
     r3 = math.floor(1.5 * s)
     if min(z) - r3 < 0 or max(z) + r3 >= graph.config.n:
         raise ValueError("V_3s(z) must fit inside the box")
-    entering = _crossing_edges(graph, z, s / 2.0, inward=True)
-    exiting = _crossing_edges(graph, z, 1.5 * s, inward=False)
-    pairs = []
-    for (u1, v1) in entering:
-        for (u2, v2) in exiting:
-            if {u1, v1} == {u2, v2}:
-                continue
-            pairs.append((u1, v1, u2, v2))
-    return pairs
+    v1, u1 = _crossing_edges(graph, z, s / 2.0).T
+    u2, v2 = _crossing_edges(graph, z, 1.5 * s).T
+    # v1 in V_3s, v2 not: one undirected edge only as (u1, v1) = (v2, u2)
+    return (u1, v1), (u2, v2), (v1[:, None] != u2) | (u1[:, None] != v2)
 
 
-def _crossing_edges(graph, z, r: float, inward: bool):
-    """Directed edges crossing the boundary of V_r(z): long edges in
-    edge order, then lattice edges by inner vertex."""
+def _crossing_edges(graph, z, r: float) -> np.ndarray:
+    """Edges crossing the boundary of V_r(z) as (inside, outside) rows:
+    long edges in edge order, then lattice edges by inner vertex."""
     mask = _cube(graph, z, r)
-    # each edge as (inside, outside), reversed at the end if inward
     inside = mask[graph.long_edges]
     cross = inside[:, 0] != inside[:, 1]
     e = graph.long_edges[cross]
@@ -203,8 +205,7 @@ def _crossing_edges(graph, z, r: float, inward: bool):
     # ell-infinity neighbours outside
     shell = np.flatnonzero(mask & ~_cube(graph, z, r - 1))
     pos, u = _lattice_neighbours(graph, shell)
-    e = np.concatenate([e, np.stack([shell[pos], u], axis=1)[~mask[u]]])
-    return list(map(tuple, (e[:, ::-1] if inward else e).tolist()))
+    return np.concatenate([e, np.stack([shell[pos], u], axis=1)[~mask[u]]])
 
 
 @dataclass
@@ -223,35 +224,34 @@ def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
     |v1 - u2| >= alpha * s and rescaled internal distance
     d(v1, u2; V_3s(z)) / a_s >= (b * alpha)^theta.  Monotone per
     realization: good at (alpha, b) implies good at any smaller pair.
-    Returns the violating pair as witness otherwise.  The special pairs,
-    the cube mask and each BFS field are computed once for the grid.
+    Otherwise the witness is the first violating pair in
+    `find_special_pairs` order; the grid shares one BFS field per v1.
     """
-    pairs = find_special_pairs(graph, z, s)
-    if not pairs:
-        return [CubeClassification(good=True, witness=None,
-                                   n_special_pairs=0) for _ in grid]
-    cube_mask = _cube(graph, z, 1.5 * s)
-    v1s, u2s = np.array([pair[1:3] for pair in pairs]).T
-    seps = np.linalg.norm(graph.coords(v1s) - graph.coords(u2s), axis=1)
-    fields = {}
+    (u1, v1), (u2, v2), special = _special_edges(graph, z, s)
+    v1s, row = np.unique(v1, return_inverse=True)
+    u2s, col = np.unique(u2, return_inverse=True)
+    seps = np.linalg.norm(graph.coords(v1s)[:, None] - graph.coords(u2s),
+                          axis=2)
+
+    @cache
+    def dist():
+        cube = _cube(graph, z, 1.5 * s)
+        return np.stack([distance_field(graph, v, cube)[u2s]
+                         for v in v1s.tolist()])
+
+    def first(bad):
+        hit = special & bad[row[:, None], col]
+        i, j = np.unravel_index(np.argmax(hit), hit.shape)
+        return (int(u1[i]), int(v1[i]), int(u2[j]), int(v2[j])) \
+            if hit[i, j] else None
 
     def witness(params):
-        # euclidean screen first: any failure decides the cube
-        close = np.flatnonzero(seps < params.alpha * s - 1e-9)
-        if close.size:
-            return pairs[close[0]]
         threshold = (params.b * params.alpha) ** params.theta * a_s
-        for pair in pairs:
-            v1, u2 = pair[1], pair[2]
-            if v1 not in fields:
-                fields[v1] = distance_field(graph, v1, cube_mask)
-            dd = fields[v1][u2]
-            if dd < 0 or dd < threshold - 1e-9:
-                return pair
-        return None
+        # the Euclidean screen first: any failure decides the cube
+        return (first(seps < params.alpha * s - 1e-9)
+                or first((dist() < 0) | (dist() < threshold - 1e-9)))
 
-    return [CubeClassification(good=w is None, witness=w,
-                               n_special_pairs=len(pairs))
+    return [CubeClassification(w is None, w, int(special.sum()))
             for w in map(witness, grid)]
 
 

@@ -226,6 +226,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
              "cs_replicates must be >= 1"),
             (kind == "goodcubes" and p["a_s"] is None
              and p["a_s_replicates"] < 1, "a_s_replicates must be >= 1"),
+            # a distance threshold (b alpha)^theta a_s of 0 or below that
+            # every cube passes, and lists that leave no rate or no row
+            (kind == "goodcubes" and p["a_s"] is not None and p["a_s"] <= 0,
+             "a_s must be > 0"),
+            (kind == "goodcubes" and not p["alphas"],
+             "alphas must hold at least one value"),
+            (kind == "sperner" and not p["n_values"],
+             "n_values must hold at least one value"),
+            (kind == "sperner" and not p["p_values"],
+             "p_values must hold at least one value"),
             (kind == "xi-coupling" and p["resolution"] < MIN_RESOLUTION,
              f"resolution must be >= {MIN_RESOLUTION}"),
             (kind == "sperner" and p["generator"] not in GENERATORS,

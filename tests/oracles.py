@@ -3,14 +3,15 @@
 Everything here is deliberately written against different formulations
 than the package code: closed antiderivatives, adaptive quadrature on
 the difference-variable reduction, heap Dijkstra, exhaustive DFS path
-enumeration, and brute-force witness search.  None of it shares code
-with src/.
+enumeration, brute-force witness search, and the good-cube test pair
+by pair.  None of it shares code with src/.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 
 import numpy as np
 from scipy import integrate
@@ -157,6 +158,53 @@ def enumerate_geodesics(graph, src: int, dst: int, length: int,
     except RuntimeError:
         return None
     return paths
+
+
+def good_cube_per_pair(graph, z, s: float, pairs, params, a_s: float):
+    """The (3s, alpha, b)-good test of V_3s(z) pair by pair, over the
+    special pairs (u1, v1, u2, v2) in the order given.
+
+    Returns (good, witness, number of pairs).  The witness is the first
+    pair closer than alpha * s in Euclidean distance, else the first
+    whose distance inside V_3s(z) is infinite or below
+    (b * alpha)^theta * a_s.  Distances come from one breadth-first
+    search per v1 over the cube's sites and edges.
+    """
+    cfg = graph.config
+    coords = graph.coords(np.arange(cfg.n ** cfg.d))
+    cube = np.abs(coords - np.asarray(z)).max(axis=1) <= math.floor(1.5 * s)
+    for pair in pairs:
+        if math.dist(coords[pair[1]], coords[pair[2]]) \
+                < params.alpha * s - 1e-9:
+            return False, pair, len(pairs)
+    # every site's lattice neighbours, -1 off the box, then long edges
+    near = coords[:, None] + _moore_offsets(cfg.d)
+    nbrs = np.where(((near >= 0) & (near < cfg.n)).all(axis=2),
+                    near @ np.asarray(cfg.strides), -1).tolist()
+    for i, j in graph.long_edges.tolist():
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    fields: dict[int, dict[int, int]] = {}
+
+    def bfs(src):
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for u in nbrs[v]:
+                if u >= 0 and cube[u] and u not in dist:
+                    dist[u] = dist[v] + 1
+                    queue.append(u)
+        return dist
+
+    threshold = (params.b * params.alpha) ** params.theta * a_s
+    for pair in pairs:
+        if pair[1] not in fields:
+            fields[pair[1]] = bfs(pair[1])
+        dd = fields[pair[1]].get(pair[2])
+        if dd is None or dd < threshold - 1e-9:
+            return False, pair, len(pairs)
+    return True, None, len(pairs)
 
 
 def brute_force_classify(n: int, members: list[int], A: int):

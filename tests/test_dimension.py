@@ -13,7 +13,7 @@ from lrplab.dimension import (GoodCubeParams, box_count, classify_good_cube,
 from lrplab.graph import ModelConfig, sample_graph
 from lrplab.metric import geodesic_dag, sample_geodesic
 
-from oracles import connected_subsets_brute
+from oracles import connected_subsets_brute, good_cube_per_pair
 
 
 def straight_path(L, d=1):
@@ -235,6 +235,32 @@ def test_classify_monotone_in_alpha_b():
             for (a2, b2), ok2 in res.items():
                 if ok and a2 <= a1 and b2 <= b1:
                     assert ok2
+
+
+@pytest.mark.parametrize("d, s, z, beta", [
+    (1, 8, (36,), 1.0), (1, 16, (72,), 0.5), (1, 32, (144,), 0.3),
+    (2, 4, (6, 7), 2.0), (2, 5, (7, 9), 1.0)])
+def test_classify_matches_per_pair_oracle(d, s, z, beta):
+    # a_s from a threshold nothing fails to one most cubes fail; the
+    # alphas from a screen most cubes fail to one few fail
+    grid = [GoodCubeParams(alpha=a, b=b, theta=0.45)
+            for a in (0.5, 0.2, 0.04) for b in (0.5, 0.1)]
+    decided = set()
+    for seed in range(4):
+        g = sample_graph(ModelConfig(d=d, beta=beta, n=2 * max(z) + 3,
+                                     seed=seed))
+        pairs = find_special_pairs(g, z, s)
+        for a_s in (1e-9, 3.0, 40.0):
+            got = classify_good_cube(g, z, s, grid, a_s)
+            want = [good_cube_per_pair(g, z, s, pairs, p, a_s)
+                    for p in grid]
+            assert [(c.good, c.witness, c.n_special_pairs)
+                    for c in got] == want
+            for p, (good, w, _) in zip(grid, want):
+                sep = good or np.linalg.norm(g.coords(w[1]) - g.coords(w[2]))
+                decided.add("neither" if good else "screen"
+                            if sep < p.alpha * s - 1e-9 else "distance")
+    assert decided == {"neither", "screen", "distance"}
 
 
 def test_good_cube_rate_runs_and_ci():

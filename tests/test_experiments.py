@@ -146,6 +146,14 @@ def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
     ("target_size", "sperner", 1, {"target_size": 0}),
     ("max_subset_size", "xi-coupling", 1, {"max_subset_size": 0}),
     ("k_min", "firework", 1, {"k_min": 0}),
+    # a distance threshold every cube passes, and empty lists (a CLI
+    # list flag takes at least one value) that finish with no rate, no
+    # row or a vacuous "holds"
+    ("a_s", "goodcubes", 1, {"a_s": 0}),
+    ("a_s", "goodcubes", 1, {"a_s": -1}),
+    ("alphas", "goodcubes", 1, {"alphas": []}),
+    ("n_values", "sperner", 1, {"n_values": []}),
+    ("p_values", "sperner", 1, {"p_values": []}),
 ])
 def test_layer_bounds_refused_by_parse_config(key, kind, d, params):
     # the config alone, since a run that missed one of these could sample
@@ -186,6 +194,7 @@ def test_dim_scales_down_to_one_lattice_unit_accepted():
     ["sperner", "sweep", "--target-size", "0"],
     ["xi-coupling", "--max-subset-size", "0"],
     ["firework", "--k-min", "0"],
+    ["goodcubes", "--a-s", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_refuses_layer_bounds_before_any_output(tmp_path, capsys, argv):
     out = tmp_path / "run"

@@ -26,12 +26,14 @@ PACKAGE = ROOT / "src" / "lrplab"
 ENTRY_POINTS = {"cli.main", "experiments.run", "experiments.report",
                 "experiments.verify_run"}
 # public names that no entry point calls but that are kept: the checks
-# of the acceptance suite, a test reference, the readers and writers of
-# the graph and family file formats, the config-file loader, the kernel
-# table view the benchmark harness reads, and four estimators of paper
-# quantities that no runner reports yet (expected degree, the ECDF
-# window mass, the Chernoff concentration of the xi vector, the mass
-# distribution check of a path)
+# of the acceptance suite, a test reference, the special-pair list (the
+# good-cube test reads its mask, not the list; the brute-force tests
+# check the mask through it), the readers and writers of the graph and
+# family file formats, the config-file loader, the kernel table view the
+# benchmark harness reads, and four estimators of paper quantities that
+# no runner reports yet (expected degree, the ECDF window mass, the
+# Chernoff concentration of the xi vector, the mass distribution check
+# of a path)
 KEEP = {"firework.jump_scaling_sweep", "firework.simulate_firework",
         "kernel.edge_probability", "kernel.kernel_integral",
         "graph.expected_long_edge_total", "sperner.log_central_term",
@@ -39,7 +41,7 @@ KEEP = {"firework.jump_scaling_sweep", "firework.simulate_firework",
         "sperner.save_family", "experiments.load_config",
         "kernel.DisplacementKernel.entries", "kernel.expected_degree",
         "scaling.window_mass", "firework.concentration_check",
-        "dimension.mass_distribution_check"}
+        "dimension.mass_distribution_check", "dimension.find_special_pairs"}
 
 # every (public function or method, parameter with a default) pair in
 # src/lrplab: a new knob shows up in review as a line added here
