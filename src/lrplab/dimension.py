@@ -166,24 +166,16 @@ def _cube(graph, z, r: float) -> np.ndarray:
     return mask.ravel()
 
 
-def find_special_pairs(graph, z, s: float):
-    """All ordered pairs (entering edge, exiting edge) of V_s / V_3s.
+def _special_edges(graph, z, s: float):
+    """Entering edges (u1, v1) of V_s(z), exiting edges (u2, v2) of
+    V_3s(z) (lattice edges make both nonempty) and the special-pair mask.
 
     V_s(z) and V_3s(z) are the cubes of ell-infinity radius floor(s / 2)
     and floor(1.5 s) about the integer site z (see `_cube`).  An
     entering edge has u1 outside V_s(z) and v1 inside; an exiting edge
-    has u2 inside V_3s(z) and v2 outside.  Lattice edges count.
-    Returns tuples (u1, v1, u2, v2) of linear indices, entering edge
-    first; the two edges are distinct as undirected edges.
+    has u2 inside V_3s(z) and v2 outside.  Lattice edges count.  A pair
+    is special when its two edges are distinct as undirected edges.
     """
-    (u1, v1), (u2, v2), special = _special_edges(graph, z, s)
-    i, j = np.nonzero(special)
-    return list(map(tuple, np.c_[u1[i], v1[i], u2[j], v2[j]].tolist()))
-
-
-def _special_edges(graph, z, s: float):
-    """Entering edges (u1, v1) of V_s(z), exiting edges (u2, v2) of
-    V_3s(z) (lattice edges make both nonempty) and the special-pair mask."""
     r3 = math.floor(1.5 * s)
     if min(z) - r3 < 0 or max(z) + r3 >= graph.config.n:
         raise ValueError("V_3s(z) must fit inside the box")
@@ -224,8 +216,9 @@ def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
     |v1 - u2| >= alpha * s and rescaled internal distance
     d(v1, u2; V_3s(z)) / a_s >= (b * alpha)^theta.  Monotone per
     realization: good at (alpha, b) implies good at any smaller pair.
-    Otherwise the witness is the first violating pair in
-    `find_special_pairs` order; the grid shares one BFS field per v1.
+    Otherwise the witness is the first violating special pair (u1, v1,
+    u2, v2), entering edge first, in the order of the entering edges and
+    then of the exiting edges; the grid shares one BFS field per v1.
     """
     (u1, v1), (u2, v2), special = _special_edges(graph, z, s)
     v1s, row = np.unique(v1, return_inverse=True)

@@ -14,25 +14,25 @@ Every kind has one runner, `_run_<kind>(config, out, **params)`, that
 writes each data file through `out` (`out.csv`, `out.json`, or
 `out.path` for a file written by other code); `run` checksums, or on
 failure removes, exactly the files on that list.  Its keyword-only
-arguments are the kind's parameters, with their types and defaults.
+arguments are the kind's parameters, with types, bounds and defaults.
 `rng_streams` is the growth of `RngStream.built` across the runner, so
 it counts generators where they are built; `graph.map_replicates`, the
 one replicate loop, runs every loop of `scaling`, `dim` and `goodcubes`
 on `config.jobs` processes and adds its pool workers' counts.
 """
 
-from __future__ import annotations
-
 import functools
 import hashlib
 import inspect
 import json
 import math
+import operator
 import time
 import types
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -55,10 +55,19 @@ from .sperner import (GENERATORS, SetFamily, event_probability,
 
 # the default of a parameter that a config must give
 REQUIRED = inspect.Parameter.empty
+# a parameter's bound is `Annotated` metadata (op, edge) on its type, read
+# from its runner's `__annotations__` (so no `from __future__` import):
+# {op: (test of a given value against the edge, what the value must do)}
+_OPS = {">=": (operator.ge, "be >= {}"), ">": (operator.gt, "be > {}"),
+        "<=": (operator.le, "be <= {}"),
+        "in": (lambda v, e: v in e, "be one of {}"),
+        "distinct": (lambda v, e: len(set(v)) >= e,
+                     "hold {} or more distinct values")}
+Count = Annotated[int, (">=", 1)]
 # the top-level and model keys, {name: (type, default)}
 _CONFIG = {"kind": (str, REQUIRED), "out": (str, REQUIRED),
-           "seed": (int, 0), "jobs": (int, 1), "model": (dict, {}),
-           "params": (dict, {})}
+           "seed": (int, 0), "jobs": (Count, 1),
+           "model": (dict, {}), "params": (dict, {})}
 _MODEL = {"d": (int, 1), "beta": (float, 1.0)}
 
 
@@ -86,14 +95,19 @@ class ExperimentConfig:
                 "params": dict(self.params)}
 
 
+def _bare(tp):
+    """`tp` without its bounds."""
+    return tp.__origin__ if hasattr(tp, "__metadata__") else tp
+
+
 @functools.cache
 def parameters(kind: str) -> types.MappingProxyType:
     """A kind's parameters, {name: (type, default)}: the keyword-only
-    arguments of its runner."""
-    sig = inspect.signature(_RUNNERS[kind], eval_str=True)
+    arguments of its runner, their types without bounds."""
+    sig = inspect.signature(_RUNNERS[kind])
     return types.MappingProxyType({
-        p.name: (p.annotation, p.default) for p in sig.parameters.values()
-        if p.kind is p.KEYWORD_ONLY})
+        p.name: (_bare(p.annotation), p.default)
+        for p in sig.parameters.values() if p.kind is p.KEYWORD_ONLY})
 
 
 def cast(key: str, tp, value):
@@ -101,10 +115,13 @@ def cast(key: str, tp, value):
     T | None.  A value that does not convert is a ConfigError naming
     `key`."""
     args = getattr(tp, "__args__", ())
+    # a bool is no number, and an int drops no fraction
+    lossy = (tp in (int, float) and isinstance(value, bool)
+             or tp is int and isinstance(value, float) and value % 1 != 0)
     try:
         if isinstance(tp, types.UnionType):
             return None if value is None else cast(key, args[0], value)
-        if not args:
+        if not args and not lossy:
             # from a string, so that 0.1 is 1/10
             return tp(str(value) if tp is Fraction else value)
         if isinstance(value, (list, tuple)):
@@ -124,8 +141,18 @@ def _read(raw: dict, schema: dict, what: str) -> dict:
     for name, (_, default) in schema.items():
         if default is REQUIRED and name not in raw:
             raise ConfigError(f"missing required {what}: {name}")
-    return {name: cast(name, schema[name][0], value)
+    return {name: cast(name, _bare(schema[name][0]), value)
             for name, value in raw.items()}
+
+
+def _bounds(values: dict, hints: dict):
+    """(outside, message naming the key) per bound on the type that
+    `hints` gives a value; None, an unset optional key, is never outside."""
+    for name, value in values.items():
+        for op, edge in getattr(hints.get(name), "__metadata__", ()):
+            test, must = _OPS[op]
+            yield (value is not None and not test(value, edge),
+                   f"{name} must {must.format(edge)}, got {value!r}")
 
 
 def _defaults(schema: dict) -> dict:
@@ -146,11 +173,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     p = _defaults(parameters(kind)) | params
     source = p.get("theta_source", "fit")
     fits = kind == "scaling" or (kind == "dim" and source == "fit")
-    # values a run would trip on only after writing its manifest, or that
-    # give a NaN (the defaults pass): a layer's bound is met by building
-    # its object (the model at side 2, then at each box side the run
-    # samples; the ladder it fits; the good-cube parameters, the annulus
-    # ladder, the ground sets) or by reading the layer's constant
+    # values a run would trip on only after writing its manifest: each
+    # layer's own bound, met by building its object (the model at side 2
+    # and at each box side the run samples, the ladder it fits, the
+    # good-cube parameters, the annulus ladder, the ground sets)
     box = functools.partial(ModelConfig, seed=top["seed"], **model)
     layers = [("", box, {"n": 2})]      # d, beta and seed
     if kind in ("sample", "dim"):
@@ -186,60 +212,26 @@ def parse_config(raw: dict) -> ExperimentConfig:
             layer(**kwargs)
         except ValueError as exc:
             raise ConfigError(named + str(exc)) from None
+    # each key's own bound, then the rules that join keys
     for bad, msg in (
-            (top["jobs"] < 1, f"jobs must be >= 1, got {top['jobs']}"),
-            (source not in ("fit", "manual"),
-             f"theta_source must be 'fit' or 'manual', got {source!r}"),
+            *_bounds(top, {key: tp for key, (tp, _) in _CONFIG.items()}),
+            *_bounds(p, _RUNNERS[kind].__annotations__),
             (source == "manual" and p.get("theta") is None,
              "theta_source 'manual' needs parameter: theta"),
-            (p.get("geodesics", 1) < 1, "geodesics must be >= 1"),
-            (len(set(p.get("scales", (0, 1)))) < 2,
-             "scales must hold at least 2 distinct values"),
             # n * 2^-j >= 1, the finest box one lattice unit or more
             (kind == "dim"
              and max(p["scales"], default=0) >= p["n"].bit_length(),
              "scales: n * 2^-max(scales) must be at least 1"),
-            (kind in ("firework", "xi-coupling") and p["runs"] < 1,
-             "runs must be >= 1"),
             (kind == "firework" and p["k_min"] > p["k_max"],
              "k_min must be <= k_max"),
-            # counts that would report a vacuous "holds" or a k = 0 row
-            (kind == "firework" and p["k_min"] < 1, "k_min must be >= 1"),
-            (kind == "sperner" and p["families_per_n"] < 1,
-             "families_per_n must be >= 1"),
-            (kind == "sperner" and p["target_size"] is not None
-             and p["target_size"] < 1, "target_size must be >= 1"),
-            (kind == "xi-coupling" and p["max_subset_size"] is not None
-             and p["max_subset_size"] < 1, "max_subset_size must be >= 1"),
-            (fits and len(p["n_values"]) < MIN_LADDER_POINTS,
-             f"n_values must hold at least {MIN_LADDER_POINTS} points"),
-            (kind == "goodcubes"
-             and p["replicates"] < GOOD_CUBE_MIN_REPLICATES,
-             f"replicates must be >= {GOOD_CUBE_MIN_REPLICATES}"),
             (kind == "goodcubes" and cs_n % p["s"],
              "cs_n: cube side must divide the box side"),
             (kind == "goodcubes" and cs_n // p["s"] < 3,
              "cs_n: the cube grid needs an interior cube (cs_n >= 3s)"),
-            (kind == "goodcubes" and not 1 <= p["cs_k"] <= CS_SIZE_CAP,
-             f"cs_k must lie in [1, {CS_SIZE_CAP}]"),
-            (kind == "goodcubes" and p["cs_replicates"] < 1,
-             "cs_replicates must be >= 1"),
             (kind == "goodcubes" and p["a_s"] is None
              and p["a_s_replicates"] < 1, "a_s_replicates must be >= 1"),
-            # a distance threshold (b alpha)^theta a_s of 0 or below that
-            # every cube passes, and lists that leave no rate or no row
-            (kind == "goodcubes" and p["a_s"] is not None and p["a_s"] <= 0,
-             "a_s must be > 0"),
-            (kind == "goodcubes" and not p["alphas"],
-             "alphas must hold at least one value"),
-            (kind == "sperner" and not p["n_values"],
-             "n_values must hold at least one value"),
-            (kind == "sperner" and not p["p_values"],
-             "p_values must hold at least one value"),
-            (kind == "xi-coupling" and p["resolution"] < MIN_RESOLUTION,
-             f"resolution must be >= {MIN_RESOLUTION}"),
-            (kind == "sperner" and p["generator"] not in GENERATORS,
-             f"generator must be one of {', '.join(GENERATORS)}")):
+            (fits and len(p["n_values"]) < MIN_LADDER_POINTS,
+             f"n_values must hold at least {MIN_LADDER_POINTS} points")):
         if bad:
             raise ConfigError(msg)
     return ExperimentConfig(kind=kind, seed=top["seed"], out=top["out"],
@@ -312,9 +304,6 @@ class RunManifest:
     rng_streams: int
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 class _Outputs:
     """The data files of one run, listed as they are written."""
@@ -365,7 +354,7 @@ def run(config: ExperimentConfig) -> RunManifest:
 
 
 def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    write_json(out_dir / "manifest.json", manifest.to_dict())
+    write_json(out_dir / "manifest.json", vars(manifest))
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +370,9 @@ def _run_sample(config: ExperimentConfig, out: _Outputs, *,
 
 
 def _fit_ladder(config: ExperimentConfig, out: _Outputs,
-                ladder: Ladder) -> ScalingFit:
+                n_values: list[int], replicates: int) -> ScalingFit:
     """Medians and the theta fit of a ladder, written out."""
+    ladder = Ladder(n_values=tuple(n_values), replicates=replicates)
     fit = fit_theta(estimate_medians(config.d, config.beta, ladder,
                                      config.seed, jobs=config.jobs))
     out.csv("medians.csv", ["n", "a_n", "ci_lo", "ci_hi", "replicates"],
@@ -400,8 +390,7 @@ def _fit_ladder(config: ExperimentConfig, out: _Outputs,
 
 def _run_scaling(config: ExperimentConfig, out: _Outputs, *,
                  n_values: list[int], replicates: int = 50) -> None:
-    fit = _fit_ladder(config, out, Ladder(n_values=tuple(n_values),
-                                          replicates=replicates))
+    fit = _fit_ladder(config, out, n_values, replicates)
     masses, rho, pval = atom_trend([ecdf(fit, n) for n in fit.n_values])
     out.csv("atoms.csv", ["n", "max_atom_mass"],
             list(zip(fit.n_values, masses)))
@@ -439,13 +428,14 @@ def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
-             geodesics: int = 100, scales: list[int] = [2, 3, 4, 5, 6],
-             theta_source: str = "fit", theta: float | None = None,
+             geodesics: Count = 100,
+             scales: Annotated[list[int], ("distinct", 2)] = [2, 3, 4, 5, 6],
+             theta_source: Annotated[str, ("in", ("fit", "manual"))] = "fit",
+             theta: float | None = None,
              n_values: list[int] = [32, 64, 128, 256, 512, 1024, 2048],
              replicates: int = 200) -> None:
     if theta_source == "fit":
-        theta = _fit_ladder(config, out, Ladder(
-            n_values=tuple(n_values), replicates=replicates)).theta_hat
+        theta = _fit_ladder(config, out, n_values, replicates).theta_hat
     cfg = ModelConfig(d=config.d, beta=config.beta, n=3 * n,
                       seed=config.seed)
     paths, pairs = zip(*map_replicates(
@@ -468,11 +458,16 @@ def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
 
 
 def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
-                   s: int = 32, alphas: list[float] = [0.5, 0.25, 0.1],
+                   s: int = 32,
+                   alphas: Annotated[list[float], ("distinct", 1)] = [
+                       0.5, 0.25, 0.1],
                    b: float = 0.25, theta: float = 0.45,
-                   a_s: float | None = None, replicates: int = 400,
+                   a_s: Annotated[float | None, (">", 0)] = None,
+                   replicates: Annotated[
+                       int, (">=", GOOD_CUBE_MIN_REPLICATES)] = 400,
                    a_s_replicates: int = 200, cs_n: int | None = None,
-                   cs_k: int = 5, cs_replicates: int = 100) -> None:
+                   cs_k: Annotated[int, (">=", 1), ("<=", CS_SIZE_CAP)] = 5,
+                   cs_replicates: Count = 100) -> None:
     if a_s is None:
         a_s = float(np.median(sample_distances(
             config.d, config.beta, s, a_s_replicates, config.seed,
@@ -495,12 +490,14 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
 
 
 def _run_sperner(config: ExperimentConfig, out: _Outputs, *,
-                 n_values: list[int] = list(range(4, 21)),
-                 families_per_n: int = 100,
-                 p_values: list[Fraction] = [Fraction(1, 4), Fraction(1, 2),
-                                             Fraction(3, 4)],
-                 generator: str = "antichain-low",
-                 target_size: int | None = None) -> None:
+                 n_values: Annotated[list[int], ("distinct", 1)] = list(
+                     range(4, 21)),
+                 families_per_n: Count = 100,
+                 p_values: Annotated[list[Fraction], ("distinct", 1)] = [
+                     Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
+                 generator: Annotated[str, ("in", GENERATORS)]
+                 = "antichain-low",
+                 target_size: Annotated[int | None, (">=", 1)] = None) -> None:
     rows = []
     for n in n_values:
         rng = RngStream(config.seed, (Tag.SPERNER_FAMILIES, n)).generator()
@@ -521,8 +518,8 @@ def _run_sperner(config: ExperimentConfig, out: _Outputs, *,
 
 def _run_firework(config: ExperimentConfig, out: _Outputs, *,
                   eps: float = 1e-9, theta: float = 0.5,
-                  c_star1: float = 0.5, c2: float = 1.0, k_min: int = 2,
-                  k_max: int = 12, runs: int = 10 ** 5) -> None:
+                  c_star1: float = 0.5, c2: float = 1.0, k_min: Count = 2,
+                  k_max: int = 12, runs: Count = 10 ** 5) -> None:
     ladder = build_ladder(eps, theta, c_star1)
     out.json("ladder.json", {
         "eps": eps, "theta": theta, "c_star1": c_star1, "K": ladder.K,
@@ -542,9 +539,11 @@ def _run_firework(config: ExperimentConfig, out: _Outputs, *,
 
 def _run_xi_coupling(config: ExperimentConfig, out: _Outputs, *,
                      eps: float = 1e-12, theta: float = 0.5,
-                     c_star1: float = 0.5, resolution: int = 8,
-                     runs: int = 10 ** 4,
-                     max_subset_size: int | None = None) -> None:
+                     c_star1: float = 0.5,
+                     resolution: Annotated[int, (">=", MIN_RESOLUTION)] = 8,
+                     runs: Count = 10 ** 4,
+                     max_subset_size: Annotated[int | None, (">=", 1)]
+                     = None) -> None:
     ladder = build_ladder(eps, theta, c_star1)
     xi = simulate_xi_vector(ladder, config.beta, resolution,
                             RngStream(config.seed,

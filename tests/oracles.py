@@ -4,17 +4,22 @@ Everything here is deliberately written against different formulations
 than the package code: closed antiderivatives, adaptive quadrature on
 the difference-variable reduction, heap Dijkstra, exhaustive DFS path
 enumeration, brute-force witness search, and the good-cube test pair
-by pair.  None of it shares code with src/.
+by pair.  None of it shares code with src/, except
+`find_special_pairs`, which lists the package's special-pair mask so
+that tests can check it pair by pair.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import deque
 
 import numpy as np
 from scipy import integrate
+
+from lrplab.dimension import _special_edges
 
 
 def kernel_closed_d1(k: int) -> float:
@@ -125,13 +130,16 @@ def enumerate_geodesics(graph, src: int, dst: int, length: int,
     strides = np.asarray(cfg.strides)
     offsets = _moore_offsets(d)
 
+    @functools.cache
     def neighbors(v):
+        """v's lattice then long-edge neighbours in the mask, built once
+        per vertex from its coordinates."""
         coords = graph.coords(v)
         nc = coords[None, :] + offsets
         ok = ((nc >= 0) & (nc < n)).all(axis=1)
         out = [int(x) for x in nc[ok] @ strides]
         out.extend(adj.get(v, []))
-        return out
+        return [u for u in out if mask is None or mask[u]]
 
     paths = []
     budget = [node_budget]
@@ -147,8 +155,6 @@ def enumerate_geodesics(graph, src: int, dst: int, length: int,
         # prune: remaining hops must at least cover the lattice gap? no:
         # long edges jump arbitrarily far, so only depth prunes.
         for u in neighbors(v):
-            if mask is not None and not mask[u]:
-                continue
             acc.append(u)
             dfs(u, depth + 1, acc)
             acc.pop()
@@ -158,6 +164,15 @@ def enumerate_geodesics(graph, src: int, dst: int, length: int,
     except RuntimeError:
         return None
     return paths
+
+
+def find_special_pairs(graph, z, s: float):
+    """All ordered pairs (entering edge, exiting edge) of V_s / V_3s, as
+    tuples (u1, v1, u2, v2) of linear indices read from the package's
+    special-pair mask, entering edge first."""
+    (u1, v1), (u2, v2), special = _special_edges(graph, z, s)
+    i, j = np.nonzero(special)
+    return list(map(tuple, np.c_[u1[i], v1[i], u2[j], v2[j]].tolist()))
 
 
 def good_cube_per_pair(graph, z, s: float, pairs, params, a_s: float):

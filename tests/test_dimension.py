@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from lrplab.dimension import (GoodCubeParams, box_count, classify_good_cube,
                               connected_set_growth, enumerate_connected_sets,
-                              find_special_pairs, good_cube_rate,
-                              mass_distribution_check, mean_dimension_fit,
-                              mean_renormalized_degree, renormalize)
+                              good_cube_rate, mass_distribution_check,
+                              mean_dimension_fit, mean_renormalized_degree,
+                              renormalize)
 from lrplab.graph import ModelConfig, sample_graph
 from lrplab.metric import geodesic_dag, sample_geodesic
 
-from oracles import connected_subsets_brute, good_cube_per_pair
+from oracles import (connected_subsets_brute, find_special_pairs,
+                     good_cube_per_pair)
 
 
 def straight_path(L, d=1):

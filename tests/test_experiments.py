@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +11,10 @@ import pytest
 
 import lrplab
 from lrplab.cli import _assemble, _build_parser, main
-from lrplab.experiments import (REQUIRED, ConfigError, IntegrityError,
-                                load_config, parameters, parse_config,
-                                report, run, verify_run, write_json)
+from lrplab.experiments import (_CONFIG, _RUNNERS, REQUIRED, ConfigError,
+                                IntegrityError, load_config, parameters,
+                                parse_config, report, run, verify_run,
+                                write_json)
 from lrplab.rng import RngStream, Tag
 
 
@@ -86,6 +89,14 @@ _MANUAL_DIM = {"n": 16, "geodesics": 2, "scales": [1, 2],
     ("n", "dim", {**_MANUAL_DIM, "n": 10 ** 9}, 1),
     ("generator", "sperner", {"generator": "nope"}, 1),
     ("replicates", "goodcubes", {"replicates": 10}, 1),
+    # an int key takes no bool and drops no fraction; a float key takes
+    # no bool
+    ("jobs", "sample", {"n": 8}, 1.9),
+    ("jobs", "sample", {"n": 8}, True),
+    ("n_values", "scaling", {"n_values": [8.9, 16, 32, 64],
+                             "replicates": 30}, 1),
+    ("n", "sample", {"n": True}, 1),
+    ("theta", "dim", {**_MANUAL_DIM, "theta": True}, 1),
 ])
 def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
                                             jobs):
@@ -170,6 +181,54 @@ def test_dim_scales_down_to_one_lattice_unit_accepted():
     assert cfg.params["scales"] == [3, 4]
 
 
+def _edges(tp, default, op, edge):
+    """[(a value at the edge of the bound (op, edge) on type `tp`, one just
+    outside it)]."""
+    if op == "in":
+        return [(choice, "|".join(edge)) for choice in edge]
+    if op == "distinct":
+        inside = list(dict.fromkeys(default))[:edge]
+        return [(inside, inside[:-1] * 2)]
+    # from a number to its neighbour: the next int, or the next float
+    step = (math.nextafter(edge, math.inf) - edge
+            if float in (tp, *typing.get_args(tp)) else 1)
+    return {">=": [(edge, edge - step)], ">": [(edge + step, edge)],
+            "<=": [(edge, edge + step)]}[op]
+
+
+def _bound_cases():
+    """Every bound of every kind's parameters, and of `jobs`, from the
+    `Annotated` metadata on their types."""
+    schemas = [("sample", "jobs", *_CONFIG["jobs"])]
+    schemas += [(kind, name, runner.__annotations__[name], default)
+                for kind, runner in _RUNNERS.items()
+                for name, (_, default) in parameters(kind).items()]
+    return [pytest.param(kind, name, inside, outside,
+                         id=f"{kind}-{name}={inside}")
+            for kind, name, tp, default in schemas
+            for op, edge in getattr(tp, "__metadata__", ())
+            for inside, outside in _edges(tp.__origin__, default, op, edge)]
+
+
+@pytest.mark.parametrize("kind, key, inside, outside", _bound_cases())
+def test_every_bound_takes_its_edge_and_refuses_past_it(kind, key, inside,
+                                                        outside):
+    def parse(value):
+        # the cross-key rules met: scaling's required ladder, a theta for
+        # a manual dim
+        params = {"scaling": {"n_values": [8, 16, 32, 64]},
+                  "dim": {"theta": 0.5}}.get(kind, {})
+        given = ({"jobs": value} if key == "jobs"
+                 else {"params": {**params, key: value}})
+        return parse_config({"kind": kind, "out": "unused",
+                             "params": params, **given})
+
+    config = parse(inside)
+    assert (config.jobs if key == "jobs" else config.params[key]) == inside
+    with pytest.raises(ConfigError, match=f"^{key} must "):
+        parse(outside)
+
+
 @pytest.mark.parametrize("argv", [
     ["sperner", "sweep", "--n-values", "30"],
     ["xi-coupling", "--resolution", "4"],
@@ -207,6 +266,8 @@ def test_cli_refuses_layer_bounds_before_any_output(tmp_path, capsys, argv):
     ("d", {"d": 4}, 1), ("d", {"d": 0}, 1), ("beta", {"beta": -1}, 1),
     ("beta", {"beta": 0.0}, 1), ("seed", {}, -1), ("seed", {}, 2 ** 64),
     ("d", {"d": "two"}, 1), ("beta", {"beta": "high"}, 1),
+    ("seed", {}, 1.5), ("seed", {}, True), ("d", {"d": 1.7}, 1),
+    ("d", {"d": True}, 1), ("beta", {"beta": True}, 1),
 ])
 def test_bad_model_value_fails_before_any_output(tmp_path, key, model,
                                                  seed):
