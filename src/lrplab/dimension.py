@@ -11,8 +11,9 @@ steps and compares each cube's mass with C (diam / L)^Delta.
 The coarse-graining side covers: a cube's special pairs, one boolean
 mask over its entering x exiting crossing edges; the (3s, alpha, b)-good
 test, classified on the pairs' distinct endpoints, monotone per
-realization; empirical good rates; and exact enumeration of connected
-cube sets through a root.  A cube is a flat boolean box mask (`_cube`).
+realization; empirical good rates; and exact counts of the connected
+cube sets through a root, by Redelmeier's untried-set recursion
+(Discrete Math. 36, 1981).  A cube is a flat boolean box mask (`_cube`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .scaling import line_fit
 class BoxCover:
     delta: float
     L: float
-    labels: frozenset
     count: int
 
 
@@ -61,10 +61,8 @@ def box_count(path, delta: float, L: float) -> BoxCover:
     s = delta * L
     if s < 1:
         raise ValueError("delta * L must be at least one lattice unit")
-    coords = _path_coords(path)
-    labs = _labels(coords, s)
-    labels = frozenset(map(tuple, labs.tolist()))
-    return BoxCover(delta=delta, L=L, labels=labels, count=len(labels))
+    labs = _labels(_path_coords(path), s).tolist()
+    return BoxCover(delta=delta, L=L, count=len(set(map(tuple, labs))))
 
 
 def _path_coords(path) -> np.ndarray:
@@ -249,6 +247,7 @@ def classify_good_cube(graph, z, s: float, grid: list[GoodCubeParams],
 
 
 GOOD_CUBE_BOX_FACTOR = 9   # box side over cube side in `good_cube_rate`
+CS_BOX_FACTOR = 16         # and in `goodcubes`' connected sets by default
 WILSON_Z = 1.96            # normal quantile of its 95% Wilson interval
 GOOD_CUBE_MIN_REPLICATES = 100  # the fewest replicates it takes
 
@@ -312,16 +311,7 @@ class RenormGraph:
     """Cubes of side s as vertices; adjacency via any connecting edge."""
 
     shape: tuple[int, ...]
-    s: int
     adj: dict
-
-    def degree(self, cube) -> int:
-        return len(self.adj.get(tuple(cube), ()))
-
-    def interior_cubes(self):
-        for cube in np.ndindex(*self.shape):
-            if all(0 < c < m - 1 for c, m in zip(cube, self.shape)):
-                yield cube
 
 
 def renormalize(graph, s: int) -> RenormGraph:
@@ -348,12 +338,13 @@ def renormalize(graph, s: int) -> RenormGraph:
     for u, v in zip(map(tuple, a), map(tuple, b)):
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    return RenormGraph(shape=(m,) * d, s=s, adj=adj)
+    return RenormGraph(shape=(m,) * d, adj=adj)
 
 
 def mean_renormalized_degree(rg: RenormGraph) -> float:
     """Mean degree over interior cubes (full lattice neighborhoods)."""
-    degs = [rg.degree(c) for c in rg.interior_cubes()]
+    degs = [len(nbrs) for cube, nbrs in rg.adj.items()
+            if all(0 < c < m - 1 for c, m in zip(cube, rg.shape))]
     if not degs:
         raise ValueError("no interior cubes at this scale")
     return float(np.mean(degs))
@@ -362,39 +353,28 @@ def mean_renormalized_degree(rg: RenormGraph) -> float:
 def enumerate_connected_sets(rg: RenormGraph, root, k: int) -> np.ndarray:
     """Exact counts |CS_j(root)| of connected cube sets, sizes 1..k.
 
-    Include/exclude recursion on the extension frontier: at each step
-    one frontier cube is either added to the set or banned for the rest
-    of the branch, so every connected superset of {root} is generated
-    exactly once.  Refuses k beyond the explosion guard rather than
-    truncating.
+    Redelmeier's untried-set recursion: a cube becomes untried the first
+    time it is seen, joins the set once, and is then left out of every
+    set grown by the cubes after it.  Refuses k above the cap.
     """
     if k > CS_SIZE_CAP:
         raise ValueError(f"size cap exceeded: k={k} > {CS_SIZE_CAP}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    root = tuple(root)
-    counts = np.zeros(k + 1, dtype=np.int64)
-    current = {root}
+    counts = [0] * (k + 1)
 
-    def rec(ext: list, banned: set):
-        counts[len(current)] += 1
-        if len(current) == k:
+    def grow(untried: list, seen: set, size: int):
+        counts[size] += 1
+        if size == k - 1:   # each untried cube completes one k-set
+            counts[k] += len(untried)
             return
-        ext = sorted(ext)
-        banned = set(banned)
-        while ext:
-            v = ext.pop()
-            ext_set = set(ext)
-            grown = ext + [u for u in rg.adj.get(v, ())
-                           if u not in current and u not in banned
-                           and u not in ext_set and u != v]
-            current.add(v)
-            rec(grown, banned)
-            current.discard(v)
-            banned.add(v)
+        while untried:
+            v = untried.pop()
+            new = [u for u in rg.adj.get(v, ()) if u not in seen]
+            grow(untried + new, seen.union(new), size + 1)
 
-    rec(list(rg.adj.get(root, ())), set())
-    return counts[1:]
+    grow([tuple(root)], {tuple(root)}, 0)
+    return np.asarray(counts[1:], dtype=np.int64)
 
 
 @dataclass

@@ -42,8 +42,9 @@ from .graph import (ModelConfig, _atomic_open, export_text, map_replicates,
 from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
 from .scaling import (MIN_LADDER_POINTS, Ladder, ScalingFit, atom_trend,
-                      ecdf, estimate_medians, fit_theta, sample_distances)
-from .dimension import (CS_SIZE_CAP, GOOD_CUBE_BOX_FACTOR,
+                      centred_pair, ecdf, estimate_medians, fit_theta,
+                      sample_distances)
+from .dimension import (CS_BOX_FACTOR, CS_SIZE_CAP, GOOD_CUBE_BOX_FACTOR,
                         GOOD_CUBE_MIN_REPLICATES, GoodCubeParams,
                         connected_set_growth, good_cube_rate,
                         mean_dimension_fit)
@@ -115,16 +116,18 @@ def cast(key: str, tp, value):
     T | None.  A value that does not convert is a ConfigError naming
     `key`."""
     args = getattr(tp, "__args__", ())
-    # a bool is no number, and an int drops no fraction
+    # a bool is no number, an int drops no fraction, and a str or a dict
+    # is given as one, not made from a number or a list of pairs
     lossy = (tp in (int, float) and isinstance(value, bool)
-             or tp is int and isinstance(value, float) and value % 1 != 0)
+             or tp is int and isinstance(value, float) and value % 1 != 0
+             or tp in (str, dict) and not isinstance(value, tp))
     try:
         if isinstance(tp, types.UnionType):
             return None if value is None else cast(key, args[0], value)
         if not args and not lossy:
             # from a string, so that 0.1 is 1/10
             return tp(str(value) if tp is Fraction else value)
-        if isinstance(value, (list, tuple)):
+        if args and isinstance(value, (list, tuple)):
             return [cast(key, args[0], v) for v in value]
     except (TypeError, ValueError, ZeroDivisionError):
         pass
@@ -182,7 +185,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if kind in ("sample", "dim"):
         layers += [("n: ", box, {"n": (3 if kind == "dim" else 1) * p["n"]})]
     if kind == "goodcubes":
-        cs_n = 16 * p["s"] if p["cs_n"] is None else p["cs_n"]
+        cs_n = CS_BOX_FACTOR * p["s"] if p["cs_n"] is None else p["cs_n"]
         layers += [("s: ", box, {"n": GOOD_CUBE_BOX_FACTOR * p["s"]}),
                    ("cs_n: ", box, {"n": cs_n})]
         layers += [("", GoodCubeParams, {"alpha": alpha, "b": p["b"],
@@ -398,10 +401,10 @@ def _run_scaling(config: ExperimentConfig, out: _Outputs, *,
 
 
 def _geodesic_replicate(n: int, key, graph):
-    """`_geodesic_pair` from x = n*1 to y = 2n*1 in the `dim` replicate
-    `key` = (DIM_SAMPLE, r), drawn by the generator (DIM_GEODESIC, r)."""
-    x = int(graph.index((n,) * graph.config.d))
-    y = int(graph.index((2 * n,) * graph.config.d))
+    """`_geodesic_pair` between the centred pair x = n*1, y = 2n*1 of the
+    3n box of the `dim` replicate `key` = (DIM_SAMPLE, r), drawn by the
+    generator (DIM_GEODESIC, r)."""
+    x, y = centred_pair(graph, n)
     rng = RngStream(graph.config.seed, (Tag.DIM_GEODESIC, key[1])).generator()
     return _geodesic_pair(graph, geodesic_dag(graph, x, y), rng, n)
 
@@ -481,7 +484,8 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
     out.json("goodcubes.json", {"s": s, "a_s": a_s, "theta": theta,
                                 "replicates": replicates})
     growth = connected_set_growth(
-        config.d, config.beta, n=16 * s if cs_n is None else cs_n, s=s,
+        config.d, config.beta,
+        n=CS_BOX_FACTOR * s if cs_n is None else cs_n, s=s,
         k=cs_k, replicates=cs_replicates, seed=config.seed,
         jobs=config.jobs)
     out.csv("cs_counts.csv", ["k", "mean", "bound"],

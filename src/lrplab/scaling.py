@@ -7,11 +7,12 @@ largest empirical atom.  One bootstrap of `BOOTS` rounds over the
 ladder's replicates gives both the CI of each a_n and the CI of the
 exponent, and `line_fit` is the one least-squares line fit.
 
-Distances are measured between x = n*1 and y = 2n*1 inside a box of
+Distances are measured between a pair x, x + n*1 centred in a box of
 side 3n, so both endpoints sit n away from every face; the residual
 boundary effect is always reported, by re-measuring the smallest
-ladder point in a 5n box.  Each point's replicates run through
-`graph.map_replicates`, which splits them over `jobs` processes.
+ladder point in a 5n box, where the centred pair sits 2n from every
+face.  Each point's replicates run through `graph.map_replicates`,
+which splits them over `jobs` processes.
 """
 
 from __future__ import annotations
@@ -77,10 +78,16 @@ class Ecdf:
     replicates: int
 
 
+def centred_pair(graph, n: int) -> tuple[int, int]:
+    """Sites x = c*1 and y = x + n*1 with c = (side - n) // 2, centred in
+    `graph`'s box: c from the low faces, at least c from the high ones."""
+    c, d = (graph.config.n - n) // 2, graph.config.d
+    return int(graph.index((c,) * d)), int(graph.index((c + n,) * d))
+
+
 def _distance(n: int, key, graph) -> int:
-    """d(x, x + n*1) with x = n*1, in `graph`'s box."""
-    x = int(graph.index((n,) * graph.config.d))
-    y = int(graph.index((2 * n,) * graph.config.d))
+    """d(x, x + n*1) for the centred pair in `graph`'s box."""
+    x, y = centred_pair(graph, n)
     dist = distance(graph, x, y)
     if dist is None:
         # lattice edges always connect the box, so this is a defect

@@ -320,10 +320,14 @@ def test_connected_sets_match_brute_force():
         mine = enumerate_connected_sets(rg, (4,), 4)
         brute = connected_subsets_brute(rg.adj, (4,), 4)
         assert mine.tolist() == brute[1:]
-    g = sample_graph(ModelConfig(d=2, beta=1.0, n=12, seed=1))
-    rg = renormalize(g, 4)
-    assert enumerate_connected_sets(rg, (1, 1), 3).tolist() == \
-        connected_subsets_brute(rg.adj, (1, 1), 3)[1:]
+    # a d=2 grid, a d=3 grid from its corner cube (whose sets need not
+    # hold the centre) and a d=1 grid down to the sixth level
+    for d, n, s, root, k in [(2, 12, 4, (1, 1), 3), (3, 24, 8, (0, 0, 0), 4),
+                             (1, 128, 8, (8,), 6)]:
+        g = sample_graph(ModelConfig(d=d, beta=1.0, n=n, seed=1))
+        rg = renormalize(g, s)
+        assert enumerate_connected_sets(rg, root, k).tolist() == \
+            connected_subsets_brute(rg.adj, root, k)[1:]
 
 
 def test_connected_sets_k1():

@@ -65,6 +65,17 @@ def test_missing_out_rejected():
         parse_config({"kind": "sample"})
 
 
+@pytest.mark.parametrize("doc, named", [
+    ({"out": True}, "out must be str, got True"),
+    ({"out": 12}, "out must be str, got 12"),
+    ({"out": "r", "model": [["d", 2]]}, "model must be dict"),
+], ids=["out-bool", "out-int", "model-pairs"])
+def test_str_and_dict_keys_take_no_other_type(doc, named):
+    # no run directory named `True` or `12`, no model read from pairs
+    with pytest.raises(ConfigError, match=named):
+        parse_config({"kind": "sample", **doc})
+
+
 _MANUAL_DIM = {"n": 16, "geodesics": 2, "scales": [1, 2],
                "theta_source": "manual", "theta": 0.5}
 

@@ -8,11 +8,24 @@ from lrplab.experiments import (_geodesic_pair, _hausdorff, parse_config,
 from lrplab.graph import LrpGraph, ModelConfig, sample_graph
 from lrplab.metric import geodesic_dag
 from lrplab.rng import Tag
-from lrplab.scaling import (Ecdf, Ladder, atom_trend, ecdf, estimate_medians,
-                            fit_theta, max_atom, sample_distances,
-                            window_mass)
+from lrplab.scaling import (Ecdf, Ladder, atom_trend, centred_pair, ecdf,
+                            estimate_medians, fit_theta, max_atom,
+                            sample_distances, window_mass)
 
 from oracles import dijkstra_distance, enumerate_geodesics
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_probe_pair_is_centred(d):
+    # a ladder point's 3n box keeps x = n*1, y = 2n*1; in the boundary
+    # probe's 5n box both endpoints sit 2n from every face
+    n = 4
+    for box_factor, gap in [(3, n), (5, 2 * n)]:
+        g = sample_graph(ModelConfig(d=d, beta=1.0, n=box_factor * n,
+                                     seed=0))
+        x, y = g.coords(np.asarray(centred_pair(g, n)))
+        assert (y - x == n).all()
+        assert (x == gap).all() and (box_factor * n - y == gap).all()
 
 
 def test_ladder_validation():
