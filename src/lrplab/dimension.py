@@ -14,6 +14,7 @@ test, classified on the pairs' distinct endpoints, monotone per
 realization; empirical good rates; and exact counts of the connected
 cube sets through a root, by Redelmeier's untried-set recursion
 (Discrete Math. 36, 1981).  A cube is a flat boolean box mask (`_cube`).
+Replicate loops use `map_replicates`, so a `replicate_pool` splits them.
 """
 
 from __future__ import annotations
@@ -259,16 +260,14 @@ class GoodRate:
     rate: float
     ci_lo: float
     ci_hi: float
-    replicates: int
 
 
 def good_cube_rate(d: int, beta: float, s: int,
                    grid: list[GoodCubeParams], a_s: float, replicates: int,
-                   seed: int, *, jobs: int) -> list[GoodRate]:
+                   seed: int) -> list[GoodRate]:
     """Monte Carlo P[cube is good] with a Wilson 95% interval, one rate
     per entry of `grid`; each replicate's configuration is sampled once
-    and classified under every entry.  The replicates are split over
-    `jobs` processes (`map_replicates`)."""
+    and classified under every entry."""
     if replicates < GOOD_CUBE_MIN_REPLICATES:
         raise ValueError(
             f"need at least {GOOD_CUBE_MIN_REPLICATES} replicates")
@@ -276,14 +275,13 @@ def good_cube_rate(d: int, beta: float, s: int,
     cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
     good = map_replicates(
         cfg, [(Tag.GOOD_CUBE_SAMPLE, r) for r in range(replicates)],
-        partial(_good_flags, (n // 2,) * d, s, grid, a_s), jobs=jobs)
+        partial(_good_flags, (n // 2,) * d, s, grid, a_s))
     hits = np.sum(good, axis=0, dtype=np.int64)
     out = []
     for params, h in zip(grid, hits.tolist()):
         lo, hi = _wilson(h, replicates)
         out.append(GoodRate(alpha=params.alpha, b=params.b,
-                            rate=h / replicates, ci_lo=lo, ci_hi=hi,
-                            replicates=replicates))
+                            rate=h / replicates, ci_lo=lo, ci_hi=hi))
     return out
 
 
@@ -386,14 +384,12 @@ class RenormStats:
 
 
 def connected_set_growth(d: int, beta: float, n: int, s: int, k: int,
-                         replicates: int, seed: int, *,
-                         jobs: int) -> RenormStats:
-    """Empirical mean |CS_j| at the center cube against (4 mu_hat)^j.
-    The replicates are split over `jobs` processes (`map_replicates`)."""
+                         replicates: int, seed: int) -> RenormStats:
+    """Empirical mean |CS_j| at the center cube against (4 mu_hat)^j."""
     cfg = ModelConfig(d=d, beta=beta, n=n, seed=seed)
     counts, degs = zip(*map_replicates(
         cfg, [(Tag.CONNECTED_SET_SAMPLE, r) for r in range(replicates)],
-        partial(_center_sets, s, k), jobs=jobs))
+        partial(_center_sets, s, k)))
     mu = float(np.mean(degs))
     means = np.mean(counts, axis=0)
     bound = (4.0 * mu) ** np.arange(1, k + 1)

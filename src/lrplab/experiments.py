@@ -18,7 +18,7 @@ arguments are the kind's parameters, with types, bounds and defaults.
 `rng_streams` is the growth of `RngStream.built` across the runner, so
 it counts generators where they are built; `graph.map_replicates`, the
 one replicate loop, runs every loop of `scaling`, `dim` and `goodcubes`
-on `config.jobs` processes and adds its pool workers' counts.
+in the run's one `replicate_pool(config.jobs)` and adds its workers' counts.
 """
 
 import functools
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import __version__
 from .graph import (ModelConfig, _atomic_open, export_text, map_replicates,
-                    sample_graph, save_binary)
+                    replicate_pool, sample_graph, save_binary)
 from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
 from .scaling import (MIN_LADDER_POINTS, Ladder, ScalingFit, atom_trend,
@@ -339,7 +339,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     out = _Outputs(out_dir)
     built = RngStream.built
     try:
-        _RUNNERS[config.kind](config, out, **config.params)
+        with replicate_pool(config.jobs):
+            _RUNNERS[config.kind](config, out, **config.params)
         manifest.outputs = {f.name: sha256_file(f) for f in out.paths}
         manifest.rng_streams = RngStream.built - built
         manifest.status = "complete"
@@ -377,7 +378,7 @@ def _fit_ladder(config: ExperimentConfig, out: _Outputs,
     """Medians and the theta fit of a ladder, written out."""
     ladder = Ladder(n_values=tuple(n_values), replicates=replicates)
     fit = fit_theta(estimate_medians(config.d, config.beta, ladder,
-                                     config.seed, jobs=config.jobs))
+                                     config.seed))
     out.csv("medians.csv", ["n", "a_n", "ci_lo", "ci_hi", "replicates"],
             [(n, fit.medians[i], fit.ci_lo[i], fit.ci_hi[i],
               fit.replicates) for i, n in enumerate(fit.n_values)])
@@ -443,7 +444,7 @@ def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
                       seed=config.seed)
     paths, pairs = zip(*map_replicates(
         cfg, [(Tag.DIM_SAMPLE, r) for r in range(geodesics)],
-        functools.partial(_geodesic_replicate, n), jobs=config.jobs))
+        functools.partial(_geodesic_replicate, n)))
     deltas = [2.0 ** -j for j in scales]
     fitd = mean_dimension_fit(paths, deltas, float(n))
     out.csv("dim.csv", ["delta", "mean_N", "log_inv_delta", "log_N",
@@ -474,11 +475,11 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
     if a_s is None:
         a_s = float(np.median(sample_distances(
             config.d, config.beta, s, a_s_replicates, config.seed,
-            ladder_index=Tag.A_S_PROBE, jobs=config.jobs)))
+            ladder_index=Tag.A_S_PROBE)))
     grid = [GoodCubeParams(alpha=alpha, b=b, theta=theta)
             for alpha in sorted(alphas, reverse=True)]
     rates = good_cube_rate(config.d, config.beta, s, grid, a_s, replicates,
-                           config.seed, jobs=config.jobs)
+                           config.seed)
     out.csv("goodcubes.csv", ["alpha", "b", "rate", "ci_lo", "ci_hi"],
             [(r.alpha, b, r.rate, r.ci_lo, r.ci_hi) for r in rates])
     out.json("goodcubes.json", {"s": s, "a_s": a_s, "theta": theta,
@@ -486,8 +487,7 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
     growth = connected_set_growth(
         config.d, config.beta,
         n=CS_BOX_FACTOR * s if cs_n is None else cs_n, s=s,
-        k=cs_k, replicates=cs_replicates, seed=config.seed,
-        jobs=config.jobs)
+        k=cs_k, replicates=cs_replicates, seed=config.seed)
     out.csv("cs_counts.csv", ["k", "mean", "bound"],
             [(k + 1, growth.cs_means[k], growth.cs_bound[k])
              for k in range(len(growth.cs_means))])

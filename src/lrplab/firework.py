@@ -187,7 +187,6 @@ def _reaches_from_steps(L: np.ndarray) -> np.ndarray:
 @dataclass
 class ReachSample:
     reaches: np.ndarray
-    runs: int
     generations: list | None = None
 
 
@@ -206,7 +205,7 @@ def simulate_firework(model: FireworkModel, rng: np.random.Generator,
     if store_generations:
         generations = [_generations(L[i], int(reaches[i]))
                        for i in range(runs)]
-    return ReachSample(reaches=reaches, runs=runs, generations=generations)
+    return ReachSample(reaches=reaches, generations=generations)
 
 
 def _generations(L: np.ndarray, reach: int) -> list[list[int]]:
@@ -233,10 +232,8 @@ def _generations(L: np.ndarray, reach: int) -> list[list[int]]:
 class ReachTail:
     ks: np.ndarray
     tail: np.ndarray
-    runs: int
     kappa_hat: float
     r_squared: float
-    fit_ks: np.ndarray
 
 
 def reach_tail(model: FireworkModel, ks, runs: int,
@@ -255,14 +252,12 @@ def reach_tail(model: FireworkModel, ks, runs: int,
     R = _reaches_from_steps(L)
     tail = np.array([(R >= k).mean() for k in ks])
     usable = tail >= 10.0 / runs
-    fit_ks = ks[usable]
     if usable.sum() >= 2:
-        slope, _, r2 = line_fit(fit_ks, np.log(tail[usable]))
+        slope, _, r2 = line_fit(ks[usable], np.log(tail[usable]))
         kappa = math.exp(slope)
     else:
         kappa, r2 = float("nan"), float("nan")
-    return ReachTail(ks=ks, tail=tail, runs=runs, kappa_hat=kappa,
-                     r_squared=r2, fit_ks=fit_ks)
+    return ReachTail(ks=ks, tail=tail, kappa_hat=kappa, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +276,6 @@ class XiSample:
     xi: np.ndarray
     lambda_exact: np.ndarray
     runs: int
-    resolution: int
 
     def marginal_zero_rate(self) -> np.ndarray:
         return 1.0 - self.xi.mean(axis=0)
@@ -352,8 +346,7 @@ def simulate_xi_vector(ladder: AnnulusLadder, beta: float, resolution: int,
         run_of = np.repeat(np.arange(runs), n_edges)
         np.add.at(crossed, run_of, pair_masks[cats].astype(np.int64))
     xi = (crossed == 0)
-    return XiSample(xi=xi, lambda_exact=lam_exact, runs=runs,
-                    resolution=resolution)
+    return XiSample(xi=xi, lambda_exact=lam_exact, runs=runs)
 
 
 # ---------------------------------------------------------------------------

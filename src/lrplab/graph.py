@@ -24,8 +24,8 @@ drawn when it is first read, by one `integers` call over all its bounds
 in the order above.  Floyd's collision fix-up, the decode to edges, the
 sort and the padded-box CSR then follow.  `map_replicates` applies a
 function to the replicates of a list of keys: it draws each from its
-own generator, runs these steps once per batch of keys, and at jobs > 1
-splits the keys over a process pool.
+own generator, runs these steps once per batch of keys, and inside a
+`replicate_pool` block splits the keys over its worker processes.
 """
 
 from __future__ import annotations
@@ -174,32 +174,53 @@ def sample_graph(config: ModelConfig, stream_id: StreamKey = 0) -> LrpGraph:
     return graph
 
 
-def map_replicates(config: ModelConfig, keys, fn, *, jobs: int) -> list:
+# the workers of the open `replicate_pool` (1 outside one), its executor
+_workers, _executor = 1, None
+
+
+@contextlib.contextmanager
+def replicate_pool(jobs: int):
+    """A block in which `map_replicates` splits two or more keys over
+    min(jobs, CPU count) spawned processes, started at the first such
+    call and shut down, pending work cancelled, however the block exits;
+    a script that opens one keeps its entry code under `__main__`."""
+    global _workers, _executor
+    outer = _workers, _executor
+    _workers, _executor = min(jobs, os.cpu_count() or 1), None
+    try:
+        yield
+    finally:
+        if _executor is not None:
+            _executor.shutdown(cancel_futures=True)
+        _workers, _executor = outer
+
+
+def map_replicates(config: ModelConfig, keys, fn) -> list:
     """`fn(key, sample_graph(config, key))` for each stream key, in key
     order.
 
-    At jobs 1 the graphs are decoded in batches of at most `_BATCH_ROWS`
-    classes in all, a graph's arrays being views into its batch's, and
-    each is dropped once `fn` returns.  With jobs > 1 each worker of a
-    spawned process pool takes one chunk of consecutive keys, so `fn`
-    must pickle (a module-level function, or a `functools.partial` of
-    one) and a script that calls this keeps its entry code under a
-    `__main__` check; the workers' generator counts are added to this
-    process's.  Each key keeps its own generator, so the results do not
-    depend on `jobs`.
+    The graphs are decoded in batches of at most `_BATCH_ROWS` classes
+    in all, a graph's arrays being views into its batch's, and each is
+    dropped once `fn` returns.  In a `replicate_pool` of two or more
+    workers each worker maps one chunk of consecutive keys, so `fn` must
+    pickle (a module-level function or a `functools.partial` of one),
+    and their generator counts are added to this process's.  Each key
+    has its own generator, so the results do not depend on the pool.
     """
+    global _executor
     keys = list(keys)
-    if jobs > 1 and len(keys) > 1:
-        # imported here: a process that never starts a pool pays nothing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        step = -(-len(keys) // jobs)
-        chunks = [(config, keys[lo:lo + step], fn)
-                  for lo in range(0, len(keys), step)]
-        with ProcessPoolExecutor(
-                max_workers=len(chunks),
-                mp_context=multiprocessing.get_context("spawn")) as pool:
-            parts = list(pool.map(_map_chunk, chunks))
+    if _workers > 1 and len(keys) > 1:
+        if _executor is None:
+            # imported here: a process that never starts a pool pays nothing
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            _executor = ProcessPoolExecutor(
+                max_workers=_workers,
+                mp_context=multiprocessing.get_context("spawn"))
+        step = -(-len(keys) // _workers)
+        parts = list(_executor.map(_map_chunk, [
+            (config, keys[lo:lo + step], fn)
+            for lo in range(0, len(keys), step)]))
         RngStream.built += sum(built for _, built in parts)
         return [out for outs, _ in parts for out in outs]
     rows = class_table(config.d, config.n).pairs.size
@@ -218,7 +239,7 @@ def _map_chunk(args) -> tuple[list, int]:
     """A pool worker's results for one chunk of keys, and the generators
     it built, which the parent's `RngStream.built` does not see."""
     before = RngStream.built
-    return map_replicates(*args, jobs=1), RngStream.built - before
+    return map_replicates(*args), RngStream.built - before
 
 
 def _decode(graphs: list[LrpGraph]) -> None:

@@ -12,7 +12,7 @@ side 3n, so both endpoints sit n away from every face; the residual
 boundary effect is always reported, by re-measuring the smallest
 ladder point in a 5n box, where the centred pair sits 2n from every
 face.  Each point's replicates run through `graph.map_replicates`,
-which splits them over `jobs` processes.
+so an open `graph.replicate_pool` splits them over its processes.
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ class ScalingFit:
     """Medians a_n, plus the fitted exponent and the bootstrap CIs of
     both, which `fit_theta` fills in."""
 
-    d: int
-    beta: float
     seed: int
     n_values: tuple[int, ...]
     replicates: int
@@ -73,9 +71,7 @@ class Ecdf:
     """Sorted rescaled distances d(0, n*1) / a_n for one ladder point."""
 
     n: int
-    a_n: float
     values: np.ndarray
-    replicates: int
 
 
 def centred_pair(graph, n: int) -> tuple[int, int]:
@@ -99,18 +95,17 @@ def _distance(n: int, key, graph) -> int:
 
 def sample_distances(d: int, beta: float, n: int, replicates: int,
                      seed: int, box_factor: int = 3,
-                     ladder_index: int = 0, jobs: int = 1) -> np.ndarray:
+                     ladder_index: int = 0) -> np.ndarray:
     """Replicate distances d(x, x + n*1) in a centered box of side
-    box_factor * n, keyed by (box_factor, ladder_index, r); the
-    replicates are split over `jobs` processes (`map_replicates`)."""
+    box_factor * n, keyed by (box_factor, ladder_index, r)."""
     cfg = ModelConfig(d=d, beta=beta, n=box_factor * n, seed=seed)
     keys = [(box_factor, ladder_index, r) for r in range(replicates)]
-    return np.asarray(map_replicates(cfg, keys, partial(_distance, n),
-                                     jobs=jobs), dtype=np.int64)
+    return np.asarray(map_replicates(cfg, keys, partial(_distance, n)),
+                      dtype=np.int64)
 
 
-def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
-                     jobs: int = 1) -> ScalingFit:
+def estimate_medians(d: int, beta: float, ladder: Ladder,
+                     seed: int) -> ScalingFit:
     """Per-n empirical medians of d(0, n*1) and their replicates, and
     the boundary probe: the smallest n's median again in a 5n box.
     The CIs come from `fit_theta`'s bootstrap."""
@@ -118,14 +113,12 @@ def estimate_medians(d: int, beta: float, ladder: Ladder, seed: int,
     samples = {}
     for ni, n in enumerate(ladder.n_values):
         dist = sample_distances(d, beta, n, ladder.replicates, seed,
-                                ladder_index=ni, jobs=jobs)
+                                ladder_index=ni)
         samples[n] = dist
         medians.append(float(np.median(dist)))
     n0 = ladder.n_values[0]
-    wide = sample_distances(d, beta, n0, ladder.replicates, seed,
-                            box_factor=5, ladder_index=0, jobs=jobs)
-    return ScalingFit(d=d, beta=beta, seed=seed,
-                      n_values=tuple(ladder.n_values),
+    wide = sample_distances(d, beta, n0, ladder.replicates, seed, box_factor=5)
+    return ScalingFit(seed=seed, n_values=tuple(ladder.n_values),
                       replicates=ladder.replicates,
                       medians=np.asarray(medians), samples=samples,
                       boundary_check={"n": n0, "median_3n": medians[0],
@@ -187,9 +180,8 @@ def fit_theta(fit: ScalingFit) -> ScalingFit:
 
 
 def ecdf(fit: ScalingFit, n: int) -> Ecdf:
-    values = np.sort(fit.samples[n] / np.median(fit.samples[n]))
-    return Ecdf(n=n, a_n=float(np.median(fit.samples[n])), values=values,
-                replicates=len(values))
+    return Ecdf(n=n, values=np.sort(fit.samples[n]
+                                    / np.median(fit.samples[n])))
 
 
 def window_mass(e: Ecdf, a: float, eps: float) -> float:

@@ -88,10 +88,8 @@ class MemberClass:
 
 @dataclass
 class SpernerReport:
-    family: SetFamily
     classifications: list[MemberClass]
     is_sperner: bool
-    level_profile: np.ndarray
 
 
 def classify_member(family: SetFamily, A: int) -> MemberClass:
@@ -122,9 +120,8 @@ def classify_member(family: SetFamily, A: int) -> MemberClass:
 def is_sperner_family(family: SetFamily) -> SpernerReport:
     """Every member must be upward- or downward-unstable."""
     cls = [classify_member(family, A) for A in family.members]
-    return SpernerReport(family=family, classifications=cls,
-                         is_sperner=all(c.unstable for c in cls),
-                         level_profile=family.level_profile())
+    return SpernerReport(classifications=cls,
+                         is_sperner=all(c.unstable for c in cls))
 
 
 def lym_sum(family: SetFamily) -> Fraction:

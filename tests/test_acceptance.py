@@ -377,7 +377,7 @@ def test_criterion_10_good_cube_rates():
 def test_criterion_11_connected_set_growth():
     t0 = time.time()
     out = connected_set_growth(1, 1.0, n=512, s=8, k=6, replicates=200,
-                               seed=111, jobs=1)
+                               seed=111)
     # allow 3 sigma of the mean-degree estimate in the bound base
     sigma_mu = out.mu_hat / math.sqrt(out.replicates)
     bound = (4.0 * (out.mu_hat + 3 * sigma_mu)) ** np.arange(1, 7)

@@ -267,7 +267,7 @@ def test_classify_matches_per_pair_oracle(d, s, z, beta):
 def test_good_cube_rate_runs_and_ci():
     params = GoodCubeParams(alpha=0.25, b=0.25, theta=0.45)
     [out] = good_cube_rate(1, 1.0, 16, [params], a_s=5.0, replicates=100,
-                           seed=2, jobs=1)
+                           seed=2)
     assert 0.0 <= out.ci_lo <= out.rate <= out.ci_hi <= 1.0
 
 
@@ -275,7 +275,7 @@ def test_good_cube_rate_rejects_few_replicates():
     params = GoodCubeParams(alpha=0.25, b=0.25, theta=0.45)
     with pytest.raises(ValueError):
         good_cube_rate(1, 1.0, 16, [params], a_s=5.0, replicates=50,
-                       seed=2, jobs=1)
+                       seed=2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +351,8 @@ def test_mean_degree_lower_bound():
 
 
 def test_connected_set_growth_bound():
-    stats = connected_set_growth(1, 1.0, 256, 8, k=4, replicates=30, seed=1,
-                                 jobs=1)
+    stats = connected_set_growth(1, 1.0, 256, 8, k=4, replicates=30,
+                                 seed=1)
     assert stats.mu_hat >= 2.0
     assert (stats.cs_means <= stats.cs_bound).all()
 

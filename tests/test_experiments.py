@@ -558,7 +558,26 @@ def test_rng_streams_count_built_generators(tmp_path, monkeypatch, kind,
         "rng_streams"] == len(built)
 
 
-def test_rng_streams_count_pool_workers(tmp_path):
+@pytest.fixture
+def executors(monkeypatch):
+    """The executors a test makes, each a real spawned pool; two CPUs
+    are reported, so a jobs-2 run gets two workers anywhere."""
+    import concurrent.futures
+    made = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    class Spy(real):
+        def __init__(self, *args, **kwargs):
+            made.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return made
+
+
+def test_rng_streams_count_pool_workers(tmp_path, executors):
+    import multiprocessing
     streams = [run(parse_config({
         "kind": "scaling", "seed": 3, "out": str(tmp_path / f"j{jobs}"),
         "jobs": jobs, "model": {"d": 1, "beta": 1.0},
@@ -566,6 +585,10 @@ def test_rng_streams_count_pool_workers(tmp_path):
     # 4 ladder points x 30 replicates, 30 boundary-probe replicates and
     # the one bootstrap of the ladder
     assert streams == [151, 151]
+    # the five map calls of the jobs-2 run share one executor, and its
+    # workers are gone once the run returns
+    assert executors == [2]
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("kind, params, loops", [
@@ -583,21 +606,49 @@ def test_rng_streams_count_pool_workers(tmp_path):
 ], ids=["scaling", "dim-fit", "dim-manual", "goodcubes"])
 def test_every_replicate_loop_takes_jobs(tmp_path, monkeypatch, kind,
                                          params, loops):
-    # each loop over replicates goes through `map_replicates` with the
-    # run's jobs; the spy runs it serially
+    # each loop over replicates goes through `map_replicates` while the
+    # run's pool of `jobs` workers is open; the spy runs it serially
     from lrplab import dimension, experiments, graph, scaling
     calls = []
 
-    def spy(config, keys, fn, *, jobs):
-        calls.append((keys[0][:-1], jobs))
-        return graph.map_replicates(config, keys, fn, jobs=1)
+    def spy(config, keys, fn):
+        calls.append((keys[0][:-1], graph._workers))
+        with graph.replicate_pool(1):
+            return graph.map_replicates(config, keys, fn)
 
     for module in (scaling, dimension, experiments):
         monkeypatch.setattr(module, "map_replicates", spy)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     run(parse_config({
         "kind": kind, "seed": 3, "out": str(tmp_path / "r"), "jobs": 3,
         "model": {"d": 1, "beta": 1.0}, "params": params}))
     assert calls == [(loop, 3) for loop in loops]
+    assert graph._workers == 1
+
+
+def test_failed_parallel_run_stops_its_workers(tmp_path, monkeypatch,
+                                               executors):
+    import multiprocessing
+    from lrplab import experiments
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("fit failed")
+
+    monkeypatch.setattr(experiments, "mean_dimension_fit", fail)
+    out = tmp_path / "d"
+    with pytest.raises(RuntimeError, match="fit failed"):
+        run(parse_config({
+            "kind": "dim", "seed": 3, "out": str(out), "jobs": 2,
+            "model": {"d": 1, "beta": 1.0},
+            "params": {"n": 16, "geodesics": 2, "scales": [1, 2],
+                       "theta_source": "fit", **_LADDER}}))
+    assert executors == [2]
+    assert multiprocessing.active_children() == []
+    # the ladder's files were written, then removed with the failure
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"] == "RuntimeError: fit failed"
 
 
 def test_d1_dim_fit_calls_no_linalg(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from lrplab import graph
 from lrplab.graph import (LrpGraph, ModelConfig, class_table,
                           expected_long_edge_total, export_text,
                           import_text, load_binary, map_replicates,
-                          sample_graph, save_binary)
+                          replicate_pool, sample_graph, save_binary)
 from lrplab.kernel import (DisplacementKernel, canonical_class,
                            class_integrals, orbit_members)
 from lrplab.rng import RngStream
@@ -140,8 +140,8 @@ def test_sampler_law_per_displacement(d, n, reps):
         return np.bincount(np.ravel_multi_index(k.T, shape),
                            minlength=math.prod(shape))
 
-    observed = np.sum(map_replicates(cfg, range(reps), displacements,
-                                     jobs=1), axis=0)
+    observed = np.sum(map_replicates(cfg, range(reps), displacements),
+                      axis=0)
     ks = [k for k in itertools.product(range(-(n - 1), n), repeat=d)
           if k > (0,) * d and max(map(abs, k)) >= 2]
     entries = DisplacementKernel.build(d, cfg.beta, n - 1).entries
@@ -267,7 +267,7 @@ def test_map_replicates_equal_one_at_a_time(monkeypatch, d, n, count):
     real = RngStream.generator
     monkeypatch.setattr(RngStream, "generator",
                         lambda self: built.append(self) or real(self))
-    batch = map_replicates(cfg, keys, lambda key, g: g, jobs=1)
+    batch = map_replicates(cfg, keys, lambda key, g: g)
     assert [b.stream_id for b in built] == keys
     assert len(batch) == count
     for key, g in zip(keys, batch):
@@ -285,16 +285,79 @@ def _pid(key, g):
     return os.getpid(), key, len(g.long_edges)
 
 
-def test_map_replicates_pool_runs_fn_in_other_processes():
+def test_map_replicates_pool_runs_fn_in_other_processes(monkeypatch):
+    # two workers even on a one-CPU machine
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     cfg = ModelConfig(d=1, beta=1.0, n=64, seed=2)
     before = RngStream.built
-    out = map_replicates(cfg, range(5), _pid, jobs=2)
+    with replicate_pool(2):
+        out = map_replicates(cfg, range(5), _pid)
     # the workers' generators are counted here
     assert RngStream.built - before == 5
     assert os.getpid() not in {pid for pid, _, _ in out}
     assert [key for _, key, _ in out] == list(range(5))
     assert [m for _, _, m in out] == [len(sample_graph(cfg, key).long_edges)
                                       for key in range(5)]
+
+
+class _InProcessExecutor:
+    """Stands in for `ProcessPoolExecutor`: records how it was made and
+    the chunks it was given, and runs them here, starting no process."""
+
+    made: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.max_workers = max_workers
+        self.chunks = []
+        self.cancelled = None
+        self.made.append(self)
+
+    def map(self, fn, chunks):
+        # as in a worker, where no pool is open
+        self.chunks += chunks
+        with replicate_pool(1):
+            return list(map(fn, chunks))
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.cancelled = cancel_futures
+
+
+@pytest.mark.parametrize("jobs, cpus, workers, chunks", [
+    (64, 2, 2, [7, 6, 2, 1]), (64, 3, 3, [5, 5, 3, 1, 1, 1]),
+    (3, 8, 3, [5, 5, 3, 1, 1, 1]), (8, 64, 8, [2] * 6 + [1] * 4)])
+def test_replicate_pool_capped_at_cpu_count(monkeypatch, jobs, cpus,
+                                            workers, chunks):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessExecutor)
+    monkeypatch.setattr(_InProcessExecutor, "made", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = ModelConfig(d=1, beta=1.0, n=32, seed=5)
+    with replicate_pool(jobs):
+        first = map_replicates(cfg, range(13), _pid)
+        # a second call reuses the executor; one key never reaches it
+        second = map_replicates(cfg, range(3), _pid)
+        one = map_replicates(cfg, [4], _pid)
+    [pool] = _InProcessExecutor.made
+    assert pool.max_workers == workers
+    # one chunk of consecutive keys per worker, of 13 keys then of 3
+    assert [len(keys) for _, keys, _ in pool.chunks] == chunks
+    assert pool.cancelled is True
+    assert first == map_replicates(cfg, range(13), _pid)
+    assert second + one == map_replicates(cfg, [0, 1, 2, 4], _pid)
+
+
+def test_replicate_pool_of_one_worker_starts_no_executor(monkeypatch):
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InProcessExecutor)
+    monkeypatch.setattr(_InProcessExecutor, "made", [])
+    cfg = ModelConfig(d=1, beta=1.0, n=32, seed=5)
+    for jobs, cpus in ((1, 8), (4, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with replicate_pool(jobs):
+            map_replicates(cfg, range(6), _pid)
+    assert _InProcessExecutor.made == []
 
 
 def test_argsort_rows_matches_lexsort():

@@ -58,9 +58,7 @@ DEFAULTED = [
     "metric.distance_field(target)",
     "metric.geodesic_dag(exact_counts)",
     "metric.geodesic_dag(region)",
-    "scaling.estimate_medians(jobs)",
     "scaling.sample_distances(box_factor)",
-    "scaling.sample_distances(jobs)",
     "scaling.sample_distances(ladder_index)",
     "sperner.generate_family(target_size)",
 ]

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from lrplab.experiments import (_geodesic_pair, _hausdorff, parse_config,
                                 report, run)
-from lrplab.graph import LrpGraph, ModelConfig, sample_graph
+from lrplab.graph import (LrpGraph, ModelConfig, replicate_pool,
+                          sample_graph)
 from lrplab.metric import geodesic_dag
 from lrplab.rng import Tag
 from lrplab.scaling import (Ecdf, Ladder, atom_trend, centred_pair, ecdf,
@@ -58,7 +59,7 @@ def test_fit_theta_exact_power_law():
     lad_n = (8, 16, 32, 64, 128)
     from lrplab.scaling import ScalingFit
     samples = {n: np.full(50, n ** 0.7) for n in lad_n}
-    fit = ScalingFit(d=1, beta=1.0, seed=0, n_values=lad_n, replicates=50,
+    fit = ScalingFit(seed=0, n_values=lad_n, replicates=50,
                      medians=np.array([n ** 0.7 for n in lad_n]),
                      ci_lo=np.zeros(5), ci_hi=np.zeros(5), samples=samples)
     out = fit_theta(fit)
@@ -70,7 +71,7 @@ def test_fit_theta_linear_is_one():
     lad_n = (8, 16, 32, 64)
     from lrplab.scaling import ScalingFit
     meds = np.array([3.0 * n for n in lad_n])
-    fit = ScalingFit(d=1, beta=1.0, seed=0, n_values=lad_n, replicates=50,
+    fit = ScalingFit(seed=0, n_values=lad_n, replicates=50,
                      medians=meds, ci_lo=meds, ci_hi=meds,
                      samples={n: np.full(50, 3.0 * n) for n in lad_n})
     assert fit_theta(fit).theta_hat == pytest.approx(1.0, abs=1e-12)
@@ -116,7 +117,7 @@ def test_fit_theta_bootstrap_ci_equals_line_fit_loop():
             samples = {n: gen.integers(1, 3 * n ** 0.7, 30).astype(float)
                        for n in lad_n}
             fit = ScalingFit(
-                d=1, beta=1.0, seed=seed, n_values=lad_n, replicates=30,
+                seed=seed, n_values=lad_n, replicates=30,
                 medians=np.array([np.median(samples[n]) for n in lad_n]),
                 ci_lo=np.zeros(len(lad_n)), ci_hi=np.zeros(len(lad_n)),
                 samples=samples)
@@ -192,12 +193,12 @@ def test_ecdf_median_normalization():
 
 def test_atom_trend_n1_mass_one():
     vals = np.ones(50)
-    e = Ecdf(n=1, a_n=1.0, values=vals, replicates=50)
+    e = Ecdf(n=1, values=vals)
     assert max_atom(e) == 1.0
 
 
 def test_atom_trend_requires_three():
-    e = Ecdf(n=1, a_n=1.0, values=np.ones(5), replicates=5)
+    e = Ecdf(n=1, values=np.ones(5))
     with pytest.raises(ValueError):
         atom_trend([e, e])
 
@@ -287,8 +288,9 @@ def test_multiplicity_counts_match_enumeration(tmp_path):
 
 
 def test_sample_distances_parallel_matches_serial():
-    a = sample_distances(1, 1.0, 32, 24, seed=6, jobs=1)
-    b = sample_distances(1, 1.0, 32, 24, seed=6, jobs=3)
+    a = sample_distances(1, 1.0, 32, 24, seed=6)
+    with replicate_pool(3):
+        b = sample_distances(1, 1.0, 32, 24, seed=6)
     assert np.array_equal(a, b)
 
 
@@ -317,8 +319,8 @@ def test_bootstrap_draws_differ_across_seeds(monkeypatch):
 
 
 def test_window_mass_trivial_and_monotone():
-    e = Ecdf(n=8, a_n=2.0, values=np.sort(np.array(
-        [0.5, 0.75, 1.0, 1.0, 1.25, 2.0])), replicates=6)
+    e = Ecdf(n=8, values=np.sort(np.array(
+        [0.5, 0.75, 1.0, 1.0, 1.25, 2.0])))
     assert window_mass(e, 1.0, 10.0) == 1.0
     assert window_mass(e, -5.0, 0.5) == 0.0
     masses = [window_mass(e, 1.0, eps) for eps in (0.1, 0.3, 0.8, 2.0)]
@@ -326,7 +328,7 @@ def test_window_mass_trivial_and_monotone():
 
 
 def test_window_mass_open_interval():
-    e = Ecdf(n=8, a_n=1.0, values=np.array([1.0, 2.0, 3.0]), replicates=3)
+    e = Ecdf(n=8, values=np.array([1.0, 2.0, 3.0]))
     # boundary atoms excluded: (1, 3) catches only the middle point
     assert window_mass(e, 2.0, 1.0) == pytest.approx(1 / 3)
 
@@ -334,7 +336,7 @@ def test_window_mass_open_interval():
 def test_window_mass_additive_over_disjoint_windows():
     rng = np.random.default_rng(0)
     vals = np.sort(rng.integers(0, 40, 200) / 7.0)
-    e = Ecdf(n=8, a_n=1.0, values=vals, replicates=200)
+    e = Ecdf(n=8, values=vals)
     # windows (0.45, 1.55) and (1.55, 2.65) vs their union, no atoms at
     # the shared endpoint or outer edges
     a = window_mass(e, 1.0, 0.55)
@@ -349,6 +351,6 @@ def test_window_mass_additive_over_disjoint_windows():
 @settings(max_examples=25)
 def test_window_mass_bounds(a, eps):
     vals = np.sort(np.abs(np.sin(np.arange(57))))
-    e = Ecdf(n=4, a_n=1.0, values=vals, replicates=57)
+    e = Ecdf(n=4, values=vals)
     m = window_mass(e, a, eps)
     assert 0.0 <= m <= 1.0
