@@ -330,10 +330,15 @@ def renormalize(graph, s: int) -> RenormGraph:
     src, off = np.nonzero(((nb >= 0) & (nb < m)).all(axis=2))
     ends = graph.coords(graph.long_edges) // s
     ends = ends[(ends[:, 0] != ends[:, 1]).any(axis=1)]
-    a = np.concatenate([cells[src], ends[:, 0]]).tolist()
-    b = np.concatenate([nb[src, off], ends[:, 1]]).tolist()
+    a = np.concatenate([cells[src], ends[:, 0]])
+    b = np.concatenate([nb[src, off], ends[:, 1]])
+    # each cube pair once, where it first appears: a later copy of it
+    # adds no key and no neighbour
+    ia, ib = (np.ravel_multi_index(c.T, (m,) * d) for c in (a, b))
+    pair = np.minimum(ia, ib) * m ** d + np.maximum(ia, ib)
+    first = np.sort(np.unique(pair, return_index=True)[1])
     adj: dict[tuple, set] = {}
-    for u, v in zip(map(tuple, a), map(tuple, b)):
+    for u, v in zip(*(map(tuple, c[first].tolist()) for c in (a, b))):
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     return RenormGraph(shape=(m,) * d, adj=adj)

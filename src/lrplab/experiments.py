@@ -41,9 +41,9 @@ from .graph import (ModelConfig, _atomic_open, export_text, map_replicates,
                     replicate_pool, sample_graph, save_binary)
 from .metric import geodesic_dag, path_edges, sample_geodesic
 from .rng import RngStream, Tag
-from .scaling import (MIN_LADDER_POINTS, Ladder, ScalingFit, atom_trend,
-                      centred_pair, ecdf, estimate_medians, fit_theta,
-                      sample_distances)
+from .scaling import (LADDER_BOX, MIN_LADDER_POINTS, PROBE_BOX, Ladder,
+                      ScalingFit, atom_trend, centred_pair, ecdf,
+                      estimate_medians, fit_theta, sample_distances)
 from .dimension import (CS_BOX_FACTOR, CS_SIZE_CAP, GOOD_CUBE_BOX_FACTOR,
                         GOOD_CUBE_MIN_REPLICATES, GoodCubeParams,
                         connected_set_growth, good_cube_rate,
@@ -183,7 +183,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     box = functools.partial(ModelConfig, seed=top["seed"], **model)
     layers = [("", box, {"n": 2})]      # d, beta and seed
     if kind in ("sample", "dim"):
-        layers += [("n: ", box, {"n": (3 if kind == "dim" else 1) * p["n"]})]
+        factor = LADDER_BOX if kind == "dim" else 1
+        layers += [("n: ", box, {"n": factor * p["n"]})]
     if kind == "goodcubes":
         cs_n = CS_BOX_FACTOR * p["s"] if p["cs_n"] is None else p["cs_n"]
         layers += [("s: ", box, {"n": GOOD_CUBE_BOX_FACTOR * p["s"]}),
@@ -193,11 +194,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                    for alpha in p["alphas"]]
     if fits and p["n_values"]:
         ns = tuple(p["n_values"])
-        # the ladder's largest 3n box and the boundary probe's 5n box
+        # the ladder's largest box and the boundary probe's box
         layers += [("", Ladder, {"n_values": ns,
                                  "replicates": p["replicates"]}),
-                   ("n_values: ", box, {"n": 3 * max(ns)}),
-                   ("n_values: ", box, {"n": 5 * min(ns)})]
+                   ("n_values: ", box, {"n": LADDER_BOX * max(ns)}),
+                   ("n_values: ", box, {"n": PROBE_BOX * min(ns)})]
     if kind in ("firework", "xi-coupling"):
         layers += [("", build_ladder, {key: p[key] for key in
                                        ("eps", "theta", "c_star1")})]
@@ -239,11 +240,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(msg)
     return ExperimentConfig(kind=kind, seed=top["seed"], out=top["out"],
                             params=params, jobs=top["jobs"], **model)
-
-
-def load_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +436,7 @@ def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
              replicates: int = 200) -> None:
     if theta_source == "fit":
         theta = _fit_ladder(config, out, n_values, replicates).theta_hat
-    cfg = ModelConfig(d=config.d, beta=config.beta, n=3 * n,
+    cfg = ModelConfig(d=config.d, beta=config.beta, n=LADDER_BOX * n,
                       seed=config.seed)
     paths, pairs = zip(*map_replicates(
         cfg, [(Tag.DIM_SAMPLE, r) for r in range(geodesics)],

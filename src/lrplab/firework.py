@@ -16,7 +16,7 @@ interval [0, reach], and the all-covered probability decays
 geometrically in k.  A continuum edge-process sampler (d=1) draws the
 exact joint law of the E_i indicator vector xi so the domination
 P[xi restricted to S all zero] <= P[matched firework covers |S| sites]
-can be checked empirically, as can the Chernoff bound on its sum.
+can be checked empirically.
 """
 
 from __future__ import annotations
@@ -187,45 +187,13 @@ def _reaches_from_steps(L: np.ndarray) -> np.ndarray:
 @dataclass
 class ReachSample:
     reaches: np.ndarray
-    generations: list | None = None
 
 
 def simulate_firework(model: FireworkModel, rng: np.random.Generator,
-                      runs: int = 1,
-                      store_generations: bool = False) -> ReachSample:
-    """Draw step vectors and spread; reach >= k means all sites covered.
-
-    With `store_generations` the per-run generation sets W_0, W_1, ...
-    are kept (W_0 = {0}, W_m = sites first covered at step m).  The
-    reach is the coverage maximum.
-    """
+                      runs: int = 1) -> ReachSample:
+    """Draw step vectors and spread; reach >= k means all sites covered."""
     L = _sample_steps(model.step_cdf, rng, (runs, model.k))
-    reaches = _reaches_from_steps(L)
-    generations = None
-    if store_generations:
-        generations = [_generations(L[i], int(reaches[i]))
-                       for i in range(runs)]
-    return ReachSample(reaches=reaches, generations=generations)
-
-
-def _generations(L: np.ndarray, reach: int) -> list[list[int]]:
-    k = len(L)
-    covered = {0}
-    gens = [[0]]
-    frontier = [0]
-    while frontier:
-        new = []
-        for s in range(1, k + 1):
-            if s in covered:
-                continue
-            if any(s <= l + L[l] for l in frontier if l < k):
-                new.append(s)
-        if not new:
-            break
-        covered.update(new)
-        gens.append(new)
-        frontier = new
-    return gens
+    return ReachSample(reaches=_reaches_from_steps(L))
 
 
 @dataclass
@@ -248,8 +216,8 @@ def reach_tail(model: FireworkModel, ks, runs: int,
     kmax = int(ks.max())
     if kmax > model.k:
         raise ValueError("requested k beyond the model size")
-    L = _sample_steps(model.step_cdf, rng, (runs, kmax))
-    R = _reaches_from_steps(L)
+    R = simulate_firework(FireworkModel(k=kmax, step_cdf=model.step_cdf),
+                          rng, runs).reaches
     tail = np.array([(R >= k).mean() for k in ks])
     usable = tail >= 10.0 / runs
     if usable.sum() >= 2:
@@ -394,12 +362,8 @@ def firework_cover_tail(ladder: AnnulusLadder, beta: float, subset,
                         runs: int, rng: np.random.Generator) -> float:
     """Empirical P[matched firework covers all |subset| sites]."""
     cdfs = matched_step_cdfs(ladder, beta, subset)
-    k = len(cdfs)
-    L = np.empty((runs, k), dtype=np.int64)
-    for l, cdf in enumerate(cdfs):
-        L[:, l] = _sample_steps(cdf, rng, runs)
-    R = _reaches_from_steps(L)
-    return float((R >= k).mean())
+    L = np.stack([_sample_steps(cdf, rng, runs) for cdf in cdfs], axis=1)
+    return float((_reaches_from_steps(L) >= len(cdfs)).mean())
 
 
 def coupling_checks(ladder: AnnulusLadder, beta: float, xi: XiSample,
@@ -428,16 +392,3 @@ def coupling_checks(ladder: AnnulusLadder, beta: float, xi: XiSample,
                                  fw_tail=tail, sigma=sigma,
                                  holds=w <= tail + SIGMA_FACTOR * sigma))
     return out
-
-
-def concentration_check(xi: np.ndarray, kappa: float) -> dict:
-    """Empirical P[sum xi_i <= (1 - kappa) K / 2] against its bound."""
-    if not (0 < kappa < 1):
-        raise ValueError("kappa must be in (0, 1)")
-    xi = np.asarray(xi)
-    K = xi.shape[1]
-    threshold = (1 - kappa) * K / 2.0
-    emp = float((xi.sum(axis=1) <= threshold).mean())
-    bound = math.exp(-(1 - kappa) ** 2 * K / 2.0)
-    return {"kappa": kappa, "K": K, "threshold": threshold,
-            "empirical": emp, "bound": bound}

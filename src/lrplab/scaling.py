@@ -30,6 +30,8 @@ from .metric import distance
 from .rng import RngStream, Tag
 
 BOOTS = 500     # bootstrap rounds of `fit_theta`
+LADDER_BOX = 3  # a ladder point n is measured in a box of side 3n
+PROBE_BOX = 5   # and the boundary probe's smallest n in one of side 5n
 MIN_LADDER_POINTS = 4   # the fewest ladder points `fit_theta` fits
 
 
@@ -94,7 +96,7 @@ def _distance(n: int, key, graph) -> int:
 
 
 def sample_distances(d: int, beta: float, n: int, replicates: int,
-                     seed: int, box_factor: int = 3,
+                     seed: int, box_factor: int = LADDER_BOX,
                      ladder_index: int = 0) -> np.ndarray:
     """Replicate distances d(x, x + n*1) in a centered box of side
     box_factor * n, keyed by (box_factor, ladder_index, r)."""
@@ -117,7 +119,8 @@ def estimate_medians(d: int, beta: float, ladder: Ladder,
         samples[n] = dist
         medians.append(float(np.median(dist)))
     n0 = ladder.n_values[0]
-    wide = sample_distances(d, beta, n0, ladder.replicates, seed, box_factor=5)
+    wide = sample_distances(d, beta, n0, ladder.replicates, seed,
+                            box_factor=PROBE_BOX)
     return ScalingFit(seed=seed, n_values=tuple(ladder.n_values),
                       replicates=ladder.replicates,
                       medians=np.asarray(medians), samples=samples,

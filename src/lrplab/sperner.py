@@ -25,6 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .graph import _atomic_open
+
 N_CAP = 24
 # the kinds `generate_family` draws
 GENERATORS = ("antichain-low", "greedy-maximal", "random-levels")
@@ -308,7 +310,7 @@ def _greedy(n: int, rng, target: int, levels) -> SetFamily:
 
 def save_family(family: SetFamily, path) -> None:
     """First line 'n=<int>', one comma-separated subset per line."""
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(f"n={family.n}\n")
         for s in family.to_sets():
             fh.write(",".join(map(str, s)) + "\n")

@@ -290,11 +290,13 @@ def test_renormalize_path_graph_counts():
     assert counts.tolist() == [1, 2, 3]
 
 
-@pytest.mark.parametrize("n, s", [(12, 3), (12, 4)])
-def test_renormalize_d2_matches_brute_force(n, s):
+@pytest.mark.parametrize("d, n, s", [
+    pytest.param(2, 12, 3, id="12-3"), pytest.param(2, 12, 4, id="12-4"),
+    pytest.param(1, 48, 4, id="d1-48-4"), pytest.param(3, 6, 2, id="d3-6-2")])
+def test_renormalize_d2_matches_brute_force(d, n, s):
     # cubes are linked iff some lattice or long edge joins their sites
     for seed in range(3):
-        g = sample_graph(ModelConfig(d=2, beta=1.5, n=n, seed=seed))
+        g = sample_graph(ModelConfig(d=d, beta=1.5, n=n, seed=seed))
         coords, edges = _all_edges(g)
         brute = {}
         for u, v in edges:
@@ -303,7 +305,7 @@ def test_renormalize_d2_matches_brute_force(n, s):
                 brute.setdefault(cu, set()).add(cv)
                 brute.setdefault(cv, set()).add(cu)
         rg = renormalize(g, s)
-        assert rg.shape == (n // s, n // s)
+        assert rg.shape == (n // s,) * d
         assert rg.adj == brute
 
 

@@ -12,9 +12,8 @@ import pytest
 import lrplab
 from lrplab.cli import _assemble, _build_parser, main
 from lrplab.experiments import (_CONFIG, _RUNNERS, REQUIRED, ConfigError,
-                                IntegrityError, load_config, parameters,
-                                parse_config, report, run, verify_run,
-                                write_json)
+                                IntegrityError, parameters, parse_config,
+                                report, run, verify_run, write_json)
 from lrplab.rng import RngStream, Tag
 
 
@@ -365,11 +364,16 @@ def test_report_schema_dim(tmp_path):
 
 
 def test_load_config_round_trip(tmp_path):
-    doc = {"kind": "sample", "out": str(tmp_path / "x"), "seed": 1,
-           "jobs": 1, "model": {"d": 1, "beta": 0.5}, "params": {"n": 32}}
+    # a manifest's config, passed back through --config, runs as itself
+    out = tmp_path / "x"
+    assert main(["sample", "--out", str(out), "--n", "32", "--seed", "1",
+                 "--beta", "0.5"]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(doc))
-    assert load_config(path).to_dict() == doc
+    path.write_text(json.dumps(config))
+    assert main(["sample", "--config", str(path)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"] == \
+        config
 
 
 # ---------------------------------------------------------------------------

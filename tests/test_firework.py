@@ -3,16 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate
 
 from lrplab import contgeom as cg
 from lrplab.contgeom import crossing_probability
-from lrplab.firework import (FireworkModel, build_ladder,
-                             compute_crossing_probs, concentration_check,
-                             coupling_checks, default_step_cdf,
-                             jump_scaling_sweep, matched_step_cdfs,
-                             reach_tail, simulate_firework,
-                             simulate_xi_vector)
+from lrplab.firework import (FireworkModel, _reaches_from_steps,
+                             _sample_steps, build_ladder,
+                             compute_crossing_probs, coupling_checks,
+                             default_step_cdf, jump_scaling_sweep,
+                             matched_step_cdfs, reach_tail,
+                             simulate_firework, simulate_xi_vector)
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +159,8 @@ def test_firework_full_jump():
     cdf = np.zeros(k + 1)
     cdf[k] = 1.0  # L = k surely
     out = simulate_firework(FireworkModel(k=k, step_cdf=cdf),
-                            np.random.default_rng(0), runs=20,
-                            store_generations=True)
+                            np.random.default_rng(0), runs=20)
     assert (out.reaches == k).all()
-    assert all(g == [[0], [1, 2, 3, 4, 5, 6, 7]] for g in out.generations)
-
-
-def test_firework_generations_disjoint_and_interval():
-    model = FireworkModel.default(10, c2=1.0)
-    out = simulate_firework(model, np.random.default_rng(3), runs=200,
-                            store_generations=True)
-    for gens, reach in zip(out.generations, out.reaches):
-        flat = [s for g in gens for s in g]
-        assert len(flat) == len(set(flat))
-        assert sorted(flat) == list(range(int(reach) + 1))
 
 
 def test_firework_dp_oracle_small_k():
@@ -210,6 +198,20 @@ def test_reach_tail_monotone_and_fit():
     assert rt.r_squared >= 0.95
 
 
+def test_reach_tail_reads_simulate_firework_reaches():
+    # both draw one (runs, k_max) table of steps from the generator, so
+    # the same generator gives the same reaches and the tail over them
+    model = FireworkModel.default(12, c2=1.0)
+    ks, runs = range(3, 9), 5000
+    steps = _sample_steps(model.step_cdf, np.random.default_rng(6),
+                          (runs, 8))
+    drawn = simulate_firework(FireworkModel(k=8, step_cdf=model.step_cdf),
+                              np.random.default_rng(6), runs)
+    assert np.array_equal(drawn.reaches, _reaches_from_steps(steps))
+    rt = reach_tail(model, ks, runs, np.random.default_rng(6))
+    assert rt.tail.tolist() == [(drawn.reaches >= k).mean() for k in ks]
+
+
 def test_reach_tail_degenerate():
     model = FireworkModel(k=8, step_cdf=np.array([1.0]))
     rt = reach_tail(model, range(1, 9), 10 ** 4, np.random.default_rng(0))
@@ -228,7 +230,6 @@ def test_reach_monotone_under_step_dominance():
     L_weak = np.searchsorted(weak, u, side="left")
     L_strong = np.searchsorted(strong, u, side="left")
     assert (L_weak <= L_strong).all()
-    from lrplab.firework import _reaches_from_steps
     assert (_reaches_from_steps(L_weak) <=
             _reaches_from_steps(L_strong)).all()
 
@@ -282,28 +283,3 @@ def test_matched_step_cdfs_shapes(ladder6):
     for cdf in cdfs:
         assert (np.diff(cdf) >= -1e-12).all()
         assert cdf[-1] == pytest.approx(1.0)
-
-def test_concentration_trivial_all_ones():
-    xi = np.ones((500, 6), dtype=bool)
-    for kappa in (0.2, 0.5, 0.9):
-        rep = concentration_check(xi, kappa)
-        assert rep["empirical"] == 0.0
-
-
-def test_concentration_fair_bernoulli_matches_binomial():
-    rng = np.random.default_rng(3)
-    K, runs = 10, 10 ** 5
-    xi = rng.random((runs, K)) < 0.5
-    rep = concentration_check(xi, kappa=0.5)
-    thresh = math.floor(rep["threshold"])
-    exact = stats.binom.cdf(thresh, K, 0.5)
-    se = math.sqrt(exact * (1 - exact) / runs)
-    assert abs(rep["empirical"] - exact) <= 3 * se
-
-
-def test_concentration_monotone_in_kappa():
-    rng = np.random.default_rng(4)
-    xi = rng.random((20000, 8)) < 0.7
-    vals = [concentration_check(xi, k)["empirical"]
-            for k in (0.2, 0.5, 0.8)]
-    assert vals[0] >= vals[1] >= vals[2]

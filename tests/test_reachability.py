@@ -27,19 +27,16 @@ ENTRY_POINTS = {"cli.main", "experiments.run", "experiments.report",
                 "experiments.verify_run"}
 # public names that no entry point calls but that are kept: the checks
 # of the acceptance suite, a test reference, the readers and writers of
-# the graph and family file formats, the config-file loader, the kernel
-# table view the benchmark harness reads, and four estimators of paper
-# quantities that no runner reports yet (expected degree, the ECDF
-# window mass, the Chernoff concentration of the xi vector, the mass
+# the graph and family file formats, the kernel table view the benchmark
+# harness reads, and three estimators of paper quantities that no runner
+# reports yet (expected degree, the ECDF window mass, the mass
 # distribution check of a path)
-KEEP = {"firework.jump_scaling_sweep", "firework.simulate_firework",
-        "kernel.edge_probability", "kernel.kernel_integral",
-        "graph.expected_long_edge_total", "sperner.log_central_term",
-        "kernel.canonical_class", "graph.load_binary", "graph.import_text",
-        "sperner.save_family", "experiments.load_config",
+KEEP = {"firework.jump_scaling_sweep", "kernel.edge_probability",
+        "kernel.kernel_integral", "graph.expected_long_edge_total",
+        "sperner.log_central_term", "graph.load_binary",
+        "graph.import_text", "sperner.save_family",
         "kernel.DisplacementKernel.entries", "kernel.expected_degree",
-        "scaling.window_mass", "firework.concentration_check",
-        "dimension.mass_distribution_check"}
+        "scaling.window_mass", "dimension.mass_distribution_check"}
 
 # every (public function or method, parameter with a default) pair in
 # src/lrplab: a new knob shows up in review as a line added here
@@ -48,7 +45,6 @@ DEFAULTED = [
     "firework.FireworkModel.default(c2)",
     "firework.coupling_checks(max_size)",
     "firework.simulate_firework(runs)",
-    "firework.simulate_firework(store_generations)",
     "firework.simulate_xi_vector(runs)",
     "graph.sample_graph(stream_id)",
     "kernel.edge_probability(d)",

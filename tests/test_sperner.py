@@ -171,6 +171,23 @@ def test_family_file_round_trip(tmp_path):
     assert load_family(path).n == 6
 
 
+def test_family_file_failed_write_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "family.txt"
+    save_family(SetFamily.from_sets(4, [(1,), (2, 3)]), path)
+    old = path.read_bytes()
+    fam = SetFamily.from_sets(5, [(1, 2), (4,), (3, 5)])
+
+    def to_sets(self):
+        yield (1, 2)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(SetFamily, "to_sets", to_sets)
+    with pytest.raises(OSError):
+        save_family(fam, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["family.txt"]
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         SetFamily(n=30, members=())
