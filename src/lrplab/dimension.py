@@ -29,7 +29,7 @@ from .graph import ModelConfig, map_replicates
 # also bound here, unused: the benchmark's probe self-test wraps this
 # name in every lrplab module that holds it (perfbench/test_checks.py)
 from .graph import sample_graph  # noqa: F401
-from .metric import _lattice_neighbours, _nn_offsets, distance_field
+from .metric import _nn_offsets, distance_field
 from .rng import Tag
 from .scaling import line_fit
 
@@ -98,7 +98,6 @@ def mean_dimension_fit(paths, deltas, L) -> DimFit:
 
 @dataclass
 class MassCheckReport:
-    deltas: np.ndarray
     max_ratio: np.ndarray
     passed: bool
     worst_ratio: float
@@ -130,8 +129,7 @@ def mass_distribution_check(path, deltas, L: float, Delta: float,
         threshold = C * (dl * math.sqrt(d)) ** Delta
         ratios.append(float(zeta.max() / threshold))
     ratios = np.asarray(ratios)
-    return MassCheckReport(deltas=np.asarray(list(deltas), dtype=float),
-                           max_ratio=ratios,
+    return MassCheckReport(max_ratio=ratios,
                            passed=bool((ratios <= 1.0).all()),
                            worst_ratio=float(ratios.max()))
 
@@ -192,10 +190,14 @@ def _crossing_edges(graph, z, r: float) -> np.ndarray:
     cross = inside[:, 0] != inside[:, 1]
     e = graph.long_edges[cross]
     e = np.where(inside[cross, :1], e, e[:, ::-1])
-    # lattice edges: the cube's outer layer paired with its
-    # ell-infinity neighbours outside
+    # lattice edges: the cube's outer layer paired with its in-box
+    # ell-infinity neighbours outside, vertex by vertex in `_nn_offsets`
+    # order
+    n = graph.config.n
     shell = np.flatnonzero(mask & ~_cube(graph, z, r - 1))
-    pos, u = _lattice_neighbours(graph, shell)
+    nb = graph.coords(shell)[:, None, :] + _nn_offsets(graph.config.d)
+    pos, off = np.nonzero(((nb >= 0) & (nb < n)).all(axis=2))
+    u = graph.index(nb[pos, off])
     return np.concatenate([e, np.stack([shell[pos], u], axis=1)[~mask[u]]])
 
 

@@ -390,8 +390,9 @@ def _atomic_open(path, mode: str = "w"):
         with open(tmp, mode, newline=None if "b" in mode else "\n") as fh:
             yield fh
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_binary(graph: LrpGraph, path) -> None:

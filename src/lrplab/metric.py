@@ -1,11 +1,12 @@
 """Chemical distance, restricted metrics, and the geodesic DAG.
 
 All distances are exact BFS distances (unit edge weights) on a sampled
-configuration, optionally restricted to a region: a boolean mask over
-the linearized box.  A restricted path may only visit vertices inside
-the region, endpoints included, so edges with an endpoint outside are
-excluded.  Unreached targets are reported as None at the public API;
-internally distance arrays use -1.
+configuration.  `distance` and `geodesic_dag` search between two points
+over the whole box, which lattice edges connect.  A restricted metric
+is a one-sided `distance_field` over a region: a boolean mask over the
+linearized box.  A restricted path may only visit vertices inside the
+region, so edges with an endpoint outside are excluded; the field reads
+-1 where unreached.
 
 Searches run on padded ids (`LrpGraph.pad`): the box padded by one
 ghost layer, (n + 2)^d ids, on which the graph's long-edge CSR is
@@ -17,11 +18,13 @@ region, start out labelled as visited.
 A search toward a target is one lockstep BFS over two copies of the
 padded box, interleaved as ids 2p + c: x grows in copy 0 and y in
 copy 1, and each iteration expands both frontiers in one level step.
-At the first iteration r whose new vertices include one that
-carries both labels, d(x, y) = D is the least dx + dy among them:
-before that iteration no vertex was labelled twice, so D > 2(r - 1),
-and the geodesic vertex with dx = r and dy = D - r <= r was labelled
-in it.  A search thus takes ~D/2 iterations instead of D.
+Its one stop rule is that the two sides meet: at the first iteration r
+whose new vertices include one that carries both labels, d(x, y) = D
+is the least dx + dy among them: before that iteration no vertex was
+labelled twice, so D > 2(r - 1), and the geodesic vertex with dx = r
+and dy = D - r <= r was labelled in it.  A search thus takes ~D/2
+iterations instead of D.  Over a region that separates the two, it
+ends when both frontiers run out.
 
 A level step of the search takes one of two forms, chosen from the
 level's expected candidate count: its front size times (3^d - 1 + the
@@ -64,16 +67,6 @@ _BLOCKED = -2     # label of ghosts and of vertices outside the region
 _PY_CANDIDATES = 128
 
 
-def resolve_mask(graph, region) -> np.ndarray | None:
-    """None (the whole box) or a boolean membership array over the box."""
-    if region is None:
-        return None
-    mask = np.asarray(region, dtype=bool)
-    if mask.size != graph.n_vertices:
-        raise ValueError("mask size does not match box")
-    return mask
-
-
 @functools.lru_cache(maxsize=None)
 def _nn_offsets(d: int) -> np.ndarray:
     """All 3^d - 1 ell-infinity unit displacements (read-only)."""
@@ -91,18 +84,6 @@ def _padded_deltas(d: int, n: int) -> np.ndarray:
     deltas = _nn_offsets(d) @ strides
     deltas.flags.writeable = False
     return deltas
-
-
-def _lattice_neighbours(graph, v) -> tuple[np.ndarray, np.ndarray]:
-    """In-box lattice neighbours of vertices `v` as (position in v,
-    neighbour), vertex by vertex in `_nn_offsets` order."""
-    n, d = graph.config.n, graph.config.d
-    deltas = _padded_deltas(d, n)
-    nb = (graph.pad(v)[:, None] + deltas).ravel()
-    inside = np.logical_and.reduce(
-        [(c >= 1) & (c <= n) for c in np.unravel_index(nb, (n + 2,) * d)])
-    pos = np.repeat(np.arange(len(v)), deltas.size)
-    return pos[inside], graph.unpad(nb[inside])
 
 
 def _expand(front, steps, indptr, nbrs):
@@ -202,12 +183,13 @@ class _Search:
     inner: np.ndarray      # the box part of `labels`, shape (n,)*d + (2,)
     front: np.ndarray      # ids labelled in the last iteration
     level: int             # iterations run
-    dist: int | None       # d(x, y); None without a target or if cut off
+    dist: int | None       # d(x, y); None without a target or if the
+                           # region separates x and y
 
 
 def _search(graph, x: int, y: int | None, mask) -> _Search:
     """BFS from x in copy 0 and, with a target y, from y in copy 1 in
-    lockstep, until the copies meet or a frontier runs out."""
+    lockstep, until the copies meet or both frontiers run out."""
     n, d = graph.config.n, graph.config.d
     labels = np.full((n + 2,) * d + (2,), _BLOCKED, dtype=np.int32)
     inner = labels[(slice(1, -1),) * d]
@@ -228,13 +210,12 @@ def _search(graph, x: int, y: int | None, mask) -> _Search:
             if meet is not None:
                 dist = level + meet
                 break
-            # the box is connected, so only a region can cut a side off
-            if mask is not None:
-                in_y = np.count_nonzero(np.bitwise_and(front, 1))
-                if in_y == 0 or in_y == len(front):
-                    break
         level += 1
         front = bfs.step(front, UNREACHED, level)
+    if y is not None and mask is None and dist is None:
+        # lattice edges always connect the box, so this is a defect
+        raise RuntimeError(f"no path from {x} to {y} in a {d}-dimensional "
+                           f"box of side {n}")
     return _Search(labels=labels, inner=inner,
                    front=np.asarray(front, dtype=np.int64), level=level,
                    dist=dist)
@@ -248,7 +229,11 @@ def distance_field(graph, source: int, region=None,
     it stops once the two sides meet, and the array holds the source
     side's labels with d(source, target) at the target's entry.
     """
-    mask = resolve_mask(graph, region)
+    mask = None
+    if region is not None:
+        mask = np.asarray(region, dtype=bool)
+        if mask.size != graph.n_vertices:
+            raise ValueError("mask size does not match box")
     search = _search(graph, source, target, mask)
     dist = search.inner[..., 0].ravel()
     if mask is not None:
@@ -258,28 +243,22 @@ def distance_field(graph, source: int, region=None,
     return dist
 
 
-def distance(graph, x: int, y: int, region=None) -> int | None:
-    """Chemical distance between vertices, or None if the region cuts them."""
-    mask = resolve_mask(graph, region)
-    if mask is not None and not (mask[x] and mask[y]):
-        raise ValueError("endpoints must lie inside the region")
-    d = distance_field(graph, x, mask, target=y)[y]
-    return None if d == UNREACHED else int(d)
+def distance(graph, x: int, y: int) -> int:
+    """Chemical distance between vertices x and y in the box."""
+    return int(distance_field(graph, x, target=y)[y])
 
 
 @dataclass
 class GeodesicDag:
     """All geodesics between source and target, as a layered DAG.
 
-    `levels` maps every on-geodesic vertex to its distance from the
-    source; `preds` and `counts` satisfy counts[v] = sum of counts over
-    preds[v] with counts[source] = 1.
+    `preds` and `counts` satisfy counts[v] = sum of counts over preds[v]
+    with counts[source] = 1.
     """
 
     source: int
     target: int
     dist: int
-    levels: dict
     preds: dict
     counts: dict
 
@@ -288,9 +267,9 @@ class GeodesicDag:
         return self.counts[self.target]
 
 
-def geodesic_dag(graph, x: int, y: int, region=None,
+def geodesic_dag(graph, x: int, y: int,
                  exact_counts: bool = True) -> GeodesicDag:
-    """Build the predecessor DAG of all x->y geodesics inside the region.
+    """Build the predecessor DAG of all x->y geodesics in the box.
 
     One two-sided search, then two walks over its labels (see the module
     docstring): the preds of v at level L are its neighbours at x-level
@@ -301,9 +280,7 @@ def geodesic_dag(graph, x: int, y: int, region=None,
     `exact_counts` is ignored; it is accepted for callers written when
     counts could saturate.
     """
-    search = _search(graph, x, y, resolve_mask(graph, region))
-    if search.dist is None:
-        raise ValueError("target unreached within region")
+    search = _search(graph, x, y, None)
     D, r = search.dist, search.level
     # each copy's labels over padded ids
     dx, dy = (memoryview(search.labels[c::2]) for c in (0, 1))
@@ -341,14 +318,13 @@ def geodesic_dag(graph, x: int, y: int, region=None,
     layers.reverse()
     ids = [v for layer in layers for v in layer]
     plain = dict(zip(ids, graph.unpad(np.array(ids)).tolist()))
-    levels, dag_preds, counts = {int(x): 0}, {}, {int(x): 1}
-    for level, layer in enumerate(layers[1:], 1):
+    dag_preds, counts = {}, {int(x): 1}
+    for layer in layers[1:]:
         for v in layer:
             w = plain[v]
-            levels[w] = level
             dag_preds[w] = vp = [plain[u] for u in preds[v]]
             counts[w] = sum(counts[u] for u in vp)
-    return GeodesicDag(source=int(x), target=int(y), dist=D, levels=levels,
+    return GeodesicDag(source=int(x), target=int(y), dist=D,
                        preds=dag_preds, counts=counts)
 
 

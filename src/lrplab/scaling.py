@@ -85,14 +85,7 @@ def centred_pair(graph, n: int) -> tuple[int, int]:
 
 def _distance(n: int, key, graph) -> int:
     """d(x, x + n*1) for the centred pair in `graph`'s box."""
-    x, y = centred_pair(graph, n)
-    dist = distance(graph, x, y)
-    if dist is None:
-        # lattice edges always connect the box, so this is a defect
-        raise RuntimeError(f"no path from {x} to {y} in a "
-                           f"{graph.config.d}-dimensional box of side "
-                           f"{graph.config.n}")
-    return dist
+    return distance(graph, *centred_pair(graph, n))
 
 
 def sample_distances(d: int, beta: float, n: int, replicates: int,

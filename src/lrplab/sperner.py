@@ -160,7 +160,6 @@ class BoundChain:
     n: int
     p: Fraction
     event_prob: Fraction
-    central_index: int
     central_term: Fraction
     lym: Fraction
     link_event_le_central_times_lym: bool
@@ -206,11 +205,10 @@ def sperner_bound_check(family: SetFamily, p: Fraction) -> BoundChain:
     p = Fraction(p)
     n = family.n
     prob = event_probability(family, p)
-    m, central = central_binomial_term(n, p)
+    _, central = central_binomial_term(n, p)
     lym = lym_sum(family)
     return BoundChain(
-        n=n, p=p, event_prob=prob, central_index=m, central_term=central,
-        lym=lym,
+        n=n, p=p, event_prob=prob, central_term=central, lym=lym,
         link_event_le_central_times_lym=prob <= central * lym,
         link_lym_le_4=lym <= 4,
         link_event_le_4central=prob <= 4 * central,

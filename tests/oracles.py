@@ -99,10 +99,8 @@ def _moore_offsets(d):
     return offs[(offs != 0).any(axis=1)]
 
 
-def is_valid_path(graph, path, mask=None) -> bool:
-    """Every hop uses a present edge and every vertex lies in the mask."""
-    if mask is not None and not all(mask[v] for v in path):
-        return False
+def is_valid_path(graph, path) -> bool:
+    """Every hop uses a present edge."""
     long_set = {(int(i), int(j)) for i, j in graph.long_edges}
     for a, b in zip(path[:-1], path[1:]):
         ca, cb = graph.coords(a), graph.coords(b)

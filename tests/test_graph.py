@@ -445,6 +445,17 @@ def test_binary_round_trip(tmp_path):
         (tmp_path / "g2.lrpg").read_bytes()
 
 
+def test_failed_rename_leaves_no_temp_file(tmp_path):
+    # the target is a directory, so renaming the written temp file over
+    # it fails: the temp file is removed and the directory left alone
+    target = tmp_path / "g.lrpg"
+    target.mkdir()
+    with pytest.raises(OSError):
+        save_binary(_three_edges(), target)
+    assert [p.name for p in tmp_path.iterdir()] == ["g.lrpg"]
+    assert target.is_dir() and not any(target.iterdir())
+
+
 def _three_edges():
     """A d=2, n=6 graph with three long edges."""
     return LrpGraph(ModelConfig(d=2, beta=1.0, n=6, seed=5),

@@ -3,15 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lrplab.graph import ModelConfig, sample_graph
-from lrplab.metric import (_nn_offsets, distance, geodesic_dag, path_edges,
-                           sample_geodesic)
+from lrplab.dimension import _crossing_edges
+from lrplab.graph import LrpGraph, ModelConfig, sample_graph
+from lrplab.metric import (UNREACHED, _nn_offsets, distance, distance_field,
+                           geodesic_dag, path_edges, sample_geodesic)
 
 from oracles import dijkstra_distance, enumerate_geodesics, is_valid_path
 
 
 def _graph(d, n, seed, beta=1.0):
     return sample_graph(ModelConfig(d=d, beta=beta, n=n, seed=seed))
+
+
+def _restricted(g, x, y, mask):
+    """The oracle's restricted distance, -1 where the region cuts x off
+    from y (as `distance_field` reads)."""
+    D = dijkstra_distance(g, x, y, mask)
+    return UNREACHED if D is None else D
 
 
 def _squared_radius(g, center):
@@ -56,7 +64,7 @@ def test_distance_matches_dijkstra_restricted():
     rng = np.random.default_rng(1)
     for _ in range(10):
         x, y = map(int, rng.choice(verts, 2))
-        assert distance(g, x, y, mask) == dijkstra_distance(g, x, y, mask)
+        assert distance_field(g, x, mask)[y] == _restricted(g, x, y, mask)
 
 
 def test_restriction_monotone():
@@ -65,14 +73,12 @@ def test_restriction_monotone():
     rng = np.random.default_rng(2)
     for _ in range(25):
         x, y = map(int, rng.integers(0, 64, 2))
-        d_small = distance(g, x, y, inner)
-        d_big = distance(g, x, y)
-        assert d_small is None or d_small >= d_big
+        d_small = distance_field(g, x, inner)[y]
+        assert d_small == UNREACHED or d_small >= distance(g, x, y)
 
 
 def test_triangle_inequality_bulk():
     # 10^4 random triples per graph via full distance fields
-    from lrplab.metric import distance_field
     for seed in (8, 9):
         g = _graph(1, 256, seed)
         rng = np.random.default_rng(seed)
@@ -136,13 +142,18 @@ def test_dag_forward_backward_counts_agree():
     assert a.count == b.count and a.dist == b.dist
 
 
-def test_dag_unreached_fails_cleanly():
-    g = _graph(1, 30, 13, beta=1e-13)
-    u = np.zeros(30, bool)
-    u[:5] = True
-    u[20:] = True
-    with pytest.raises(ValueError):
-        geodesic_dag(g, 1, 25, u)
+def test_dag_unreached_fails_cleanly(monkeypatch):
+    # lattice edges always connect the box, so a search between two
+    # points that never meet is a defect; here the lattice steps are
+    # taken away and the box has no long edges
+    import lrplab.metric as metric
+    g = LrpGraph(config=ModelConfig(d=1, beta=1.0, n=30),
+                 long_edges=np.empty((0, 2), dtype=np.int64))
+    monkeypatch.setattr(metric, "_padded_deltas",
+                        lambda d, n: np.empty(0, dtype=np.int64))
+    for search in (distance, geodesic_dag):
+        with pytest.raises(RuntimeError, match="no path from 1 to 25"):
+            search(g, 1, 25)
 
 
 def test_sample_geodesic_two_way_frequencies():
@@ -206,21 +217,22 @@ def test_distance_annulus_region_consistency(seed):
     verts = np.where(mask)[0]
     rng = np.random.default_rng(seed)
     x, y = map(int, rng.choice(verts, 2))
-    assert distance(g, x, y, mask) == dijkstra_distance(g, x, y, mask)
+    assert distance_field(g, x, mask)[y] == _restricted(g, x, y, mask)
 
 
 def test_dag_preds_exactly_characterized():
     # preds must contain exactly the edges (u, v) with
     # dist(x,u) + 1 = dist(x,v) and dist(x,u) + 1 + dist(v,y) = dist(x,y),
-    # reconstructed here from oracle distance fields inside the region,
-    # in v's neighbour order: lattice offsets in lexicographic order
-    # (as `_nn_offsets`), then long neighbours above v ascending, then
-    # long neighbours below v ascending.  sample_geodesic draws by
-    # position in these lists, so the order fixes the sampled bytes.
+    # reconstructed here from oracle distance fields, in v's neighbour
+    # order: lattice offsets in lexicographic order (as `_nn_offsets`),
+    # then long neighbours above v ascending, then long neighbours below
+    # v ascending.  sample_geodesic draws by position in these lists, so
+    # the order fixes the sampled bytes.  counts[v] is the number of
+    # geodesics from x to v, summed over preds level by level.
     import heapq
     import itertools
 
-    def oracle_field(g, src, allowed):
+    def oracle_field(g, src):
         n, d = g.config.n, g.config.d
         offs = [o for o in itertools.product((-1, 0, 1), repeat=d)
                 if any(o)]
@@ -241,7 +253,7 @@ def test_dag_preds_exactly_characterized():
                 if all(0 <= c < n for c in c2):
                     nbs.append(int(g.index(c2)))
             for u in nbs:
-                if allowed[u] and dd + 1 < dist.get(u, 1 << 60):
+                if dd + 1 < dist.get(u, 1 << 60):
                     dist[u] = dd + 1
                     heapq.heappush(pq, (dd + 1, u))
         return dist
@@ -249,26 +261,12 @@ def test_dag_preds_exactly_characterized():
     # the larger boxes run the walk toward y several levels past the
     # search's radius
     boxes = ((1, 40), (1, 200), (2, 6), (2, 12), (3, 4))
-    for (d, n), restricted, seed in itertools.product(boxes, (False, True),
-                                                      range(3)):
+    for (d, n), seed in itertools.product(boxes, range(3)):
         g = _graph(d, n, seed)
         x, y = 0, g.n_vertices - 1
-        allowed = np.ones(g.n_vertices, bool)
-        region = None
-        if restricted:
-            # drop random vertices, keeping both endpoints; fewer in d=1,
-            # where most dropped vertices cut the line
-            drop = 0.1 if d == 1 else 0.3
-            allowed = np.random.default_rng(seed).random(g.n_vertices) > drop
-            allowed[[x, y]] = True
-            region = allowed
-        fx = oracle_field(g, x, allowed)
-        fy = oracle_field(g, y, allowed)
-        if y not in fx:
-            with pytest.raises(ValueError):
-                geodesic_dag(g, x, y, region)
-            continue
-        dag = geodesic_dag(g, x, y, region)
+        fx = oracle_field(g, x)
+        fy = oracle_field(g, y)
+        dag = geodesic_dag(g, x, y)
         D = fx[y]
         assert dag.dist == D
         expected = {}
@@ -289,8 +287,10 @@ def test_dag_preds_exactly_characterized():
             expected[v] = [u for u in near + far
                            if u in onset and fx[u] == fx[v] - 1]
         assert dag.preds == expected
-        assert dag.levels == {v: fx[v] for v in on}
-        assert dag.levels[x] == 0 and dag.levels[y] == D
+        counts = {x: 1}
+        for v in sorted(expected, key=fx.get):
+            counts[v] = sum(counts[u] for u in expected[v])
+        assert dag.counts == counts
 
 
 def test_dag_builds_one_field_toward_target(monkeypatch):
@@ -318,7 +318,6 @@ def test_geodesic_count_exact_beyond_64_bits():
     # coefficient T(50), about 4.942e22 > 2^64
     from math import comb
 
-    from lrplab.graph import LrpGraph
     g = LrpGraph(config=ModelConfig(d=2, beta=1.0, n=64),
                  long_edges=np.empty((0, 2), dtype=np.int64))
     x, y = int(g.index((5, 32))), int(g.index((55, 32)))
@@ -334,7 +333,6 @@ def test_geodesic_count_exact_beyond_64_bits():
 def test_sample_geodesic_counts_beyond_float_range():
     # no long edges, d=2, n=800: from (400,20) to (400,780) the geodesic
     # count has 361 digits, past the largest float
-    from lrplab.graph import LrpGraph
     g = LrpGraph(config=ModelConfig(d=2, beta=1.0, n=800),
                  long_edges=np.empty((0, 2), dtype=np.int64))
     x, y = int(g.index((400, 20))), int(g.index((400, 780)))
@@ -347,34 +345,32 @@ def test_sample_geodesic_counts_beyond_float_range():
 @pytest.mark.parametrize("d, n, beta", [(1, 48, 1.0), (2, 7, 1.0),
                                         (2, 9, 1e-13), (3, 4, 1.0)])
 def test_two_sided_search_against_dijkstra(d, n, beta):
-    # x == y, D = 1 and both parities of D, with and without a mask;
-    # the two sides meet after ceil(D / 2) iterations
+    # x == y, D = 1 and both parities of D over the whole box; the two
+    # sides meet after ceil(D / 2) iterations.  Toward a target inside
+    # a region, the search meets or runs out on both sides.
     rng = np.random.default_rng(d * 100 + n)
     g = _graph(d, n, 21, beta=beta)
-    masks = [None, rng.random(g.n_vertices) > 0.2]
+    mask = rng.random(g.n_vertices) > 0.2
     pairs = [(5, 5), (5, 6)] + [tuple(map(int, rng.integers(
         0, g.n_vertices, 2))) for _ in range(30)]
     parities = set()
-    for mask in masks:
-        for x, y in pairs:
-            if mask is not None:
-                mask[[x, y]] = True
-            D = dijkstra_distance(g, x, y, mask)
-            assert distance(g, x, y, mask) == D
-            if D is None:
-                with pytest.raises(ValueError):
-                    geodesic_dag(g, x, y, mask)
-                continue
-            dag = geodesic_dag(g, x, y, mask)
-            assert dag.dist == D and dag.levels[y] == D
-            if D == 0:
-                assert (dag.count, dag.levels, dag.preds) == (1, {x: 0}, {})
-            if D == 1:
-                assert dag.count == 1 and dag.preds == {y: [x]}
-            path = sample_geodesic(dag, rng)
-            assert len(path) == D + 1 and is_valid_path(g, path, mask)
-            parities.add(min(D, 2 + D % 2))
+    for x, y in pairs:
+        D = dijkstra_distance(g, x, y)
+        assert distance(g, x, y) == D
+        dag = geodesic_dag(g, x, y)
+        assert dag.dist == D
+        if D == 0:
+            assert (dag.count, dag.preds) == (1, {})
+        if D == 1:
+            assert dag.count == 1 and dag.preds == {y: [x]}
+        path = sample_geodesic(dag, rng)
+        assert len(path) == D + 1 and is_valid_path(g, path)
+        parities.add(min(D, 2 + D % 2))
     assert parities == {0, 1, 2, 3}
+    for x, y in pairs:
+        mask[[x, y]] = True
+        assert distance_field(g, x, mask, target=y)[y] == \
+            _restricted(g, x, y, mask)
 
 
 @pytest.mark.parametrize("d, n", [(2, 400), (1, 6000)])
@@ -406,9 +402,7 @@ def test_python_and_numpy_levels_agree(monkeypatch, d, n):
     x, y = (int(g.index(tuple([k] * d))) for k in (1, n - 2))
     # y walled in: its side runs out after one level
     walled = np.ones(g.n_vertices, bool)
-    walled[metric._lattice_neighbours(g, np.array([y]))[1]] = False
-    ends = g.long_edges
-    walled[ends[(ends == y).any(axis=1)].ravel()] = False
+    walled[_crossing_edges(g, tuple(g.coords(y).tolist()), 0)[:, 1]] = False
     walled[[x, y]] = True
     # the box less its outer layer, which holds x, y and a lattice path
     inside = ((g.coords(np.arange(g.n_vertices)) % (n - 1)) > 0).all(axis=1)
@@ -420,42 +414,12 @@ def test_python_and_numpy_levels_agree(monkeypatch, d, n):
         monkeypatch.setattr(metric, "_PY_CANDIDATES", crossover)
         searches = [metric._search(g, x, target, mask)
                     for target, mask in cases]
-        dags = [geodesic_dag(g, x, y, mask) for mask in (None, inside)]
-        runs.append((searches, dags))
-    (numpy_searches, numpy_dags), (python_searches, python_dags) = runs
+        runs.append((searches, geodesic_dag(g, x, y)))
+    (numpy_searches, numpy_dag), (python_searches, python_dag) = runs
     assert numpy_searches[1].dist is None
     for a, b in zip(numpy_searches, python_searches):
         assert np.array_equal(a.labels, b.labels)
         assert (a.dist, a.level) == (b.dist, b.level)
         assert sorted(a.front.tolist()) == sorted(b.front.tolist())
-    for a, b in zip(numpy_dags, python_dags):
-        assert (a.levels, a.preds, a.counts) == (b.levels, b.preds, b.counts)
-
-
-def test_two_sided_search_target_cut_off_by_mask():
-    # no long edges in d=1: a gap in the mask separates 2 from 40
-    g = _graph(1, 48, 3, beta=1e-13)
-    assert len(g.long_edges) == 0
-    mask = np.ones(48, bool)
-    mask[20:23] = False
-    assert dijkstra_distance(g, 2, 40, mask) is None
-    assert distance(g, 2, 40, mask) is None
-    assert distance(g, 40, 2, mask) is None
-    with pytest.raises(ValueError):
-        geodesic_dag(g, 2, 40, mask)
-    # the side with the smaller component runs out first either way
-    mask[:2] = False
-    mask[3:20] = False
-    assert distance(g, 2, 40, mask) is None
-    assert distance(g, 40, 2, mask) is None
-
-
-def test_two_sided_search_endpoint_outside_mask():
-    g = _graph(2, 6, 4)
-    mask = np.ones(36, bool)
-    mask[7] = False
-    for x, y in ((7, 30), (30, 7), (7, 7)):
-        with pytest.raises(ValueError):
-            distance(g, x, y, mask)
-        with pytest.raises(ValueError):
-            geodesic_dag(g, x, y, mask)
+    assert (numpy_dag.preds, numpy_dag.counts) == \
+        (python_dag.preds, python_dag.counts)

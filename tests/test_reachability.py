@@ -49,11 +49,9 @@ DEFAULTED = [
     "graph.sample_graph(stream_id)",
     "kernel.edge_probability(d)",
     "kernel.kernel_integral(d)",
-    "metric.distance(region)",
     "metric.distance_field(region)",
     "metric.distance_field(target)",
     "metric.geodesic_dag(exact_counts)",
-    "metric.geodesic_dag(region)",
     "scaling.sample_distances(box_factor)",
     "scaling.sample_distances(ladder_index)",
     "sperner.generate_family(target_size)",
