@@ -10,8 +10,11 @@ the manifest.  Each file is written beside its target and renamed into
 place, so a failed write leaves the old file whole; a failed run
 removes its partial data files and leaves the manifest marked failed.
 
-Every kind has one runner, `_run_<kind>(config, out, **params)`, that
-writes each data file through `out` (`out.csv`, `out.json`, or
+Every kind has one runner, `_run_<kind>(config, out, **params)`, a
+generator.  Up to its one `yield` it builds the run's objects and checks
+the rules that join keys, and samples nothing: `parse_config` runs that
+part with `out` None, and `run` runs it again, then on to the work,
+which writes each data file through `out` (`out.csv`, `out.json`, or
 `out.path` for a file written by other code); `run` checksums, or on
 failure removes, exactly the files on that list.  Its keyword-only
 arguments are the kind's parameters, with types, bounds and defaults.
@@ -95,6 +98,10 @@ class ExperimentConfig:
                 "jobs": self.jobs, "model": {"d": self.d, "beta": self.beta},
                 "params": dict(self.params)}
 
+    def model(self, n: int) -> ModelConfig:
+        """The run's model in a box of side `n`."""
+        return ModelConfig(d=self.d, beta=self.beta, n=n, seed=self.seed)
+
 
 def _bare(tp):
     """`tp` without its bounds."""
@@ -173,73 +180,33 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment kind: {kind!r}")
     model = _defaults(_MODEL) | _read(top["model"], _MODEL, "model key")
     params = _read(top["params"], parameters(kind), f"{kind} parameter")
-    p = _defaults(parameters(kind)) | params
-    source = p.get("theta_source", "fit")
-    fits = kind == "scaling" or (kind == "dim" and source == "fit")
-    # values a run would trip on only after writing its manifest: each
-    # layer's own bound, met by building its object (the model at side 2
-    # and at each box side the run samples, the ladder it fits, the
-    # good-cube parameters, the annulus ladder, the ground sets)
-    box = functools.partial(ModelConfig, seed=top["seed"], **model)
-    layers = [("", box, {"n": 2})]      # d, beta and seed
-    if kind in ("sample", "dim"):
-        factor = LADDER_BOX if kind == "dim" else 1
-        layers += [("n: ", box, {"n": factor * p["n"]})]
-    if kind == "goodcubes":
-        cs_n = CS_BOX_FACTOR * p["s"] if p["cs_n"] is None else p["cs_n"]
-        layers += [("s: ", box, {"n": GOOD_CUBE_BOX_FACTOR * p["s"]}),
-                   ("cs_n: ", box, {"n": cs_n})]
-        layers += [("", GoodCubeParams, {"alpha": alpha, "b": p["b"],
-                                         "theta": p["theta"]})
-                   for alpha in p["alphas"]]
-    if fits and p["n_values"]:
-        ns = tuple(p["n_values"])
-        # the ladder's largest box and the boundary probe's box
-        layers += [("", Ladder, {"n_values": ns,
-                                 "replicates": p["replicates"]}),
-                   ("n_values: ", box, {"n": LADDER_BOX * max(ns)}),
-                   ("n_values: ", box, {"n": PROBE_BOX * min(ns)})]
-    if kind in ("firework", "xi-coupling"):
-        layers += [("", build_ladder, {key: p[key] for key in
-                                       ("eps", "theta", "c_star1")})]
-    if kind == "firework":
-        layers += [("k_max, c2: ", FireworkModel.default,
-                    {"k": p["k_max"], "c2": p["c2"]})]
-    if kind == "sperner":
-        layers += [("n_values: ", SetFamily, {"n": n, "members": ()})
-                   for n in p["n_values"]]
-        layers += [("p_values: ", event_probability,
-                    {"family": SetFamily(n=1, members=()), "p": pv})
-                   for pv in p["p_values"]]
-    for named, layer, kwargs in layers:
-        try:
-            layer(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(named + str(exc)) from None
-    # each key's own bound, then the rules that join keys
+    config = ExperimentConfig(kind=kind, seed=top["seed"], out=top["out"],
+                              params=params, jobs=top["jobs"], **model)
+    # values a run would trip on only after writing its manifest: d, beta
+    # and seed in the model at side 2, then the runner's first part, which
+    # builds its objects and checks the rules that join keys
+    try:
+        config.model(2)
+        next(_RUNNERS[kind](config, None, **params))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    # each key's own bound, after the objects: the first part names a
+    # value that breaks both by what its object refuses
     for bad, msg in (
             *_bounds(top, {key: tp for key, (tp, _) in _CONFIG.items()}),
-            *_bounds(p, _RUNNERS[kind].__annotations__),
-            (source == "manual" and p.get("theta") is None,
-             "theta_source 'manual' needs parameter: theta"),
-            # n * 2^-j >= 1, the finest box one lattice unit or more
-            (kind == "dim"
-             and max(p["scales"], default=0) >= p["n"].bit_length(),
-             "scales: n * 2^-max(scales) must be at least 1"),
-            (kind == "firework" and p["k_min"] > p["k_max"],
-             "k_min must be <= k_max"),
-            (kind == "goodcubes" and cs_n % p["s"],
-             "cs_n: cube side must divide the box side"),
-            (kind == "goodcubes" and cs_n // p["s"] < 3,
-             "cs_n: the cube grid needs an interior cube (cs_n >= 3s)"),
-            (kind == "goodcubes" and p["a_s"] is None
-             and p["a_s_replicates"] < 1, "a_s_replicates must be >= 1"),
-            (fits and len(p["n_values"]) < MIN_LADDER_POINTS,
-             f"n_values must hold at least {MIN_LADDER_POINTS} points")):
+            *_bounds(_defaults(parameters(kind)) | params,
+                     _RUNNERS[kind].__annotations__)):
         if bad:
             raise ConfigError(msg)
-    return ExperimentConfig(kind=kind, seed=top["seed"], out=top["out"],
-                            params=params, jobs=top["jobs"], **model)
+    return config
+
+
+def _keyed(key: str, build, *args, **kwargs):
+    """`build(*args, **kwargs)`, its ValueError's message led by "key: "."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +303,8 @@ def run(config: ExperimentConfig) -> RunManifest:
     built = RngStream.built
     try:
         with replicate_pool(config.jobs):
-            _RUNNERS[config.kind](config, out, **config.params)
+            for _ in _RUNNERS[config.kind](config, out, **config.params):
+                pass
         manifest.outputs = {f.name: sha256_file(f) for f in out.paths}
         manifest.rng_streams = RngStream.built - built
         manifest.status = "complete"
@@ -361,18 +329,30 @@ def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
 # experiment implementations
 
 
-def _run_sample(config: ExperimentConfig, out: _Outputs, *,
-                n: int = 256) -> None:
-    cfg = ModelConfig(d=config.d, beta=config.beta, n=n, seed=config.seed)
+def _run_sample(config: ExperimentConfig, out: _Outputs, *, n: int = 256):
+    cfg = _keyed("n", config.model, n)
+    yield
     g = sample_graph(cfg)
     save_binary(g, out.path("graph.lrpg"))
     export_text(g, out.path("edges.txt"))
 
 
-def _fit_ladder(config: ExperimentConfig, out: _Outputs,
-                n_values: list[int], replicates: int) -> ScalingFit:
-    """Medians and the theta fit of a ladder, written out."""
+def _ladder(config: ExperimentConfig, n_values: list[int],
+            replicates: int) -> Ladder:
+    """The ladder a run fits, with the model at its largest 3n box and at
+    its boundary probe's 5n box."""
     ladder = Ladder(n_values=tuple(n_values), replicates=replicates)
+    if len(n_values) < MIN_LADDER_POINTS:
+        raise ValueError(
+            f"n_values must hold at least {MIN_LADDER_POINTS} points")
+    _keyed("n_values", config.model, LADDER_BOX * max(n_values))
+    _keyed("n_values", config.model, PROBE_BOX * min(n_values))
+    return ladder
+
+
+def _fit_ladder(config: ExperimentConfig, out: _Outputs,
+                ladder: Ladder) -> ScalingFit:
+    """Medians and the theta fit of a ladder, written out."""
     fit = fit_theta(estimate_medians(config.d, config.beta, ladder,
                                      config.seed))
     out.csv("medians.csv", ["n", "a_n", "ci_lo", "ci_hi", "replicates"],
@@ -389,8 +369,10 @@ def _fit_ladder(config: ExperimentConfig, out: _Outputs,
 
 
 def _run_scaling(config: ExperimentConfig, out: _Outputs, *,
-                 n_values: list[int], replicates: int = 50) -> None:
-    fit = _fit_ladder(config, out, n_values, replicates)
+                 n_values: list[int], replicates: int = 50):
+    ladder = _ladder(config, n_values, replicates)
+    yield
+    fit = _fit_ladder(config, out, ladder)
     masses, rho, pval = atom_trend([ecdf(fit, n) for n in fit.n_values])
     out.csv("atoms.csv", ["n", "max_atom_mass"],
             list(zip(fit.n_values, masses)))
@@ -433,11 +415,21 @@ def _run_dim(config: ExperimentConfig, out: _Outputs, *, n: int = 2048,
              theta_source: Annotated[str, ("in", ("fit", "manual"))] = "fit",
              theta: float | None = None,
              n_values: list[int] = [32, 64, 128, 256, 512, 1024, 2048],
-             replicates: int = 200) -> None:
+             replicates: int = 200):
+    cfg = _keyed("n", config.model, LADDER_BOX * n)
     if theta_source == "fit":
-        theta = _fit_ladder(config, out, n_values, replicates).theta_hat
-    cfg = ModelConfig(d=config.d, beta=config.beta, n=LADDER_BOX * n,
-                      seed=config.seed)
+        ladder = _ladder(config, n_values, replicates)
+    if theta_source == "manual" and theta is None:
+        raise ValueError("theta_source 'manual' needs parameter: theta")
+    # n * 2^-j <= n, a box no larger than the geodesic's scale, and
+    # n * 2^-j >= 1, the finest box one lattice unit or more
+    if min(scales, default=0) < 0:
+        raise ValueError("scales: every scale j must be >= 0")
+    if max(scales, default=0) >= n.bit_length():
+        raise ValueError("scales: n * 2^-max(scales) must be at least 1")
+    yield
+    if theta_source == "fit":
+        theta = _fit_ladder(config, out, ladder).theta_hat
     paths, pairs = zip(*map_replicates(
         cfg, [(Tag.DIM_SAMPLE, r) for r in range(geodesics)],
         functools.partial(_geodesic_replicate, n)))
@@ -467,13 +459,24 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
                        int, (">=", GOOD_CUBE_MIN_REPLICATES)] = 400,
                    a_s_replicates: int = 200, cs_n: int | None = None,
                    cs_k: Annotated[int, (">=", 1), ("<=", CS_SIZE_CAP)] = 5,
-                   cs_replicates: Count = 100) -> None:
+                   cs_replicates: Count = 100):
+    _keyed("s", config.model, GOOD_CUBE_BOX_FACTOR * s)
+    cs_n = CS_BOX_FACTOR * s if cs_n is None else cs_n
+    _keyed("cs_n", config.model, cs_n)
+    grid = [GoodCubeParams(alpha=alpha, b=b, theta=theta)
+            for alpha in sorted(alphas, reverse=True)]
+    if cs_n % s:
+        raise ValueError("cs_n: cube side must divide the box side")
+    if cs_n // s < 3:
+        raise ValueError(
+            "cs_n: the cube grid needs an interior cube (cs_n >= 3s)")
+    if a_s is None and a_s_replicates < 1:
+        raise ValueError("a_s_replicates must be >= 1")
+    yield
     if a_s is None:
         a_s = float(np.median(sample_distances(
             config.d, config.beta, s, a_s_replicates, config.seed,
             ladder_index=Tag.A_S_PROBE)))
-    grid = [GoodCubeParams(alpha=alpha, b=b, theta=theta)
-            for alpha in sorted(alphas, reverse=True)]
     rates = good_cube_rate(config.d, config.beta, s, grid, a_s, replicates,
                            config.seed)
     out.csv("goodcubes.csv", ["alpha", "b", "rate", "ci_lo", "ci_hi"],
@@ -481,9 +484,8 @@ def _run_goodcubes(config: ExperimentConfig, out: _Outputs, *,
     out.json("goodcubes.json", {"s": s, "a_s": a_s, "theta": theta,
                                 "replicates": replicates})
     growth = connected_set_growth(
-        config.d, config.beta,
-        n=CS_BOX_FACTOR * s if cs_n is None else cs_n, s=s,
-        k=cs_k, replicates=cs_replicates, seed=config.seed)
+        config.d, config.beta, n=cs_n, s=s, k=cs_k,
+        replicates=cs_replicates, seed=config.seed)
     out.csv("cs_counts.csv", ["k", "mean", "bound"],
             [(k + 1, growth.cs_means[k], growth.cs_bound[k])
              for k in range(len(growth.cs_means))])
@@ -497,7 +499,12 @@ def _run_sperner(config: ExperimentConfig, out: _Outputs, *,
                      Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)],
                  generator: Annotated[str, ("in", GENERATORS)]
                  = "antichain-low",
-                 target_size: Annotated[int | None, (">=", 1)] = None) -> None:
+                 target_size: Annotated[int | None, (">=", 1)] = None):
+    for n in n_values:
+        _keyed("n_values", SetFamily, n=n, members=())
+    for pv in p_values:
+        _keyed("p_values", event_probability, SetFamily(n=1, members=()), pv)
+    yield
     rows = []
     for n in n_values:
         rng = RngStream(config.seed, (Tag.SPERNER_FAMILIES, n)).generator()
@@ -519,8 +526,12 @@ def _run_sperner(config: ExperimentConfig, out: _Outputs, *,
 def _run_firework(config: ExperimentConfig, out: _Outputs, *,
                   eps: float = 1e-9, theta: float = 0.5,
                   c_star1: float = 0.5, c2: float = 1.0, k_min: Count = 2,
-                  k_max: int = 12, runs: Count = 10 ** 5) -> None:
+                  k_max: int = 12, runs: Count = 10 ** 5):
     ladder = build_ladder(eps, theta, c_star1)
+    model = _keyed("k_max, c2", FireworkModel.default, k_max, c2=c2)
+    if k_min > k_max:
+        raise ValueError("k_min must be <= k_max")
+    yield
     out.json("ladder.json", {
         "eps": eps, "theta": theta, "c_star1": c_star1, "K": ladder.K,
         "N": ladder.N, "M": [float(x) for x in ladder.M[1:]],
@@ -530,8 +541,7 @@ def _run_firework(config: ExperimentConfig, out: _Outputs, *,
     out.csv("crossing.csv", ["i", "p_gap_jump", "p_shell_cross"],
             [(i + 1, cp.p_gap[i], cp.p_shell[i]) for i in range(ladder.K)])
     rng = RngStream(config.seed, (Tag.FIREWORK,)).generator()
-    rt = reach_tail(FireworkModel.default(k_max, c2=c2),
-                    range(k_min, k_max + 1), runs, rng)
+    rt = reach_tail(model, range(k_min, k_max + 1), runs, rng)
     out.csv("firework.csv", ["k", "tail", "kappa_hat", "r_squared"],
             [(int(k), rt.tail[i], rt.kappa_hat, rt.r_squared)
              for i, k in enumerate(rt.ks)])
@@ -543,8 +553,9 @@ def _run_xi_coupling(config: ExperimentConfig, out: _Outputs, *,
                      resolution: Annotated[int, (">=", MIN_RESOLUTION)] = 8,
                      runs: Count = 10 ** 4,
                      max_subset_size: Annotated[int | None, (">=", 1)]
-                     = None) -> None:
+                     = None):
     ladder = build_ladder(eps, theta, c_star1)
+    yield
     xi = simulate_xi_vector(ladder, config.beta, resolution,
                             RngStream(config.seed,
                                       (Tag.XI_VECTOR,)).generator(),
@@ -628,7 +639,9 @@ _SUMMARIES = {
         "unique geodesic fraction = "
         f"{fmt(np.mean([r[1] == '1' for r in rows]))} over {len(rows)} "
         "samples, median shared-edge fraction = "
-        f"{fmt(np.median([float(r[2]) for r in rows]))}"),
+        f"{fmt(np.median([float(r[2]) for r in rows]))}, hausdorff_over_n "
+        "median, 90% quantile = " + ", ".join(map(fmt, np.quantile(
+            [float(r[3]) for r in rows], [0.5, 0.9])))),
     "goodcubes.csv": lambda rows: "good-cube rates: " + "; ".join(
         f"alpha={r[0]}: {r[2]}" for r in rows),
     "firework.csv": lambda rows: (f"kappa_hat = {rows[0][2]}, "

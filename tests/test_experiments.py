@@ -7,13 +7,15 @@ import typing
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lrplab
 from lrplab.cli import _assemble, _build_parser, main
-from lrplab.experiments import (_CONFIG, _RUNNERS, REQUIRED, ConfigError,
-                                IntegrityError, parameters, parse_config,
-                                report, run, verify_run, write_json)
+from lrplab.experiments import (_CONFIG, _RUNNERS, EXPERIMENT_KINDS,
+                                REQUIRED, ConfigError, IntegrityError,
+                                parameters, parse_config, report, run,
+                                verify_run, write_json)
 from lrplab.rng import RngStream, Tag
 
 
@@ -175,6 +177,8 @@ def test_bad_config_fails_before_any_output(tmp_path, key, kind, params,
     ("alphas", "goodcubes", 1, {"alphas": []}),
     ("n_values", "sperner", 1, {"n_values": []}),
     ("p_values", "sperner", 1, {"p_values": []}),
+    # a negative scale, a box larger than the geodesic's scale n
+    ("scales", "dim", 1, {"n": 16, "scales": [-1, 2]}),
 ])
 def test_layer_bounds_refused_by_parse_config(key, kind, d, params):
     # the config alone, since a run that missed one of these could sample
@@ -189,6 +193,27 @@ def test_dim_scales_down_to_one_lattice_unit_accepted():
     cfg = parse_config({"kind": "dim", "seed": 1, "out": "unused",
                         "params": {"n": 16, "scales": [3, 4]}})
     assert cfg.params["scales"] == [3, 4]
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_parse_config_samples_nothing(monkeypatch, kind):
+    # parse_config runs the runner's first part with `out` None: at the
+    # kind's defaults it builds objects only, so it maps no replicate,
+    # samples no graph and builds no generator
+    from lrplab import dimension, experiments, graph, scaling
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled while parsing a config")
+
+    for module in (graph, scaling, dimension, experiments):
+        for name in ("map_replicates", "sample_graph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    built = RngStream.built
+    params = {"n_values": [8, 16, 32, 64]} if kind == "scaling" else {}
+    config = parse_config({"kind": kind, "out": "unused", "params": params})
+    assert config.params == params
+    assert RngStream.built == built
 
 
 def _edges(tp, default, op, edge):
@@ -255,6 +280,7 @@ def test_every_bound_takes_its_edge_and_refuses_past_it(kind, key, inside,
     ["xi-coupling", "--runs", "0"],
     ["firework", "--k-min", "2", "--k-max", "1"],
     ["dim", "--n", "16", "--scales", "9", "10"],
+    ["dim", "--n", "16", "--scales", "-1", "2"],
     ["sperner", "sweep", "--n-values", "6", "--families-per-n", "2",
      "--p-values", "1"],
     ["sperner", "sweep", "--p-values", "0"],
@@ -361,6 +387,15 @@ def test_report_schema_dim(tmp_path):
     lines = fig.read_text().strip().split("\n")
     assert lines[0].split("\t") == ["x", "y", "ci_lo", "ci_hi"]
     assert len(lines) == 5
+    # uniqueness shows as the spread between two uniform geodesics going
+    # to 0, so the summary gives its median and 90% quantile
+    rows = (tmp_path / "d" / "uniqueness.csv").read_text().split()[1:]
+    spread = np.quantile([float(r.split(",")[3]) for r in rows], [0.5, 0.9])
+    assert spread[1] > 0
+    line = (tmp_path / "d" / "summary.txt").read_text().splitlines()[-1]
+    assert line.startswith("unique geodesic fraction = ")
+    assert line.endswith(", hausdorff_over_n median, 90% quantile = "
+                         f"{spread[0]:.17g}, {spread[1]:.17g}")
 
 
 def test_load_config_round_trip(tmp_path):
